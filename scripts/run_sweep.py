@@ -1,61 +1,31 @@
 #!/usr/bin/env python3
 """Run the full verification sweep with the default bounds and exit nonzero
-on any mismatch.  Equivalent to `kroncoef sweep` but summarises instead of
-printing every row."""
+on any mismatch.  Runs the rows of `kroncoef sweep` but summarises them by
+check kind instead of printing every row."""
 
 import argparse
 import sys
 import time
+from collections import Counter
 
-from kroncoef.diagram_algebra import check_dimension_identity, dimension_identity_cases
-from kroncoef.kronecker import (
-    SweepBounds,
-    check_reduced,
-    check_routes,
-    expected_tensor_square,
-    route_agreement_cases,
-    tensor_square_decomposition,
-)
+from kroncoef.cli import add_bounds_arguments, bounds_from_args, sweep_rows
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-weight", type=int, default=4)
-    parser.add_argument("--extra-n", type=int, default=3)
-    parser.add_argument("--dim-max", type=int, default=6)
-    parser.add_argument("--stab-max-n", type=int, default=8)
-    args = parser.parse_args()
-    bounds = SweepBounds(args.max_weight, args.extra_n, args.dim_max, args.stab_max_n)
+    add_bounds_arguments(parser)
+    bounds = bounds_from_args(parser.parse_args())
 
     start = time.perf_counter()
+    counts = Counter()
     failures = []
-
-    route_count = 0
-    reduced_seen = set()
-    for lam, mu, nu, n in route_agreement_cases(bounds):
-        route_count += 1
-        res = check_routes(lam, mu, nu, n)
-        if not res["ok"]:
-            failures.append(("routes", lam, mu, nu, n, res))
-        key = (lam, mu, nu)
-        if key not in reduced_seen:
-            reduced_seen.add(key)
-            res = check_reduced(lam, mu, nu)
-            if not res["ok"]:
-                failures.append(("reduced", lam, mu, nu, res))
-    print(f"route agreement: {route_count} padded cases, {len(reduced_seen)} reduced triples")
-
-    for n in range(2, bounds.stab_max_n + 1):
-        if tensor_square_decomposition(n) != expected_tensor_square(n):
-            failures.append(("stabilization", n))
-    print(f"stabilization: n = 2..{bounds.stab_max_n}")
-
-    dim_count = 0
-    for nu, r, s in dimension_identity_cases(bounds.dim_max):
-        dim_count += 1
-        if not check_dimension_identity(nu, r, s)["ok"]:
-            failures.append(("dimension", nu, r, s))
-    print(f"dimension identity: {dim_count} cases up to degree {bounds.dim_max}")
+    for check, case, values, ok in sweep_rows(bounds):
+        counts[check] += 1
+        if not ok:
+            failures.append((check, case, values))
+    print(f"route agreement: {counts['kron_routes']} padded cases, {counts['reduced_routes']} reduced triples")
+    print(f"stabilization: {counts['stabilization']} cases, n = 2..{bounds.stab_max_n}")
+    print(f"dimension identity: {counts['dim_identity']} cases up to degree {bounds.dim_max}")
 
     elapsed = time.perf_counter() - start
     if failures:

@@ -12,14 +12,13 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagram_algebra as da
 from . import kronecker as kr
 from .partitions import Partition, block_chain, dagger, pad, partitions_up_to
-from .sym_characters import SPECHT_CAP_DEFAULT, character_table
+from .sym_characters import character_table
 
 
 @dataclass
@@ -28,9 +27,6 @@ class Config:
 
     fmt: str = "human"
     delta: Fraction | None = None
-    specht_cap: int = SPECHT_CAP_DEFAULT
-    jobs: int = 1
-    bounds: kr.SweepBounds = field(default_factory=kr.SweepBounds)
 
 
 def _parse_partition(text: str) -> Partition:
@@ -231,33 +227,21 @@ def cmd_table(args, cfg: Config) -> int:
     return 0
 
 
-def _sweep_rows(bounds: kr.SweepBounds, jobs: int):
-    """Deterministically ordered rows for the verification sweep."""
+def sweep_rows(bounds: kr.SweepBounds):
+    """Deterministically ordered (check, case, values, ok) rows of the
+    verification sweep: route agreement, reduced routes, tensor-square
+    stabilization and the standard-module dimension identity."""
     route_cases = list(kr.route_agreement_cases(bounds))
-
-    def run_route(case):
-        lam, mu, nu, n = case
+    for lam, mu, nu, n in route_cases:
         res = kr.check_routes(lam, mu, nu, n)
-        return (
+        yield (
             "kron_routes",
             f"{lam} {mu} {nu} n={n}",
             f"oracle={res['oracle']} blocks={res['blocks']} dagger={res['dagger']}",
             res["ok"],
         )
 
-    if jobs > 1 and route_cases:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(run_route, route_cases)
-    else:
-        for case in route_cases:
-            yield run_route(case)
-
-    reduced_seen = set()
-    for lam, mu, nu, _n in route_cases:
-        key = (lam, mu, nu)
-        if key in reduced_seen:
-            continue
-        reduced_seen.add(key)
+    for lam, mu, nu in dict.fromkeys(case[:3] for case in route_cases):
         res = kr.check_reduced(lam, mu, nu)
         yield (
             "reduced_routes",
@@ -286,22 +270,28 @@ def _sweep_rows(bounds: kr.SweepBounds, jobs: int):
         )
 
 
+def add_bounds_arguments(parser: argparse.ArgumentParser) -> None:
+    """The sweep bounds as options, with the defaults of SweepBounds()."""
+    default = kr.SweepBounds()
+    parser.add_argument("--max-weight", type=int, default=default.max_weight, help="cap on |lambda|, |mu| (negative disables)")
+    parser.add_argument("--extra-n", type=int, default=default.extra_n, help="n beyond the stability bound")
+    parser.add_argument("--dim-max", type=int, default=default.dim_max, help="degree cap for the dimension identity (below 2 disables)")
+    parser.add_argument("--stab-max-n", type=int, default=default.stab_max_n, help="last n of the stabilization check (below 2 disables)")
+
+
+def bounds_from_args(args) -> kr.SweepBounds:
+    return kr.SweepBounds(args.max_weight, args.extra_n, args.dim_max, args.stab_max_n)
+
+
 def cmd_sweep(args, cfg: Config) -> int:
-    bounds = kr.SweepBounds(
-        max_weight=args.max_weight,
-        extra_n=args.extra_n,
-        dim_max=args.dim_max,
-        stab_max_n=args.stab_max_n,
-    )
     failures = 0
-    if cfg.fmt == "json":
-        for check, case, values, ok in _sweep_rows(bounds, cfg.jobs):
-            failures += not ok
-            print(json.dumps({"check": check, "case": case, "values": values, "ok": ok}))
-    else:
+    if cfg.fmt != "json":
         print("check\tcase\tvalues\tok")
-        for check, case, values, ok in _sweep_rows(bounds, cfg.jobs):
-            failures += not ok
+    for check, case, values, ok in sweep_rows(bounds_from_args(args)):
+        failures += not ok
+        if cfg.fmt == "json":
+            print(json.dumps({"check": check, "case": case, "values": values, "ok": ok}))
+        else:
             print(f"{check}\t{case}\t{values}\t{ok}")
     if failures:
         print(f"error: {failures} sweep mismatches", file=sys.stderr)
@@ -318,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--delta", type=str, default=argparse.SUPPRESS,
         help="exact rational p/q for diagram commands",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=argparse.SUPPRESS, help="worker threads for sweep"
     )
     parser = argparse.ArgumentParser(
         prog="kroncoef",
@@ -384,10 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = add_cmd("sweep", "route-agreement and dimension-identity sweeps")
-    p.add_argument("--max-weight", type=int, default=4, help="cap on |lambda|, |mu| (negative disables)")
-    p.add_argument("--extra-n", type=int, default=3, help="n beyond the stability bound")
-    p.add_argument("--dim-max", type=int, default=6, help="degree cap for the dimension identity (below 2 disables)")
-    p.add_argument("--stab-max-n", type=int, default=8, help="last n of the stabilization check (below 2 disables)")
+    add_bounds_arguments(p)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -395,11 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # in every command --n, --r, --s and --i are degrees, sizes or indices
+    for name in ("n", "r", "s", "i"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise SystemExit(f"error: --{name} must be >= 0, got {value}")
     delta = getattr(args, "delta", None)
     cfg = Config(
         fmt=getattr(args, "format", "human"),
         delta=_parse_rational(delta) if delta is not None else None,
-        jobs=max(getattr(args, "jobs", 1), 1),
     )
     return args.func(args, cfg)
 

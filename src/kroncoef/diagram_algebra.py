@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
-from .lr import lr_coeff3
-from .partitions import Partition, partitions_of, partitions_up_to
-from .sym_characters import SpechtModel, kron_oracle, specht_dim, specht_model
+from .kronecker import reduced_kron_via_lr
+from .partitions import Partition, partitions_up_to
+from .sym_characters import SpechtModel, _mat_mul, specht_dim, specht_model
 
 # Vertices are encoded internally as +i for top vertex i and -j for bottom
 # vertex j'; the display order puts all top vertices before all bottom ones.
@@ -310,6 +310,8 @@ def set_partitions(items: tuple):
 @lru_cache(maxsize=None)
 def bell(k: int) -> int:
     """Bell number: set partitions of a k-element set (triangle recurrence)."""
+    if k < 0:
+        raise ValueError(f"Bell number of a negative count: {k}")
     if k == 0:
         return 1
     return sum(comb(k - 1, j) * bell(j) for j in range(k))
@@ -460,7 +462,7 @@ class StandardModule:
                 if propagating_count(z) < self.m:
                     continue
                 sigma = _permutation_of(z)
-                block = _mat_mul_frac(form0, self.specht.matrix_of(sigma))
+                block = _mat_mul(form0, self.specht.matrix_of(sigma))
                 scale = self.delta**t
                 for a in range(sd):
                     for b in range(sd):
@@ -478,16 +480,6 @@ def _permutation_of(z: SetPartitionDiagram) -> tuple[int, ...]:
             raise ValueError(f"{z} is not a permutation diagram")
         sigma[tops[0] - 1] = bots[0]
     return tuple(sigma)
-
-
-def _mat_mul_frac(a, b):
-    n = len(a)
-    m = len(b[0]) if b else 0
-    inner = len(b)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 def standard_module(r: int, nu: Partition, delta) -> StandardModule:
@@ -531,46 +523,23 @@ def crossing_profile(d: SetPartitionDiagram, r: int, s: int) -> tuple[int, int, 
 def restrict_multiplicity(nu: Partition, r: int, s: int, lam: Partition, mu: Partition) -> int:
     """Multiplicity of the outer product of standard modules (degree r label
     lam, degree s label mu) in the restriction of the degree r+s standard
-    module labelled nu."""
-    nu, lam, mu = Partition(nu), Partition(lam), Partition(mu)
-    m = r + s
-    l = m - nu.size
-    l_r = r - lam.size
-    l_s = s - mu.size
-    if l < 0 or l_r < 0 or l_s < 0 or (l - l_r - l_s) < 0:
+    module labelled nu.  By the restriction theorem of Bowman, De Visscher
+    and Orellana this is the reduced Kronecker coefficient of (lam, mu, nu)
+    whenever the labels fit their degrees."""
+    lam, mu = Partition(lam), Partition(mu)
+    if lam.size > r or mu.size > s:
         return 0
-    total = 0
-    for l2 in range((l - l_r - l_s) // 2 + 1):
-        l1 = l - l_r - l_s - 2 * l2
-        a = r - l_r - l1 - l2
-        b = s - l_s - l1 - l2
-        if l1 < 0 or a < 0 or b < 0:
-            continue
-        for alpha in partitions_of(a):
-            for beta in partitions_of(b):
-                for pi_ in partitions_of(l1):
-                    c_nu = lr_coeff3(alpha, beta, pi_, nu)
-                    if not c_nu:
-                        continue
-                    for gamma in partitions_of(l2):
-                        for rho in partitions_of(l1):
-                            c_lam = lr_coeff3(alpha, rho, gamma, lam)
-                            if not c_lam:
-                                continue
-                            for sigma in partitions_of(l1):
-                                c_mu = lr_coeff3(gamma, sigma, beta, mu)
-                                if not c_mu:
-                                    continue
-                                total += c_nu * c_lam * c_mu * kron_oracle(rho, sigma, pi_)
-    return total
+    return reduced_kron_via_lr(lam, mu, nu)
 
 
 def restriction_table(nu: Partition, r: int, s: int) -> dict[tuple[Partition, Partition], int]:
     """Nonzero restriction multiplicities over all label pairs."""
     out = {}
+    # every label fits its degree, so each multiplicity is the reduced
+    # Kronecker coefficient (restrict_multiplicity without its degree check)
     for lam in partitions_up_to(r):
         for mu in partitions_up_to(s):
-            c = restrict_multiplicity(nu, r, s, lam, mu)
+            c = reduced_kron_via_lr(lam, mu, nu)
             if c:
                 out[(lam, mu)] = c
     return out

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lr import lr_coeff, lr_coeff3
+from .lr import lr_coeff3
 from .partitions import (
     Partition,
     block_chain,
@@ -125,16 +125,8 @@ def reduced_kron_via_lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Reduced Kronecker coefficient as a positive quadruple sum of
     Littlewood-Richardson products and small Kronecker coefficients."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    r, s = lam.size, mu.size
-    l = r + s - nu.size
-    if l < 0:
-        return 0
     total = 0
-    for l2 in range(l // 2 + 1):
-        l1 = l - 2 * l2
-        a, b = r - l1 - l2, s - l1 - l2
-        if a < 0 or b < 0:
-            continue
+    for l1, l2, a, b in _l_splits(lam.size + mu.size - nu.size, lam.size, mu.size):
         for alpha in partitions_of(a):
             for beta in partitions_of(b):
                 for pi_ in partitions_of(l1):
@@ -158,49 +150,44 @@ def kron_two_row(lam: Partition, mu: Partition, k: int, n: int) -> int:
     """Closed formula for the Kronecker coefficient whose third factor is the
     two-row partition (n-k, k)."""
     lam, mu = Partition(lam), Partition(mu)
-    r, s = lam.size, mu.size
     if n - k < k:
         raise FormulaRangeError(f"(n-k,k) needs n >= 2k, got n={n}, k={k}")
-    bound = min(r + mu.row(1) + k, s + lam.row(1) + k)
+    bound = min(lam.size + mu.row(1) + k, mu.size + lam.row(1) + k)
     if n < bound:
         raise FormulaRangeError(f"two-row formula needs n >= {bound}, got {n}")
-    l = r + s - k
-    total = 0
-    for l1, l2, a, b in _l_splits(l, r, s):
-        for sigma in partitions_of(l1):
-            for gamma in partitions_of(l2):
-                c1 = lr_coeff3(Partition([a] if a else []), sigma, gamma, lam)
-                if not c1:
-                    continue
-                c2 = lr_coeff3(gamma, sigma, Partition([b] if b else []), mu)
-                total += c1 * c2
-    return total
+    return _strip_sum(lam, mu, k, hook=False)
 
 
 def kron_hook(lam: Partition, mu: Partition, k: int, n: int) -> int:
     """Closed formula for the Kronecker coefficient whose third factor is the
     hook partition (n-k, 1^k)."""
     lam, mu = Partition(lam), Partition(mu)
-    r, s = lam.size, mu.size
     if n - k < 1:
         raise FormulaRangeError(f"(n-k,1^k) needs n >= k+1, got n={n}, k={k}")
-    bound = min(r + s + 1, s + lam.row(1) + k, r + mu.row(1) + k)
+    bound = min(lam.size + mu.size + 1, mu.size + lam.row(1) + k, lam.size + mu.row(1) + k)
     if n < bound:
         raise FormulaRangeError(f"hook formula needs n >= {bound}, got {n}")
-    l = r + s - k
+    return _strip_sum(lam, mu, k, hook=True)
+
+
+def _strip_sum(lam: Partition, mu: Partition, k: int, hook: bool) -> int:
+    """Sum of c(strip_a, sigma, gamma; lam) c(gamma, sigma, strip_b; mu) over
+    the splits of |lam| + |mu| - k.  The strips are rows for the two-row
+    formula; the hook formula conjugates both strips and the middle sigma."""
+    flip = conjugate if hook else Partition
     total = 0
-    for l1, l2, a, b in _l_splits(l, r, s):
+    for l1, l2, a, b in _l_splits(lam.size + mu.size - k, lam.size, mu.size):
         for sigma in partitions_of(l1):
             for gamma in partitions_of(l2):
-                c1 = lr_coeff3(Partition([1] * a), sigma, gamma, lam)
-                if not c1:
-                    continue
-                c2 = lr_coeff3(gamma, conjugate(sigma), Partition([1] * b), mu)
-                total += c1 * c2
+                c1 = lr_coeff3(flip(Partition([a])), sigma, gamma, lam)
+                if c1:
+                    total += c1 * lr_coeff3(gamma, flip(sigma), flip(Partition([b])), mu)
     return total
 
 
 def _l_splits(l: int, r: int, s: int):
+    """(l1, l2, a, b) with l = l1 + 2*l2, a = r - l1 - l2 >= 0 and
+    b = s - l1 - l2 >= 0; nothing when l < 0."""
     if l < 0:
         return
     for l2 in range(l // 2 + 1):

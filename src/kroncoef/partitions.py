@@ -179,7 +179,8 @@ def n_pair_successor(nu: Partition, n: int) -> Partition | None:
         v = n - nu.size + i
         upper = nu.row(i - 1) if i > 1 else None
         if v > nu.row(i) and (upper is None or v <= upper):
-            assert out is None, "n-pair successor is not unique"
+            if out is not None:
+                raise ArithmeticError("n-pair successor is not unique")
             parts = list(nu.parts)
             while len(parts) < i:
                 parts.append(0)
@@ -198,7 +199,8 @@ def n_pair_predecessor(nu: Partition, n: int) -> Partition | None:
             continue
         if v == 0 and i != len(nu):
             continue
-        assert out is None, "n-pair predecessor is not unique"
+        if out is not None:
+            raise ArithmeticError("n-pair predecessor is not unique")
         parts = list(nu.parts)
         parts[i - 1] = v
         out = Partition(parts)

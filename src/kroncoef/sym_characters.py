@@ -8,8 +8,6 @@ Specht module matrices on the standard polytabloid basis.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -138,54 +136,13 @@ _tables_lock = threading.Lock()
 def character_table(n: int) -> CharacterTable:
     """Build (once) and return the character table for degree n.
 
-    Concurrent callers observe a single coherent table.  If the environment
-    variable KRONCOEF_CACHE_DIR is set, values are persisted there as JSON.
+    Concurrent callers observe a single coherent table.
     """
     with _tables_lock:
         table = _tables.get(n)
         if table is None:
-            table = _load_cached_table(n)
-            if table is None:
-                table = CharacterTable(n)
-                _store_cached_table(table)
-            _tables[n] = table
+            table = _tables[n] = CharacterTable(n)
         return table
-
-
-def _cache_path(n: int) -> str | None:
-    root = os.environ.get("KRONCOEF_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, f"chartable_{n}.json")
-
-
-def _load_cached_table(n: int) -> CharacterTable | None:
-    path = _cache_path(n)
-    if path is None or not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        data = json.load(fh)
-    table = CharacterTable.__new__(CharacterTable)
-    table.n = n
-    table.partitions = partitions_of(n)
-    table.class_sizes = {rho: class_size(rho) for rho in table.partitions}
-    table.values = {
-        (Partition.parse(lam), Partition.parse(rho)): v
-        for lam, rho, v in data["values"]
-    }
-    return table
-
-
-def _store_cached_table(table: CharacterTable) -> None:
-    path = _cache_path(table.n)
-    if path is None:
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    data = {"values": [[str(l), str(r), v] for (l, r), v in table.values.items()]}
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(data, fh)
-    os.replace(tmp, path)
 
 
 def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -6,8 +6,10 @@ timings.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 
+from kroncoef.cli import sweep_rows
 from kroncoef.diagram_algebra import (
     AlgebraElement,
     SetPartitionDiagram,
@@ -22,8 +24,6 @@ from kroncoef.diagram_algebra import (
 )
 from kroncoef.kronecker import (
     SweepBounds,
-    check_reduced,
-    check_routes,
     expected_tensor_square,
     kron_hook,
     kron_two_row,
@@ -31,7 +31,6 @@ from kroncoef.kronecker import (
     kron_via_dagger,
     reduced_kron,
     reduced_kron_via_lr,
-    route_agreement_cases,
     tensor_square_decomposition,
 )
 from kroncoef.partitions import Partition, pad, partitions_of, partitions_up_to
@@ -92,25 +91,21 @@ def test_acceptance_3_nonsemisimple_degree_two():
 
 def test_acceptance_4_route_agreement_sweep():
     started = time.perf_counter()
-    bounds = SweepBounds(max_weight=4, extra_n=3)
+    # the stabilization and dimension rows are criteria 1 and 7
+    bounds = SweepBounds(max_weight=4, extra_n=3, dim_max=0, stab_max_n=0)
+    counts = Counter()
     bad = []
-    seen = set()
-    total = 0
-    for lam, mu, nu, n in route_agreement_cases(bounds):
-        total += 1
-        if not check_routes(lam, mu, nu, n)["ok"]:
-            bad.append((lam, mu, nu, n))
-        key = (lam, mu, nu)
-        if key not in seen:
-            seen.add(key)
-            if not check_reduced(lam, mu, nu)["ok"]:
-                bad.append((lam, mu, nu, "reduced"))
+    for check, case, _values, ok in sweep_rows(bounds):
+        counts[check] += 1
+        if not ok:
+            bad.append((check, case))
     _report(
         4,
         "route agreement sweep",
         not bad,
         started,
-        f"{total} padded cases, {len(seen)} reduced triples" + (f", first bad {bad[0]}" if bad else ""),
+        f"{counts['kron_routes']} padded cases, {counts['reduced_routes']} reduced triples"
+        + (f", first bad {bad[0]}" if bad else ""),
     )
 
 

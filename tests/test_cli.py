@@ -11,6 +11,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refused(capsys, *argv) -> str:
+    """The one-line error of a command that must exit nonzero, with nothing
+    printed on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert capsys.readouterr().out == ""
+    message = exc.value.code
+    assert isinstance(message, str) and message.startswith("error:") and "\n" not in message
+    return message
+
+
 class TestKron:
     def test_padded_inputs(self, capsys):
         code, out, _ = run(capsys, "kron", "[1,1]", "[1,1]", "[2]", "--n", "2")
@@ -106,6 +117,12 @@ class TestChainDagger:
         code, out, _ = run(capsys, "dagger", "[10,10]", "--n", "30", "--i", "8")
         assert code == 0 and out == "[11,11,11,1,1,1,1,1]\n"
 
+    def test_dagger_negative_index(self, capsys):
+        assert "--i" in refused(capsys, "dagger", "[1]", "--n", "3", "--i", "-1")
+
+    def test_chain_negative_degree(self, capsys):
+        assert "--n" in refused(capsys, "chain", "[1]", "--n", "-2", "--r", "2")
+
 
 class TestRestrict:
     def test_degree_two_table(self, capsys):
@@ -114,6 +131,9 @@ class TestRestrict:
         assert code == 0
         assert lines[0] == "lambda\tmu\tmultiplicity"
         assert set(lines[1:]) == {"[]\t[1]\t1", "[1]\t[]\t1", "[1]\t[1]\t1"}
+
+    def test_negative_degree(self, capsys):
+        assert "--r" in refused(capsys, "restrict", "[1]", "--r", "-1", "--s", "1")
 
 
 class TestDiagram:
@@ -142,12 +162,21 @@ class TestDiagram:
         assert code == 0
         assert "algebra dimension = 15" in out
 
+    def test_dims_negative_degree(self, capsys):
+        assert "--r" in refused(capsys, "diagram", "dims", "--r", "-1")
+
+    def test_profile_negative_split(self, capsys):
+        assert "--r" in refused(capsys, "diagram", "profile", "{1,1'}{2,2'}", "--r", "-1", "--s", "3")
+
 
 class TestTable:
     def test_tsv(self, capsys):
         code, out, _ = run(capsys, "table", "--n", "3")
         lines = out.strip().split("\n")
         assert code == 0 and len(lines) == 4
+
+    def test_negative_degree(self, capsys):
+        assert "--n" in refused(capsys, "table", "--n", "-2")
 
 
 class TestSweep:
@@ -172,7 +201,7 @@ class TestSweep:
 
     def test_jobs_and_json(self, capsys):
         code, out, _ = run(
-            capsys, "--format", "json", "--jobs", "3", "sweep",
+            capsys, "--format", "json", "sweep",
             "--max-weight", "1", "--extra-n", "0", "--dim-max", "2", "--stab-max-n", "2",
         )
         assert code == 0

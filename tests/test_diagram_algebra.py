@@ -25,10 +25,10 @@ from kroncoef.diagram_algebra import (
     restrict_multiplicity,
     restriction_table,
     standard_module,
-    _mat_mul_frac,
 )
+from kroncoef.kronecker import reduced_kron
 from kroncoef.partitions import Partition, partitions_up_to
-from kroncoef.sym_characters import character, cycle_type, specht_dim
+from kroncoef.sym_characters import _mat_mul, character, cycle_type, specht_dim
 
 P = Partition
 D = SetPartitionDiagram.parse
@@ -180,6 +180,10 @@ class TestDimensions:
         assert len(enumerate_diagrams(2, 2)) == 15 == bell(4)
         assert bell(8) == 4140
 
+    def test_bell_refuses_negative(self):
+        with pytest.raises(ValueError):
+            bell(-1)
+
     def test_wedderburn_sum_up_to_4(self):
         for r in range(1, 5):
             total = sum(dim_standard(r, nu) ** 2 for nu in partitions_up_to(r))
@@ -257,8 +261,8 @@ class TestStandardModules:
                     ax = AlgebraElement.from_diagram(x, DELTA)
                     ay = AlgebraElement.from_diagram(y, DELTA)
                     lhs = mod.action_matrix(ax * ay)
-                    rhs = _mat_mul_frac(mod.action_matrix(ax), mod.action_matrix(ay))
-                    assert lhs == rhs, (r, nu, str(x), str(y))
+                    rhs = _mat_mul(mod.action_matrix(ax), mod.action_matrix(ay))
+                    assert lhs == [list(row) for row in rhs], (r, nu, str(x), str(y))
 
     def test_permutation_traces_on_top_layer(self):
         mod = standard_module(3, P([2, 1]), DELTA)
@@ -330,6 +334,21 @@ class TestRestriction:
     def test_out_of_domain_is_zero(self):
         assert restrict_multiplicity(P([3]), 1, 1, P([1]), P([1])) == 0
         assert restrict_multiplicity(P([1]), 1, 1, P([2]), P()) == 0
+
+    def test_reduced_kronecker_theorem(self):
+        # the multiplicity is the reduced Kronecker coefficient, compared here
+        # with the stable-limit character oracle rather than the LR sum
+        for m in range(6):
+            for r in range(m + 1):
+                s = m - r
+                for nu in partitions_up_to(m):
+                    for lam in partitions_up_to(r + 1):
+                        for mu in partitions_up_to(s + 1):
+                            got = restrict_multiplicity(nu, r, s, lam, mu)
+                            if lam.size > r or mu.size > s:
+                                assert got == 0, (nu, r, s, lam, mu)
+                            else:
+                                assert got == reduced_kron(lam, mu, nu), (nu, r, s, lam, mu)
 
     def test_dimension_identity_up_to_5(self):
         for nu, r, s in dimension_identity_cases(5):

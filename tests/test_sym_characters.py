@@ -73,18 +73,6 @@ class TestCharacterTable:
             tables = list(pool.map(character_table, [6] * 16))
         assert all(t is tables[0] for t in tables)
 
-    def test_disk_cache_roundtrip(self, tmp_path, monkeypatch):
-        import kroncoef.sym_characters as sc
-
-        monkeypatch.setenv("KRONCOEF_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(sc, "_tables", {})
-        fresh = character_table(5)
-        assert (tmp_path / "chartable_5.json").exists()
-        monkeypatch.setattr(sc, "_tables", {})
-        reloaded = character_table(5)
-        assert reloaded is not fresh
-        assert reloaded.values == fresh.values
-
 
 class TestKronOracle:
     def test_examples(self):
