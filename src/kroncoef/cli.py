@@ -175,7 +175,10 @@ def cmd_dagger(args, cfg: Config) -> int:
 
 def cmd_restrict(args, cfg: Config) -> int:
     nu = _parse_partition(args.nu)
-    table = da.restriction_table(nu, args.r, args.s)
+    try:
+        table = da.restriction_table(nu, args.r, args.s)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     rows = [
         (str(lam), str(mu), c)
         for (lam, mu), c in sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1]))

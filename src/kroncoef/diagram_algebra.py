@@ -533,7 +533,13 @@ def restrict_multiplicity(nu: Partition, r: int, s: int, lam: Partition, mu: Par
 
 
 def restriction_table(nu: Partition, r: int, s: int) -> dict[tuple[Partition, Partition], int]:
-    """Nonzero restriction multiplicities over all label pairs."""
+    """Nonzero restriction multiplicities over all label pairs.
+
+    Raises ValueError when |nu| > r + s: no such standard module exists.
+    """
+    nu = Partition(nu)
+    if nu.size > r + s:
+        raise ValueError(f"{nu} labels no standard module of degree {r} + {s}")
     out = {}
     # every label fits its degree, so each multiplicity is the reduced
     # Kronecker coefficient (restrict_multiplicity without its degree check)

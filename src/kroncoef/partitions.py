@@ -272,6 +272,8 @@ def block_chain(nu: Partition, n: int, r: int) -> BlockChain:
     it; otherwise the backward walk finds the true minimum.
     """
     nu = Partition(nu)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     if nu.size > r:
         raise ValueError(f"{nu} does not lie in degrees <= {r}")
     entries = []

@@ -1,22 +1,22 @@
 """Symmetric group character theory: the brute-force oracle.
 
-Everything here is exact integer/rational arithmetic: characters by
-border-strip recursion, Kronecker coefficients as class-weighted triple
-products, induction multiplicities by summing over class pairs, and explicit
-Specht module matrices on the standard polytabloid basis.
+Everything here is exact integer arithmetic: characters by border-strip
+recursion, Kronecker coefficients as class-weighted triple products,
+induction multiplicities by summing over class pairs, and explicit Specht
+module matrices on the standard polytabloid basis, obtained by straightening
+in dominance order.
 """
 
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 from .partitions import Partition, partitions_of
 
-SPECHT_CAP_DEFAULT = 7
+SPECHT_CAP = 7
 
 
 def specht_dim(lam: Partition) -> int:
@@ -228,7 +228,7 @@ def _polytabloid(rows: tuple[tuple[int, ...], ...]) -> dict[tuple, int]:
     ncols = len(rows[0]) if rows else 0
     cols = [tuple(row[j] for row in rows if j < len(row)) for j in range(ncols)]
     vec: dict[tuple, int] = {}
-    for images in _column_perms(cols):
+    for images in product(*map(permutations, cols)):
         sign = 1
         mapping = {}
         for col, img in zip(cols, images):
@@ -241,21 +241,24 @@ def _polytabloid(rows: tuple[tuple[int, ...], ...]) -> dict[tuple, int]:
     return vec
 
 
-def _column_perms(cols):
-    if not cols:
-        yield ()
-        return
-    for head in permutations(cols[0]):
-        for rest in _column_perms(cols[1:]):
-            yield (head,) + rest
+def _row_key(rows, k: int) -> tuple[int, ...]:
+    """The row index of each entry 1..k; a smaller key is a tabloid that is
+    higher in a linear extension of the dominance order."""
+    key = [0] * k
+    for i, row in enumerate(rows):
+        for v in row:
+            key[v - 1] = i
+    return tuple(key)
 
 
 class SpechtModel:
-    """Specht module with explicit matrices for the adjacent transpositions.
+    """Specht module with explicit matrices for the permutations.
 
-    The basis is the set of standard polytabloids; matrices are exact and
-    integral.  Validated through the Coxeter relations and trace identities
-    rather than any particular basis convention.
+    The basis is the set of standard polytabloids.  Every matrix is exact and
+    integral: a column is the expansion of a permuted polytabloid, found by
+    straightening it against the standard polytabloids in dominance order.
+    Validated through the Coxeter relations and trace identities rather than
+    any particular basis convention.
     """
 
     def __init__(self, nu: Partition):
@@ -264,19 +267,37 @@ class SpechtModel:
         self.tableaux = standard_tableaux(self.nu)
         self.dim = len(self.tableaux)
         self.basis_vectors = [_polytabloid(t) for t in self.tableaux]
-        self._solver = _ExpansionSolver(self.basis_vectors)
-        self.generators = [self._generator_matrix(i) for i in range(1, self.k)]
+        # the same vectors keyed by row indices, and the top tabloid {t} of
+        # each e_t, dominance-largest first
+        self._keyed = [{_row_key(tab, self.k): c for tab, c in v.items()} for v in self.basis_vectors]
+        self._tops = sorted((_row_key(t, self.k), j) for j, t in enumerate(self.tableaux))
         self._matrix_cache: dict[tuple, tuple] = {}
+        self.generators = [
+            self.matrix_of(tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, self.k + 1)))
+            for i in range(1, self.k)
+        ]
 
-    def _generator_matrix(self, i: int) -> tuple:
-        cols = []
-        for t in self.tableaux:
-            swapped = tuple(
-                tuple(i + 1 if v == i else i if v == i + 1 else v for v in row)
-                for row in t
-            )
-            cols.append(self._solver.solve(_polytabloid(swapped)))
-        return tuple(tuple(cols[j][a] for j in range(self.dim)) for a in range(self.dim))
+    def expand(self, vec: dict[tuple, int]) -> tuple[int, ...]:
+        """Coefficients of a tabloid vector in the standard polytabloid basis."""
+        return self._straighten({_row_key(tab, self.k): c for tab, c in vec.items() if c})
+
+    def _straighten(self, vec: dict[tuple, int]) -> tuple[int, ...]:
+        # {t} has coefficient 1 in e_t, and every other tabloid of e_t lies
+        # below it, so no later e_t' can change the coefficient of {t}
+        coeffs = [0] * self.dim
+        for top, j in self._tops:
+            c = vec.get(top)
+            if c:
+                coeffs[j] = c
+                for key, b in self._keyed[j].items():
+                    left = vec.get(key, 0) - c * b
+                    if left:
+                        vec[key] = left
+                    else:
+                        del vec[key]
+        if vec:
+            raise ArithmeticError("tabloid vector outside the polytabloid span")
+        return tuple(coeffs)
 
     def matrix_of(self, sigma: tuple[int, ...]) -> tuple:
         """Matrix of the permutation given in one-line notation (sigma[j-1] is
@@ -287,17 +308,13 @@ class SpechtModel:
         cached = self._matrix_cache.get(sigma)
         if cached is not None:
             return cached
-        word = []
-        w = list(sigma)
-        while True:
-            desc = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
-            if desc is None:
-                break
-            w[desc], w[desc + 1] = w[desc + 1], w[desc]
-            word.append(desc + 1)
-        mat = _identity_matrix(self.dim)
-        for i in reversed(word):
-            mat = _mat_mul(mat, self.generators[i - 1])
+        # sigma moves entry v to sigma(v), so entry w sits in the row of sigma^-1(w)
+        inverse = sorted(range(self.k), key=sigma.__getitem__)
+        cols = [
+            self._straighten({tuple(key[v] for v in inverse): c for key, c in vec.items()})
+            for vec in self._keyed
+        ]
+        mat = tuple(zip(*cols))
         self._matrix_cache[sigma] = mat
         return mat
 
@@ -307,86 +324,6 @@ class SpechtModel:
         for u in self.basis_vectors:
             g.append(tuple(sum(c * v.get(tab, 0) for tab, c in u.items()) for v in self.basis_vectors))
         return tuple(g)
-
-
-class _ExpansionSolver:
-    """Expands tabloid vectors in a fixed independent set of tabloid vectors.
-
-    Picks an invertible square subsystem once; each solve is a
-    back-substitution plus a full consistency check.
-    """
-
-    def __init__(self, basis: list[dict]):
-        self.basis = basis
-        self.dim = len(basis)
-        tabs = sorted({t for v in basis for t in v})
-        self.tab_index = {t: i for i, t in enumerate(tabs)}
-        rows = [[Fraction(v.get(t, 0)) for v in basis] for t in tabs]
-        pivot_rows = _independent_rows(rows, self.dim)
-        self.pivot_tabs = [tabs[i] for i in pivot_rows]
-        square = [rows[i] for i in pivot_rows]
-        self.inverse = _mat_inverse(square)
-
-    def solve(self, vec: dict) -> tuple:
-        rhs = [Fraction(vec.get(t, 0)) for t in self.pivot_tabs]
-        x = [sum(self.inverse[i][j] * rhs[j] for j in range(self.dim)) for i in range(self.dim)]
-        # solution must reproduce vec exactly on every tabloid
-        check: dict[tuple, Fraction] = {}
-        for coeff, bvec in zip(x, self.basis):
-            if coeff:
-                for t, c in bvec.items():
-                    check[t] = check.get(t, Fraction(0)) + coeff * c
-        reduced = {t: c for t, c in check.items() if c}
-        if reduced != {t: Fraction(c) for t, c in vec.items() if c}:
-            raise ArithmeticError("tabloid vector outside the polytabloid span")
-        out = []
-        for c in x:
-            if c.denominator != 1:
-                raise ArithmeticError("non-integral polytabloid expansion")
-            out.append(int(c))
-        return tuple(out)
-
-
-def _independent_rows(rows: list[list[Fraction]], need: int) -> list[int]:
-    work = [list(r) for r in rows]
-    chosen: list[int] = []
-    col = 0
-    used = [False] * len(rows)
-    while col < need:
-        pivot = next(
-            (i for i in range(len(work)) if not used[i] and work[i][col] != 0), None
-        )
-        if pivot is None:
-            raise ArithmeticError("polytabloid basis is singular")
-        used[pivot] = True
-        chosen.append(pivot)
-        inv = 1 / work[pivot][col]
-        work[pivot] = [x * inv for x in work[pivot]]
-        for i in range(len(work)):
-            if i != pivot and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[pivot])]
-        col += 1
-    return chosen
-
-
-def _mat_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    k = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(m)]
-    for col in range(k):
-        pivot = next(i for i in range(col, k) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[k:] for row in aug]
-
-
-def _identity_matrix(k: int) -> tuple:
-    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
 def _mat_mul(a, b):
@@ -403,11 +340,11 @@ def _specht_model_cached(parts: tuple) -> SpechtModel:
     return SpechtModel(Partition(parts))
 
 
-def specht_model(nu: Partition, cap: int = SPECHT_CAP_DEFAULT) -> SpechtModel:
+def specht_model(nu: Partition) -> SpechtModel:
     """Explicit Specht module for |nu| up to the desk-scale cap."""
     nu = Partition(nu)
-    if nu.size > cap:
-        raise ValueError(f"|{nu}| exceeds the Specht model cap {cap}")
+    if nu.size > SPECHT_CAP:
+        raise ValueError(f"|{nu}| exceeds the Specht model cap {SPECHT_CAP}")
     return _specht_model_cached(nu.parts)
 
 

@@ -123,6 +123,9 @@ class TestChainDagger:
     def test_chain_negative_degree(self, capsys):
         assert "--n" in refused(capsys, "chain", "[1]", "--n", "-2", "--r", "2")
 
+    def test_chain_zero_n(self, capsys):
+        assert "positive integer" in refused(capsys, "chain", "[1]", "--n", "0", "--r", "2")
+
 
 class TestRestrict:
     def test_degree_two_table(self, capsys):
@@ -134,6 +137,10 @@ class TestRestrict:
 
     def test_negative_degree(self, capsys):
         assert "--r" in refused(capsys, "restrict", "[1]", "--r", "-1", "--s", "1")
+
+    def test_label_larger_than_degree(self, capsys):
+        assert "[5]" in refused(capsys, "restrict", "[5]", "--r", "1", "--s", "1")
+        assert "[1]" in refused(capsys, "restrict", "[1]", "--r", "0", "--s", "0")
 
 
 class TestDiagram:

@@ -326,6 +326,11 @@ class TestRestriction:
         }
         assert restriction_table(P(), 1, 1) == {(one, one): 1, (empty, empty): 1}
 
+    def test_label_larger_than_degree_raises(self):
+        for nu, r, s in ((P([5]), 1, 1), (P([1]), 0, 0), (P([2, 1]), 1, 1)):
+            with pytest.raises(ValueError):
+                restriction_table(nu, r, s)
+
     def test_examples(self):
         assert restrict_multiplicity(P([2]), 1, 1, P([1]), P([1])) == 1
         assert restrict_multiplicity(P([1]), 1, 1, P(), P([1])) == 1

@@ -183,13 +183,52 @@ class TestSpechtModel:
         assert _mat_mul(m.matrix_of(s1), m.matrix_of(s2)) == m.matrix_of(composed)
 
     def test_invariant_form_is_sigma_invariant(self):
-        m = specht_model(P([2, 1]))
-        form = m.invariant_form()
-        for sigma in permutations((1, 2, 3)):
-            mat = m.matrix_of(sigma)
-            lhs = _mat_mul(_transpose(mat), _mat_mul(form, mat))
-            assert tuple(tuple(row) for row in lhs) == form
+        for shape in ((2, 1), (3, 2), (2, 2, 1), (3, 2, 1)):
+            m = specht_model(P(shape))
+            form = m.invariant_form()
+            for sigma in permutations(range(1, m.k + 1)):
+                mat = m.matrix_of(sigma)
+                lhs = _mat_mul(_transpose(mat), _mat_mul(form, mat))
+                assert tuple(tuple(row) for row in lhs) == form, (shape, sigma)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_matrix_of_is_the_generator_word_product(self, k):
+        for nu in partitions_of(k):
+            m = specht_model(nu)
+            ref = _bubble_sort_products(m.generators, k)
+            for sigma in permutations(range(1, k + 1)):
+                assert m.matrix_of(sigma) == ref(sigma)
+
+    def test_straightening_outside_the_span_raises(self):
+        m = specht_model(P([1, 1]))
+        with pytest.raises(ArithmeticError, match="outside the polytabloid span"):
+            m.expand({((2,), (1,)): 1})
+        assert m.expand({((1,), (2,)): 1, ((2,), (1,)): -1}) == (1,)
 
 
 def _transpose(mat):
     return tuple(tuple(mat[i][j] for i in range(len(mat))) for j in range(len(mat[0])))
+
+
+def _bubble_sort_products(generators, k):
+    """Reference matrices: the product of the generators along the
+    bubble-sort word of sigma.  Swapping the first descent d of sigma leaves
+    sigma * s_d, whose word is the rest, so M(sigma) = M(sigma * s_d) G_d."""
+    dim = len(generators[0]) if generators else 1
+    # the nonzero entries of each column of each generator
+    sparse = [
+        [[(t, g[t][j]) for t in range(dim) if g[t][j]] for j in range(dim)] for g in generators
+    ]
+    cache = {tuple(range(1, k + 1)): tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))}
+
+    def ref(sigma):
+        if sigma not in cache:
+            d = next(i for i in range(k - 1) if sigma[i] > sigma[i + 1])
+            rest = ref(sigma[:d] + (sigma[d + 1], sigma[d]) + sigma[d + 2:])
+            cols = sparse[d]
+            cache[sigma] = tuple(
+                tuple(sum(row[t] * c for t, c in col) for col in cols) for row in rest
+            )
+        return cache[sigma]
+
+    return ref
