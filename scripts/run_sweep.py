@@ -33,7 +33,7 @@ def main() -> int:
             print("MISMATCH:", *f, file=sys.stderr)
         print(f"FAILED with {len(failures)} mismatches in {elapsed:.1f}s", file=sys.stderr)
         return 1
-    print(f"all checks passed in {elapsed:.1f}s")
+    print(f"all checks passed in {elapsed:.1f}s ({sum(counts.values()) / elapsed:.0f} rows/s)")
     return 0
 
 

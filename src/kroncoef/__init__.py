@@ -2,6 +2,7 @@
 computed through the partition algebra and cross-checked against character
 theory, together with the underlying set-partition diagram calculus."""
 
+from . import diagram_algebra, kronecker, lr, partitions, sym_characters
 from .diagram_algebra import (
     AlgebraElement,
     SetPartitionDiagram,
@@ -54,3 +55,26 @@ from .sym_characters import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo table of the package: the lru_caches of all modules
+    and the character tables.  Values computed afterwards are the same; only
+    the memory the caches held is given back."""
+    for cache in (
+        partitions.partitions_of,
+        partitions.partitions_up_to,
+        lr._lr,
+        lr._lr3,
+        sym_characters._char,
+        sym_characters._classes,
+        sym_characters._chars,
+        sym_characters._weighted,
+        sym_characters._specht_model_cached,
+        kronecker._reduced_kron,
+        diagram_algebra.bell,
+        diagram_algebra._stirling2,
+    ):
+        cache.cache_clear()
+    with sym_characters._tables_lock:
+        sym_characters._tables.clear()

@@ -283,14 +283,19 @@ def add_bounds_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def bounds_from_args(args) -> kr.SweepBounds:
+    # each n range ends extra_n past the stability bound; a negative value
+    # silently drops cases that the sweep is meant to check
+    if args.extra_n < 0:
+        raise SystemExit(f"error: --extra-n must be >= 0, got {args.extra_n}")
     return kr.SweepBounds(args.max_weight, args.extra_n, args.dim_max, args.stab_max_n)
 
 
 def cmd_sweep(args, cfg: Config) -> int:
+    bounds = bounds_from_args(args)
     failures = 0
     if cfg.fmt != "json":
         print("check\tcase\tvalues\tok")
-    for check, case, values, ok in sweep_rows(bounds_from_args(args)):
+    for check, case, values, ok in sweep_rows(bounds):
         failures += not ok
         if cfg.fmt == "json":
             print(json.dumps({"check": check, "case": case, "values": values, "ok": ok}))

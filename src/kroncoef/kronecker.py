@@ -12,6 +12,10 @@ Routes implemented side by side so they can be cross-checked:
 Arguments may be given either as reduced partitions (padded internally with a
 first row of n - |.|) or as partitions of n; a partition whose size equals n
 is taken to be already padded, and the two readings never overlap.
+
+Each public function validates its arguments as Partition once; from there
+on the routes pass plain parts tuples to the cached kernels (_reduced_kron,
+sym_characters._kron, lr._lr3).
 """
 
 from __future__ import annotations
@@ -19,16 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lr import lr_coeff3
-from .partitions import (
-    Partition,
-    block_chain,
-    conjugate,
-    dagger,
-    pad,
-    partitions_of,
-)
-from .sym_characters import kron_oracle
+from .lr import _lr3
+from .partitions import Partition, _pad, block_chain, dagger, pad, partitions_of
+from .sym_characters import _kron, kron_oracle
 
 
 class FormulaRangeError(ValueError):
@@ -39,22 +36,35 @@ def stability_bound(lam: Partition, mu: Partition, nu: Partition) -> int:
     """A value of n from which the padded Kronecker coefficient has reached
     its stable limit (minimum over the three symmetric size+first-row
     combinations)."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    return min(
-        lam.size + mu.size + nu.row(1),
-        lam.size + nu.size + mu.row(1),
-        nu.size + mu.size + lam.row(1),
-    )
+    return _stability_bound(*(Partition(p).parts for p in (lam, mu, nu)))
+
+
+def _stability_bound(lam: tuple, mu: tuple, nu: tuple) -> int:
+    a, b, c = sum(lam), sum(mu), sum(nu)
+    return min(a + b + _first(nu), a + c + _first(mu), c + b + _first(lam))
+
+
+def _first_n(lam: tuple, mu: tuple, nu: tuple) -> int:
+    """The least n at which all three paddings exist."""
+    return max(1, *(sum(p) + _first(p) for p in (lam, mu, nu)))
+
+
+def _first(parts: tuple) -> int:
+    return parts[0] if parts else 0
 
 
 def reduce_mod_n(p: Partition, n: int) -> Partition:
     """Interpret p as either a partition of n (first row stripped) or an
     already reduced partition (padding must exist); return the reduced form."""
-    p = Partition(p)
-    if p.size == n:
-        return Partition(p.parts[1:])
-    pad(p, n)
-    return p
+    return Partition(_reduce(p, n))
+
+
+def _reduce(p: Partition, n: int) -> tuple:
+    parts = Partition(p).parts
+    if sum(parts) == n:
+        return parts[1:]
+    _pad(parts, n)
+    return parts
 
 
 def reduced_kron(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -67,82 +77,74 @@ def reduced_kron(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if nu.size > lam.size + mu.size:
+    if sum(nu) > sum(lam) + sum(mu):
         return 0
-    n = max(
-        stability_bound(lam, mu, nu),
-        lam.size + lam.row(1),
-        mu.size + mu.row(1),
-        nu.size + nu.row(1),
-        1,
-    )
-    return kron_oracle(
-        pad(lam, n).to_partition(),
-        pad(mu, n).to_partition(),
-        pad(nu, n).to_partition(),
-    )
+    n = max(_stability_bound(lam, mu, nu), _first_n(lam, mu, nu))
+    return _kron(_pad(lam, n), _pad(mu, n), _pad(nu, n))
 
 
 def kron_via_oracle(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
     """Kronecker coefficient of the padded triple, straight from characters."""
-    lam, mu, nu = (reduce_mod_n(p, n) for p in (lam, mu, nu))
-    return kron_oracle(
-        pad(lam, n).to_partition(),
-        pad(mu, n).to_partition(),
-        pad(nu, n).to_partition(),
-    )
+    lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
+    return _kron(_pad(lam, n), _pad(mu, n), _pad(nu, n))
 
 
 def kron_via_blocks(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
     """Kronecker coefficient as an alternating sum of reduced coefficients
     over the n-pair block chain of nu, truncated at degree |lam| + |mu|."""
-    lam, mu, nu = (reduce_mod_n(p, n) for p in (lam, mu, nu))
-    r, s = lam.size, mu.size
-    if nu.size > r + s:
+    lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
+    r, s = sum(lam), sum(mu)
+    if sum(nu) > r + s:
         return 0
-    chain = block_chain(nu, n, r + s)
     total = 0
-    for i, entry in enumerate(chain):
-        total += (-1) ** i * reduced_kron(lam, mu, entry)
+    for i, entry in enumerate(block_chain(nu, n, r + s)):
+        total += (-1) ** i * _reduced_kron(lam, mu, entry.parts)
     return total
 
 
 def kron_via_dagger(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
     """Kronecker coefficient as an alternating sum of reduced coefficients at
-    the dagger partitions of the padded nu; the number of terms is the product
-    of the padded lengths of the first two factors."""
-    lam, mu, nu = (reduce_mod_n(p, n) for p in (lam, mu, nu))
+    the dagger partitions of the padded nu.  The sum has at most the product
+    of the padded lengths of the first two factors as terms, and stops at the
+    first term whose dagger partition has more than |lam| + |mu| boxes: the
+    i-th has n - row_i + i boxes, which strictly increases with i, and the
+    reduced coefficient of an oversize third factor is zero."""
+    lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
     nu_padded = pad(nu, n)
-    count = pad(lam, n).length * pad(mu, n).length
+    rows = nu_padded.rows
+    boxes = sum(lam) + sum(mu)
     total = 0
-    for i in range(count):
-        total += (-1) ** i * reduced_kron(lam, mu, dagger(nu_padded, i))
+    # every padded part is positive, so a padded length is a tuple length
+    for i in range(len(_pad(lam, n)) * len(_pad(mu, n))):
+        if n - (rows[i] if i < len(rows) else 0) + i > boxes:
+            break
+        total += (-1) ** i * _reduced_kron(lam, mu, dagger(nu_padded, i).parts)
     return total
 
 
 def reduced_kron_via_lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Reduced Kronecker coefficient as a positive quadruple sum of
     Littlewood-Richardson products and small Kronecker coefficients."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    lam, mu, nu = Partition(lam).parts, Partition(mu).parts, Partition(nu).parts
+    r, s = sum(lam), sum(mu)
     total = 0
-    for l1, l2, a, b in _l_splits(lam.size + mu.size - nu.size, lam.size, mu.size):
+    for l1, l2, a, b in _l_splits(r + s - sum(nu), r, s):
         for alpha in partitions_of(a):
             for beta in partitions_of(b):
                 for pi_ in partitions_of(l1):
-                    c_nu = lr_coeff3(alpha, beta, pi_, nu)
+                    c_nu = _lr3(alpha.parts, beta.parts, pi_.parts, nu)
                     if not c_nu:
                         continue
                     for gamma in partitions_of(l2):
                         for rho in partitions_of(l1):
-                            c_lam = lr_coeff3(alpha, rho, gamma, lam)
+                            c_lam = _lr3(alpha.parts, rho.parts, gamma.parts, lam)
                             if not c_lam:
                                 continue
                             for sigma in partitions_of(l1):
-                                c_mu = lr_coeff3(gamma, sigma, beta, mu)
+                                c_mu = _lr3(gamma.parts, sigma.parts, beta.parts, mu)
                                 if not c_mu:
                                     continue
-                                total += c_nu * c_lam * c_mu * kron_oracle(rho, sigma, pi_)
+                                total += c_nu * c_lam * c_mu * _kron(rho.parts, sigma.parts, pi_.parts)
     return total
 
 
@@ -174,14 +176,15 @@ def _strip_sum(lam: Partition, mu: Partition, k: int, hook: bool) -> int:
     """Sum of c(strip_a, sigma, gamma; lam) c(gamma, sigma, strip_b; mu) over
     the splits of |lam| + |mu| - k.  The strips are rows for the two-row
     formula; the hook formula conjugates both strips and the middle sigma."""
-    flip = conjugate if hook else Partition
+    flip = Partition.conjugate if hook else Partition
     total = 0
     for l1, l2, a, b in _l_splits(lam.size + mu.size - k, lam.size, mu.size):
+        strip_a, strip_b = flip(Partition([a])).parts, flip(Partition([b])).parts
         for sigma in partitions_of(l1):
             for gamma in partitions_of(l2):
-                c1 = lr_coeff3(flip(Partition([a])), sigma, gamma, lam)
+                c1 = _lr3(strip_a, sigma.parts, gamma.parts, lam.parts)
                 if c1:
-                    total += c1 * lr_coeff3(gamma, flip(sigma), flip(Partition([b])), mu)
+                    total += c1 * _lr3(gamma.parts, flip(sigma).parts, strip_b, mu.parts)
     return total
 
 
@@ -220,14 +223,8 @@ class SweepBounds:
 
 def valid_n_range(lam: Partition, mu: Partition, nu: Partition, extra_n: int) -> range:
     """All n from the first padding-valid value to stability_bound + extra_n."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    n_min = max(
-        lam.size + lam.row(1),
-        mu.size + mu.row(1),
-        nu.size + nu.row(1),
-        1,
-    )
-    return range(n_min, stability_bound(lam, mu, nu) + extra_n + 1)
+    lam, mu, nu = (Partition(p).parts for p in (lam, mu, nu))
+    return range(_first_n(lam, mu, nu), _stability_bound(lam, mu, nu) + extra_n + 1)
 
 
 def route_agreement_cases(bounds: SweepBounds):

@@ -111,12 +111,7 @@ class PaddedPartition:
     def __post_init__(self):
         base = Partition(self.base)
         object.__setattr__(self, "base", base)
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        head = self.n - base.size
-        if head < base.row(1):
-            raise ValueError(f"{base} is not a partition for this n={self.n}")
-        object.__setattr__(self, "rows", (head,) + base.parts)
+        object.__setattr__(self, "rows", _pad(base.parts, self.n))
 
     def row(self, i: int) -> int:
         """Row i with the 0-indexed convention; 0 beyond the diagram."""
@@ -154,6 +149,18 @@ def pad(lam: Partition, n: int) -> PaddedPartition:
     return PaddedPartition(Partition(lam), n)
 
 
+def _pad(parts: tuple, n: int) -> tuple:
+    """The parts (n - |parts|, *parts) of the padded partition, for a valid
+    parts tuple; ValueError when n < 1 or the first row would be too short.
+    The first row is then at least 1, so every returned part is positive."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    head = n - sum(parts)
+    if head < (parts[0] if parts else 0):
+        raise ValueError(f"{Partition(parts)} is not a partition for this n={n}")
+    return (head,) + parts
+
+
 def is_n_pair(mu: Partition, lam: Partition, n: int) -> bool:
     """True iff lam/mu is a one-row horizontal strip whose rightmost box has
     content n - |mu|."""
@@ -168,42 +175,43 @@ def is_n_pair(mu: Partition, lam: Partition, n: int) -> bool:
 
 
 def n_pair_successor(nu: Partition, n: int) -> Partition | None:
-    """The unique lam with nu -> lam an n-pair, or None.
-
-    The strip added in row i must end at content n - |nu|, which forces the
-    new row value n - |nu| + i; at most one row admits it.
-    """
-    nu = Partition(nu)
-    out = None
-    for i in range(1, len(nu) + 2):
-        v = n - nu.size + i
-        upper = nu.row(i - 1) if i > 1 else None
-        if v > nu.row(i) and (upper is None or v <= upper):
-            if out is not None:
-                raise ArithmeticError("n-pair successor is not unique")
-            parts = list(nu.parts)
-            while len(parts) < i:
-                parts.append(0)
-            parts[i - 1] = v
-            out = Partition(parts)
-    return out
+    """The unique lam with nu -> lam an n-pair, or None."""
+    out = _successor(Partition(nu).parts, n)
+    return None if out is None else Partition(out)
 
 
 def n_pair_predecessor(nu: Partition, n: int) -> Partition | None:
     """The unique mu with mu -> nu an n-pair, or None."""
-    nu = Partition(nu)
-    out = None
+    out = _predecessor(Partition(nu).parts, n)
+    return None if out is None else Partition(out)
+
+
+def _successor(nu: tuple, n: int) -> tuple | None:
+    # The strip added in row i must end at content n - |nu|, which forces the
+    # new row value n - |nu| + i; at most one row admits it.
+    size, out = sum(nu), None
+    for i in range(1, len(nu) + 2):
+        v = n - size + i
+        below = nu[i - 1] if i <= len(nu) else 0
+        if v > below and (i == 1 or v <= nu[i - 2]):
+            if out is not None:
+                raise ArithmeticError("n-pair successor is not unique")
+            out = nu[: i - 1] + (v,) + nu[i:]
+    return out
+
+
+def _predecessor(nu: tuple, n: int) -> tuple | None:
+    size, out = sum(nu), None
     for i in range(1, len(nu) + 1):
-        v = n - nu.size + i
-        if v < 0 or v >= nu.row(i) or v < nu.row(i + 1):
+        v = n - size + i
+        if v < 0 or v >= nu[i - 1] or (i < len(nu) and v < nu[i]):
             continue
         if v == 0 and i != len(nu):
             continue
         if out is not None:
             raise ArithmeticError("n-pair predecessor is not unique")
-        parts = list(nu.parts)
-        parts[i - 1] = v
-        out = Partition(parts)
+        # v = 0 only in the last row, which then disappears
+        out = nu[: i - 1] + (v,) + nu[i:] if v else nu[:-1]
     return out
 
 
@@ -211,15 +219,12 @@ def n_pair_chain(nu: Partition, n: int) -> Iterator[Partition]:
     """Unbounded chain of n-pairs through nu, yielded from its minimal
     element onward.  The forward walk never terminates once the padding row
     exists, so consume with a bound."""
-    nu = Partition(nu)
-    back = [nu]
-    while (prev := n_pair_predecessor(back[-1], n)) is not None:
-        back.append(prev)
-    cur = back[-1]
-    yield cur
-    while (nxt := n_pair_successor(cur, n)) is not None:
-        cur = nxt
-        yield cur
+    cur = Partition(nu).parts
+    while (prev := _predecessor(cur, n)) is not None:
+        cur = prev
+    yield Partition(cur)
+    while (cur := _successor(cur, n)) is not None:
+        yield Partition(cur)
 
 
 @dataclass(frozen=True)
@@ -295,9 +300,8 @@ def dagger(nu_padded: PaddedPartition, i: int) -> Partition:
     if i < 0:
         raise ValueError("dagger index must be >= 0")
     rows = nu_padded.rows
-    head = [nu_padded.row(j) + 1 for j in range(i)]
-    tail = list(rows[i + 1:])
-    return Partition(head + tail)
+    head = [r + 1 for r in rows[:i]] + [1] * (i - len(rows))
+    return Partition(head + list(rows[i + 1:]))
 
 
 @lru_cache(maxsize=None)

@@ -152,13 +152,29 @@ def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValueError("kron_oracle needs three partitions of the same size")
-    total = 0
-    for rho, size in _classes(n):
-        total += size * _char(lam.parts, rho) * _char(mu.parts, rho) * _char(nu.parts, rho)
-    q, r = divmod(total, factorial(n) if n else 1)
+    return _kron(lam.parts, mu.parts, nu.parts)
+
+
+def _kron(lam: tuple, mu: tuple, nu: tuple) -> int:
+    """kron_oracle on parts tuples of one size n: sum over the classes rho of
+    |C_rho| chi^lam(rho) chi^mu(rho) chi^nu(rho), divided by n!."""
+    total = sum(w * a * b for w, a, b in zip(_weighted(lam), _chars(mu), _chars(nu)))
+    q, r = divmod(total, factorial(sum(lam)))
     if r:
-        raise ArithmeticError(f"non-integral character sum for ({lam},{mu},{nu})")
+        raise ArithmeticError(f"non-integral character sum for ({Partition(lam)},{Partition(mu)},{Partition(nu)})")
     return q
+
+
+@lru_cache(maxsize=None)
+def _chars(lam: tuple) -> tuple[int, ...]:
+    """chi^lam on every class of S_|lam|, in the order of _classes."""
+    return tuple(_char(lam, rho) for rho, _size in _classes(sum(lam)))
+
+
+@lru_cache(maxsize=None)
+def _weighted(lam: tuple) -> tuple[int, ...]:
+    """|C_rho| chi^lam(rho) on every class, in the order of _classes."""
+    return tuple(size * c for (_rho, size), c in zip(_classes(sum(lam)), _chars(lam)))
 
 
 def induction_mult(lam: Partition, mu: Partition, nu: Partition) -> int:

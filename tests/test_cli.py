@@ -206,6 +206,13 @@ class TestSweep:
         assert code == 0
         assert out == "check\tcase\tvalues\tok\n"
 
+    def test_negative_extra_n_refused(self, capsys):
+        message = refused(
+            capsys, "sweep", "--max-weight", "0", "--extra-n", "-5",
+            "--dim-max", "0", "--stab-max-n", "0",
+        )
+        assert "--extra-n" in message
+
     def test_jobs_and_json(self, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "sweep",

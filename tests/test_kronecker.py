@@ -20,7 +20,7 @@ from kroncoef.kronecker import (
     valid_n_range,
 )
 from kroncoef.lr import lr_coeff
-from kroncoef.partitions import Partition, pad, partitions_of, partitions_up_to
+from kroncoef.partitions import Partition, dagger, pad, partitions_of, partitions_up_to
 from kroncoef.sym_characters import kron_oracle
 
 P = Partition
@@ -107,6 +107,18 @@ class TestRoutes:
     def test_route_agreement_small(self):
         for lam, mu, nu, n in route_agreement_cases(SweepBounds(max_weight=2, extra_n=2)):
             assert check_routes(lam, mu, nu, n)["ok"], (lam, mu, nu, n)
+
+    def test_dagger_truncation_is_exact(self):
+        # the untruncated sum over all pad(lam).length * pad(mu).length terms
+        for lam, mu, nu, n in route_agreement_cases(SweepBounds(max_weight=3)):
+            lam_r, mu_r, nu_r = (reduce_mod_n(p, n) for p in (lam, mu, nu))
+            nu_padded = pad(nu_r, n)
+            count = pad(lam_r, n).length * pad(mu_r, n).length
+            daggers = [dagger(nu_padded, i) for i in range(count)]
+            sizes = [d.size for d in daggers]
+            assert all(a < b for a, b in zip(sizes, sizes[1:])), (nu_padded, sizes)
+            full = sum((-1) ** i * reduced_kron(lam_r, mu_r, d) for i, d in enumerate(daggers))
+            assert kron_via_dagger(lam, mu, nu, n) == full, (lam, mu, nu, n)
 
     def test_stability_past_bound(self):
         for lam in partitions_up_to(3):

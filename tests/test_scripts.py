@@ -13,12 +13,16 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 BOUNDS = ["--max-weight", "1", "--extra-n", "1", "--dim-max", "3", "--stab-max-n", "4"]
 
 
-def run_script(name: str, *argv: str) -> str:
+def start_script(name: str, *argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", name), *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_script(name: str, *argv: str) -> str:
+    proc = start_script(name, *argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -32,11 +36,19 @@ def test_run_sweep_counts_match_cli(capsys):
         "dim_identity": r"dimension identity: (\d+) cases",
     }
     script = {kind: int(re.search(pattern, out).group(1)) for kind, pattern in counts.items()}
-    assert "all checks passed" in out
+    rate = re.search(r"all checks passed in \d+\.\ds \((\d+) rows/s\)", out)
+    assert rate and int(rate.group(1)) > 0, out
 
     assert main(["--format", "json", "sweep", *BOUNDS]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert script == Counter(row["check"] for row in rows)
+
+
+def test_run_sweep_refuses_negative_extra_n():
+    proc = start_script("run_sweep.py", "--max-weight", "0", "--extra-n", "-5", "--dim-max", "0", "--stab-max-n", "0")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --extra-n") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_tensor_square_tables():

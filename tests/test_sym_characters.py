@@ -1,6 +1,7 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,21 @@ class TestKronOracle:
                         ref = kron_oracle(lam, mu, nu)
                         for a, b, c in permutations((lam, mu, nu)):
                             assert kron_oracle(a, b, c) == ref
+
+    def test_matches_the_character_table_n_up_to_6(self):
+        # the class sum taken straight from the table's values
+        for n in range(7):
+            table = character_table(n)
+            ps, chi = table.partitions, table.values
+            for lam in ps:
+                for mu in ps:
+                    for nu in ps:
+                        total = sum(
+                            table.class_sizes[rho] * chi[lam, rho] * chi[mu, rho] * chi[nu, rho]
+                            for rho in ps
+                        )
+                        assert total % factorial(n) == 0
+                        assert kron_oracle(lam, mu, nu) == total // factorial(n), (lam, mu, nu)
 
     def test_trivial_and_sign_twists(self):
         for n in range(1, 8):
