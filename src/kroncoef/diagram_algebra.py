@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
-from .kronecker import reduced_kron_via_lr
+from .kronecker import _reduced_kron
 from .partitions import Partition, partitions_up_to
 from .sym_characters import SpechtModel, _mat_mul, specht_dim, specht_model
 
@@ -351,7 +352,7 @@ def half_diagrams(r: int, m: int) -> list[SetPartitionDiagram]:
         blocks = sorted(part, key=lambda b: b[0])
         if len(blocks) < m:
             continue
-        for chosen in _choose(len(blocks), m):
+        for chosen in combinations(range(len(blocks)), m):
             full = []
             for bi, b in enumerate(blocks):
                 if bi in chosen:
@@ -361,12 +362,6 @@ def half_diagrams(r: int, m: int) -> list[SetPartitionDiagram]:
             out.append(SetPartitionDiagram(r, m, full))
     out.sort(key=str)
     return out
-
-
-def _choose(n: int, k: int) -> list[tuple[int, ...]]:
-    from itertools import combinations
-
-    return [tuple(c) for c in combinations(range(n), k)]
 
 
 def factor_half_diagram(d: SetPartitionDiagram) -> tuple[tuple[int, ...], SetPartitionDiagram]:
@@ -529,7 +524,7 @@ def restrict_multiplicity(nu: Partition, r: int, s: int, lam: Partition, mu: Par
     lam, mu = Partition(lam), Partition(mu)
     if lam.size > r or mu.size > s:
         return 0
-    return reduced_kron_via_lr(lam, mu, nu)
+    return _reduced_kron(lam.parts, mu.parts, Partition(nu).parts)
 
 
 def restriction_table(nu: Partition, r: int, s: int) -> dict[tuple[Partition, Partition], int]:
@@ -545,7 +540,7 @@ def restriction_table(nu: Partition, r: int, s: int) -> dict[tuple[Partition, Pa
     # Kronecker coefficient (restrict_multiplicity without its degree check)
     for lam in partitions_up_to(r):
         for mu in partitions_up_to(s):
-            c = reduced_kron_via_lr(lam, mu, nu)
+            c = _reduced_kron(lam.parts, mu.parts, nu.parts)
             if c:
                 out[(lam, mu)] = c
     return out

@@ -5,9 +5,13 @@ Routes implemented side by side so they can be cross-checked:
 * the character oracle on first-row-padded triples,
 * an alternating sum of reduced coefficients over the n-pair block chain,
 * an alternating sum over the dagger partitions of the padded third factor,
-* a positive quadruple sum of Littlewood-Richardson products for the reduced
-  coefficients themselves,
 * closed formulas for two-row and hook third factors.
+
+The block chain and dagger routes take their reduced coefficients from one
+cached kernel, _reduced_kron, the positive quadruple sum of
+Littlewood-Richardson products of the source paper; it needs Kronecker
+coefficients only of degree at most min(|lam|, |mu|).  reduced_kron, the
+character oracle at the stability bound, is kept as its comparator.
 
 Arguments may be given either as reduced partitions (padded internally with a
 first row of n - |.|) or as partitions of n; a partition whose size equals n
@@ -60,6 +64,8 @@ def reduce_mod_n(p: Partition, n: int) -> Partition:
 
 
 def _reduce(p: Partition, n: int) -> tuple:
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     parts = Partition(p).parts
     if sum(parts) == n:
         return parts[1:]
@@ -68,15 +74,11 @@ def _reduce(p: Partition, n: int) -> tuple:
 
 
 def reduced_kron(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Reduced Kronecker coefficient: the stable value of the padded
-    Kronecker coefficient, evaluated at the first n where all three paddings
-    exist and stability has set in."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    return _reduced_kron(lam.parts, mu.parts, nu.parts)
-
-
-@lru_cache(maxsize=None)
-def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
+    """Reduced Kronecker coefficient as the stable limit of the padded
+    Kronecker coefficient: the character oracle at the first n where all
+    three paddings exist and stability has set in.  This is the comparator
+    for the Littlewood-Richardson kernel behind the other routes."""
+    lam, mu, nu = (Partition(p).parts for p in (lam, mu, nu))
     if sum(nu) > sum(lam) + sum(mu):
         return 0
     n = max(_stability_bound(lam, mu, nu), _first_n(lam, mu, nu))
@@ -125,7 +127,14 @@ def kron_via_dagger(lam: Partition, mu: Partition, nu: Partition, n: int) -> int
 def reduced_kron_via_lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Reduced Kronecker coefficient as a positive quadruple sum of
     Littlewood-Richardson products and small Kronecker coefficients."""
-    lam, mu, nu = Partition(lam).parts, Partition(mu).parts, Partition(nu).parts
+    return _reduced_kron(*(Partition(p).parts for p in (lam, mu, nu)))
+
+
+@lru_cache(maxsize=None)
+def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
+    """The sum of c^nu_{alpha beta pi} c^lam_{alpha rho gamma}
+    c^mu_{gamma sigma beta} g_{rho sigma pi} over the splits of
+    |lam| + |mu| - |nu|; g is only needed on S_l1 with l1 <= min(|lam|, |mu|)."""
     r, s = sum(lam), sum(mu)
     total = 0
     for l1, l2, a, b in _l_splits(r + s - sum(nu), r, s):
@@ -152,6 +161,8 @@ def kron_two_row(lam: Partition, mu: Partition, k: int, n: int) -> int:
     """Closed formula for the Kronecker coefficient whose third factor is the
     two-row partition (n-k, k)."""
     lam, mu = Partition(lam), Partition(mu)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     if n - k < k:
         raise FormulaRangeError(f"(n-k,k) needs n >= 2k, got n={n}, k={k}")
     bound = min(lam.size + mu.row(1) + k, mu.size + lam.row(1) + k)
@@ -164,6 +175,8 @@ def kron_hook(lam: Partition, mu: Partition, k: int, n: int) -> int:
     """Closed formula for the Kronecker coefficient whose third factor is the
     hook partition (n-k, 1^k)."""
     lam, mu = Partition(lam), Partition(mu)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     if n - k < 1:
         raise FormulaRangeError(f"(n-k,1^k) needs n >= k+1, got n={n}, k={k}")
     bound = min(lam.size + mu.size + 1, mu.size + lam.row(1) + k, lam.size + mu.row(1) + k)

@@ -1,10 +1,10 @@
-"""Littlewood-Richardson coefficients by direct symbol placement.
+"""Littlewood-Richardson coefficients by counting LR tableaux.
 
-The count enumerates the ways to grow the first diagram by the rows of the
-second, one row at a time, keeping a partition shape throughout.  The boxes
-added for a single row must occupy distinct columns (a horizontal strip), and
-the j-th symbol of a row, matched up by descending target column, must land
-in a strictly later row than the j-th symbol of the previous row.
+c^nu_{lam,mu} is the number of semistandard fillings of nu/lam with content mu
+whose reverse reading word is a lattice word.  The count adds the letters of
+mu one at a time: letter j fills a horizontal strip of mu_j boxes on the
+current shape, inside nu, and the lattice condition bounds each row in
+advance, since rows 1..r may hold no more j's than rows 1..r-1 hold (j-1)'s.
 """
 
 from __future__ import annotations
@@ -41,63 +41,42 @@ def _lr3(lam: tuple, mu: tuple, eta: tuple, nu: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def _lr(lam: tuple, mu: tuple, nu: tuple) -> int:
-    if sum(lam) + sum(mu) != sum(nu):
+    if sum(lam) + sum(mu) != sum(nu) or len(lam) > len(nu):
         return 0
-    if any(_row(nu, i) < p for i, p in enumerate(lam, 1)):
+    # shapes are padded with zero rows to the length of nu
+    start = lam + (0,) * (len(nu) - len(lam))
+    if any(p > q for p, q in zip(start, nu)):
         return 0
-    if not mu:
-        return 1
+    rows = len(nu)
     memo: dict = {}
-    return _place_rows(0, (), lam, mu, nu, memo)
 
-
-def _row(parts: tuple, i: int) -> int:
-    return parts[i - 1] if i <= len(parts) else 0
-
-
-def _place_rows(i, prev_rows, shape, mu, nu, memo) -> int:
-    # prev_rows[j] = target row of the j-th symbol (by descending column) of
-    # the previous source row; the next row's j-th symbol must go strictly
-    # lower.
-    if i == len(mu):
-        return 1 if shape == nu else 0
-    key = (i, prev_rows, shape)
-    hit = memo.get(key)
-    if hit is not None:
+    def letter(j: int, shape: tuple, limit: tuple) -> int:
+        # Ways to place letters j, j+1, ... on shape; limit[r] caps the number
+        # of j's in rows 0..r.
+        if j == len(mu):
+            return 1
+        key = (j, shape, limit)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = strip(j, 0, shape, limit, (), (), mu[j])
         return hit
-    total = 0
-    for tau, rows in _strips(shape, mu[i], nu):
-        if prev_rows and any(rows[j] <= prev_rows[j] for j in range(len(rows))):
-            continue
-        total += _place_rows(i + 1, rows, tau, mu, nu, memo)
-    memo[key] = total
-    return total
 
+    def strip(j: int, r: int, shape: tuple, limit: tuple, new: tuple, placed: tuple, left: int) -> int:
+        # Rows 0..r-1 of letter j's strip are chosen: new holds their lengths
+        # and placed the running count of j's through each of them.
+        done = placed[-1] if placed else 0
+        if left == 0:
+            counts = placed + (done,) * (rows - r)
+            return letter(j + 1, new + shape[r:], (0,) + counts[:-1])
+        if r == rows:
+            return 0
+        lo = shape[r]
+        hi = min(nu[r], lo + left, lo + limit[r] - done)
+        if r:
+            hi = min(hi, shape[r - 1])
+        total = 0
+        for v in range(lo, hi + 1):
+            total += strip(j, r + 1, shape, limit, new + (v,), placed + (done + v - lo,), left - v + lo)
+        return total
 
-def _strips(shape: tuple, k: int, nu: tuple):
-    """Horizontal k-strips on top of shape staying inside nu.
-
-    Yields (new_shape, rows) where rows lists the target row of each added
-    box in descending column order.
-    """
-    out = []
-
-    def extend(r, remaining, acc, acc_rows):
-        # r runs over target rows; boxes in row r occupy columns
-        # (shape_r, tau_r], all strictly above row r+1's columns.
-        if remaining == 0:
-            tail = shape[r - 1:]
-            out.append((tuple(acc) + tail, tuple(acc_rows)))
-            return
-        if r > len(nu):
-            return
-        lo = _row(shape, r)
-        hi = _row(nu, r)
-        if r > 1:
-            hi = min(hi, _row(shape, r - 1))
-        for v in range(lo, min(hi, lo + remaining) + 1):
-            extend(r + 1, remaining - (v - lo), acc + [v], acc_rows + [r] * (v - lo))
-
-    extend(1, k, [], [])
-    for tau, rows in out:
-        yield Partition(tau).parts, rows
+    return letter(0, start, (sum(mu),) * rows)

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately take different routes than the library: the LR count here
-fills skew shapes with a lattice reading word instead of placing symbols, and
-the n-pair check compares raw cell sets.
+fills the skew shape one cell at a time along the reverse reading word and
+checks the lattice condition on each prefix, where the library adds whole
+letters as horizontal strips; the n-pair check compares raw cell sets.
 """
 
 from kroncoef.partitions import Partition

@@ -126,6 +126,10 @@ class TestChainDagger:
     def test_chain_zero_n(self, capsys):
         assert "positive integer" in refused(capsys, "chain", "[1]", "--n", "0", "--r", "2")
 
+    def test_closed_route_zero_n(self, capsys):
+        message = refused(capsys, "kron", "[]", "[]", "[]", "--n", "0", "--route", "closed")
+        assert "positive integer" in message and "--fallback" not in message
+
 
 class TestRestrict:
     def test_degree_two_table(self, capsys):

@@ -1,5 +1,7 @@
 import pytest
 
+import kroncoef
+from kroncoef import kronecker
 from kroncoef.kronecker import (
     FormulaRangeError,
     SweepBounds,
@@ -103,6 +105,36 @@ class TestRoutes:
     def test_padding_failure_raises(self):
         with pytest.raises(ValueError):
             kron_via_blocks(P([2, 1]), P([1]), P([1]), 4)
+
+    def test_zero_n_refused(self):
+        for route in (kron_via_oracle, kron_via_blocks, kron_via_dagger):
+            with pytest.raises(ValueError, match="positive integer"):
+                route(P(), P(), P(), 0)
+        # a plain ValueError: no n makes the formula valid, so no fallback helps
+        for formula in (kron_two_row, kron_hook):
+            with pytest.raises(ValueError, match="positive integer") as exc:
+                formula(P(), P(), 0, 0)
+            assert not isinstance(exc.value, FormulaRangeError)
+
+    def test_blocks_and_dagger_do_not_use_the_oracle(self, monkeypatch):
+        # The LR sum needs g only on S_l1 with l1 <= min(|lam|, |mu|); the
+        # stable-limit oracle would be evaluated at the stability bound.
+        kroncoef.clear_caches()
+        degrees = []
+        real = kronecker._kron
+
+        def spy(lam, mu, nu):
+            degrees.append(sum(lam))
+            return real(lam, mu, nu)
+
+        monkeypatch.setattr(kronecker, "_kron", spy)
+        for lam, mu, nu, n in route_agreement_cases(SweepBounds(max_weight=2)):
+            start = len(degrees)
+            kron_via_blocks(lam, mu, nu, n)
+            kron_via_dagger(lam, mu, nu, n)
+            bound = min(reduce_mod_n(lam, n).size, reduce_mod_n(mu, n).size)
+            assert all(d <= bound for d in degrees[start:]), (lam, mu, nu, n, degrees[start:])
+        assert degrees
 
     def test_route_agreement_small(self):
         for lam, mu, nu, n in route_agreement_cases(SweepBounds(max_weight=2, extra_n=2)):
