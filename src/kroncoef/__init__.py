@@ -57,11 +57,10 @@ from .sym_characters import (
 __version__ = "0.1.0"
 
 
-def clear_caches() -> None:
-    """Empty every memo table of the package: the lru_caches of all modules
-    and the character tables.  Values computed afterwards are the same; only
-    the memory the caches held is given back."""
-    for cache in (
+# every lru_cache of the package, by module-qualified name
+_CACHES = {
+    f"{fn.__module__.removeprefix('kroncoef.')}.{fn.__name__}": fn
+    for fn in (
         partitions.partitions_of,
         partitions.partitions_up_to,
         lr._lr,
@@ -74,7 +73,25 @@ def clear_caches() -> None:
         kronecker._reduced_kron,
         diagram_algebra.bell,
         diagram_algebra._stirling2,
-    ):
+    )
+}
+
+
+def clear_caches() -> None:
+    """Empty every memo table of the package: the lru_caches of all modules
+    and the character tables.  Values computed afterwards are the same; only
+    the memory the caches held is given back."""
+    for cache in _CACHES.values():
         cache.cache_clear()
     with sym_characters._tables_lock:
         sym_characters._tables.clear()
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Hits, misses and current size of every lru_cache of the package, by
+    module-qualified name (e.g. "lr._lr")."""
+    stats = {}
+    for name, cache in _CACHES.items():
+        info = cache.cache_info()
+        stats[name] = {"hits": info.hits, "misses": info.misses, "currsize": info.currsize}
+    return stats

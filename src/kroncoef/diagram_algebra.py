@@ -116,9 +116,10 @@ def identity_diagram(r: int) -> SetPartitionDiagram:
 
 
 def permutation_diagram(sigma: tuple[int, ...]) -> SetPartitionDiagram:
-    """Diagram joining top k to bottom sigma(k)'."""
+    """Diagram joining bottom k' to top sigma(k), so that the product
+    P(sigma)P(tau), with P(sigma) on top, is P(sigma o tau)."""
     r = len(sigma)
-    return SetPartitionDiagram(r, r, [[k, -sigma[k - 1]] for k in range(1, r + 1)])
+    return SetPartitionDiagram(r, r, [[sigma[k - 1], -k] for k in range(1, r + 1)])
 
 
 def propagating_count(d: SetPartitionDiagram) -> int:
@@ -366,8 +367,9 @@ def half_diagrams(r: int, m: int) -> list[SetPartitionDiagram]:
 
 def factor_half_diagram(d: SetPartitionDiagram) -> tuple[tuple[int, ...], SetPartitionDiagram]:
     """Write d = (canonical half-diagram) . (permutation): returns (sigma,
-    canonical) where sigma sends the k-th propagating block, in least-top-
-    vertex order, to its bottom vertex in d."""
+    canonical) where sigma sends each bottom vertex k' of d to the 1-based
+    index, in least-top-vertex order, of the propagating block holding it;
+    this is the convention of permutation_diagram."""
     props = []
     rest = []
     for b in d.blocks:
@@ -382,9 +384,11 @@ def factor_half_diagram(d: SetPartitionDiagram) -> tuple[tuple[int, ...], SetPar
         else:
             raise ValueError("half-diagram with a bottom-only block")
     props.sort(key=lambda tb: tb[0][0])
-    sigma = tuple(b for _, b in props)
+    sigma = [0] * len(props)
+    for k, (_, bottom) in enumerate(props, 1):
+        sigma[bottom - 1] = k
     blocks = [tops + [-(k + 1)] for k, (tops, _) in enumerate(props)] + rest
-    return sigma, SetPartitionDiagram(d.r, d.m, blocks)
+    return tuple(sigma), SetPartitionDiagram(d.r, d.m, blocks)
 
 
 class StandardModule:
@@ -473,7 +477,7 @@ def _permutation_of(z: SetPartitionDiagram) -> tuple[int, ...]:
         bots = [-v for v in b if v < 0]
         if len(tops) != 1 or len(bots) != 1:
             raise ValueError(f"{z} is not a permutation diagram")
-        sigma[tops[0] - 1] = bots[0]
+        sigma[bots[0] - 1] = tops[0]
     return tuple(sigma)
 
 

@@ -43,25 +43,31 @@ def character(lam: Partition, rho: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _char(lam: tuple, rho: tuple) -> int:
+    """Murnaghan-Nakayama recursion: remove every border strip of length
+    rho[0] from lam, with sign (-1)^(rows - 1), and recurse on rho[1:].
+
+    Strips are removed by row arithmetic.  The strip of length t that starts
+    in row i ends in row k - 1, where k is the first row below i with
+    lam[k] - k <= lam[i] - i - t; it exists unless that is an equality or
+    lam[i] - i - t <= -len(lam).  Rows i+1..k-1 move up one row and lose a
+    box each, and row k - 1 becomes lam[i] - i - t + k - 1.
+    """
     if not lam:
         return 1
     t, rest = rho[0], rho[1:]
     m = len(lam)
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]
-    bset = set(beta)
     total = 0
-    for b in beta:
-        nb = b - t
-        if nb < 0 or nb in bset:
+    for i in range(m):
+        end = lam[i] - i - t
+        k = i + 1
+        while k < m and lam[k] - k > end:
+            k += 1
+        if (lam[k] - k if k < m else -m) >= end:
             continue
-        height = sum(1 for c in beta if nb < c < b)
-        newbeta = sorted((c for c in beta if c != b), reverse=True)
-        newbeta.append(nb)
-        newbeta.sort(reverse=True)
-        newlam = tuple(c - (m - 1 - i) for i, c in enumerate(newbeta))
-        while newlam and newlam[-1] == 0:
-            newlam = newlam[:-1]
-        total += (-1) ** height * _char(newlam, rest)
+        new = lam[:i] + tuple(p - 1 for p in lam[i + 1 : k]) + (end + k - 1,) + lam[k:]
+        while new and not new[-1]:
+            new = new[:-1]
+        total += (-1) ** (k - 1 - i) * _char(new, rest)
     return total
 
 

@@ -3,8 +3,12 @@
 These deliberately take different routes than the library: the LR count here
 fills the skew shape one cell at a time along the reverse reading word and
 checks the lattice condition on each prefix, where the library adds whole
-letters as horizontal strips; the n-pair check compares raw cell sets.
+letters as horizontal strips; the character recursion here moves beads on a
+beta-set, where the library removes border strips by row arithmetic; the
+n-pair check compares raw cell sets.
 """
+
+from functools import lru_cache
 
 from kroncoef.partitions import Partition
 
@@ -66,3 +70,30 @@ def is_n_pair_bruteforce(mu: Partition, lam: Partition, n: int) -> bool:
     last = max(j for _, j in diff)
     (row,) = rows
     return last - row == n - mu.size
+
+
+@lru_cache(maxsize=None)
+def char_beta(lam: tuple, rho: tuple) -> int:
+    """chi^lam(rho) by the Murnaghan-Nakayama rule on beta-sets: a border
+    strip of length t is a bead moved t places down to a free position, with
+    the sign of the number of beads it passes."""
+    if not lam:
+        return 1
+    t, rest = rho[0], rho[1:]
+    m = len(lam)
+    beta = [lam[i] + (m - 1 - i) for i in range(m)]
+    bset = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - t
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        newbeta = sorted((c for c in beta if c != b), reverse=True)
+        newbeta.append(nb)
+        newbeta.sort(reverse=True)
+        newlam = tuple(c - (m - 1 - i) for i, c in enumerate(newbeta))
+        while newlam and newlam[-1] == 0:
+            newlam = newlam[:-1]
+        total += (-1) ** height * char_beta(newlam, rest)
+    return total

@@ -1,4 +1,5 @@
-"""kroncoef.clear_caches empties every memo table and changes no value."""
+"""kroncoef.clear_caches empties every memo table and changes no value;
+kroncoef.cache_stats reports on every one of them."""
 
 import importlib
 import pkgutil
@@ -45,3 +46,20 @@ def test_clear_caches_empties_every_cache_and_keeps_values():
     assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
     assert not sym_characters._tables
     assert values() == before
+
+
+def test_registry_holds_every_cache():
+    assert kroncoef._CACHES == package_caches()
+
+
+def test_cache_stats_reports_every_cache():
+    kroncoef.clear_caches()
+    values()
+    stats = kroncoef.cache_stats()
+    assert set(stats) == set(package_caches())
+    for name, cache in package_caches().items():
+        info = cache.cache_info()
+        assert stats[name] == {"hits": info.hits, "misses": info.misses, "currsize": info.currsize}
+        assert info.currsize, name
+    kroncoef.clear_caches()
+    assert all(entry == {"hits": 0, "misses": 0, "currsize": 0} for entry in kroncoef.cache_stats().values())

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from kroncoef.diagram_algebra import (
     standard_module,
 )
 from kroncoef.kronecker import reduced_kron
-from kroncoef.partitions import Partition, partitions_up_to
+from kroncoef.partitions import Partition, block_chain, partitions_up_to
 from kroncoef.sym_characters import _mat_mul, character, cycle_type, specht_dim
 
 P = Partition
@@ -264,6 +265,43 @@ class TestStandardModules:
                     rhs = _mat_mul(mod.action_matrix(ax), mod.action_matrix(ay))
                     assert lhs == [list(row) for row in rhs], (r, nu, str(x), str(y))
 
+    def test_permutation_diagrams_multiply_as_permutations(self):
+        # bottom k' is joined to top sigma(k), so P(sigma)P(tau) = P(sigma o tau)
+        for r in (1, 2, 3, 4):
+            for sigma in permutations(range(1, r + 1)):
+                for tau in permutations(range(1, r + 1)):
+                    product = tuple(sigma[t - 1] for t in tau)
+                    assert compose(permutation_diagram(sigma), permutation_diagram(tau)) == (0, permutation_diagram(product))
+
+    def test_action_is_homomorphism_on_every_permutation_pair(self):
+        for r in (1, 2, 3):
+            perms = [permutation_diagram(s) for s in permutations(range(1, r + 1))]
+            for nu in partitions_up_to(r):
+                mod = standard_module(r, nu, DELTA)
+                mats = {x: mod.action_matrix(x) for x in perms}
+                for x in perms:
+                    for y in perms:
+                        _, xy = compose(x, y)
+                        assert [list(row) for row in _mat_mul(mats[x], mats[y])] == mats[xy], (r, nu, str(x), str(y))
+
+    @pytest.mark.parametrize("nu", [(2, 1), (3, 1)])
+    def test_generators_act_as_homomorphism_in_degree_four(self, nu):
+        mod = standard_module(4, P(nu), DELTA)
+        # a permutation acts by an integer matrix; int products keep this fast
+        mats = {x: _integral(mod.action_matrix(x)) for x in map(permutation_diagram, permutations(range(1, 5)))}
+        for i in (1, 2, 3):
+            s_i = permutation_diagram(tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, 5)))
+            for x in mats:
+                _, sx = compose(s_i, x)
+                assert [list(row) for row in _mat_mul(mats[s_i], mats[x])] == mats[sx], (nu, i, str(x))
+
+    def test_gram_rank_at_the_symmetric_group_size(self):
+        # at delta = n the radical is cut out by the block chain: the rank is
+        # the alternating sum of standard dimensions along the n-pair chain
+        mod = standard_module(4, P([2, 1]), Fraction(5))
+        chain = sum((-1) ** i * dim_standard(4, entry) for i, entry in enumerate(block_chain(P([2, 1]), 5, 4)))
+        assert _rank(mod.gram_matrix()) == chain == 17
+
     def test_permutation_traces_on_top_layer(self):
         mod = standard_module(3, P([2, 1]), DELTA)
         for sigma in [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1)]:
@@ -358,6 +396,11 @@ class TestRestriction:
     def test_dimension_identity_up_to_5(self):
         for nu, r, s in dimension_identity_cases(5):
             assert check_dimension_identity(nu, r, s)["ok"], (nu, r, s)
+
+
+def _integral(mat):
+    assert all(v.denominator == 1 for row in mat for v in row)
+    return [[int(v) for v in row] for row in mat]
 
 
 def _rank(mat):

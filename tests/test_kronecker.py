@@ -177,6 +177,18 @@ class TestReducedViaLR:
             P([2, 1]), P([2, 1]), P([2, 1])
         )
 
+    @pytest.mark.parametrize(
+        "lam, mu, nu, value",
+        [
+            ([5, 3, 2], [2, 2, 2, 2, 1, 1], [2, 2, 1, 1, 1, 1], 573),
+            ([4, 2, 2, 2], [4, 3, 2, 1, 1], [1, 1], 2),
+            ([9, 1], [8, 3, 1], [3, 2], 52),
+        ],
+    )
+    def test_weight_ten_to_twelve(self, lam, mu, nu, value):
+        # triples of the reduced_large benchmark sample
+        assert reduced_kron_via_lr(P(lam), P(mu), P(nu)) == reduced_kron(P(lam), P(mu), P(nu)) == value
+
     def test_agreement_small(self):
         for lam in partitions_up_to(3):
             for mu in partitions_up_to(3):

@@ -1,6 +1,6 @@
 from itertools import permutations
 
-from kroncoef.lr import lr_coeff, lr_coeff3
+from kroncoef.lr import _admissible, lr_coeff, lr_coeff3
 from kroncoef.partitions import Partition, conjugate, partitions_of
 from kroncoef.sym_characters import induction_mult
 from oracles import lr_lattice
@@ -48,6 +48,15 @@ def test_matches_lattice_word_count_up_to_8():
 def test_matches_induction_oracle_up_to_8():
     for lam, mu, nu in split_triples(8):
         assert lr_coeff(lam, mu, nu) == induction_mult(lam, mu, nu), (lam, mu, nu)
+
+
+def test_each_prefilter_condition_rejects_alone():
+    # each triple fails exactly one condition: mu inside nu, nu dominated by
+    # the row-wise sum, nu dominating the union of the parts; the lattice
+    # count tests above show that the prefilter drops no nonzero coefficient
+    for lam, mu, nu in [((1,), (2, 2), (3, 1, 1)), ((1, 1), (1, 1), (3, 1)), ((2,), (2,), (2, 1, 1))]:
+        assert not _admissible(lam, mu, nu)
+        assert lr_lattice(P(lam), P(mu), P(nu)) == 0
 
 
 def test_pieri_up_to_8():

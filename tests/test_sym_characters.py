@@ -20,6 +20,7 @@ from kroncoef.sym_characters import (
     standard_tableaux,
     _mat_mul,
 )
+from oracles import char_beta
 
 P = Partition
 
@@ -43,6 +44,12 @@ class TestCharacter:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             character(P([2]), P([1]))
+
+    def test_matches_beta_set_recursion_up_to_12(self):
+        for n in range(13):
+            for lam in partitions_of(n):
+                for rho in partitions_of(n):
+                    assert character(lam, rho) == char_beta(lam.parts, rho.parts), (lam, rho)
 
 
 class TestClassSize:
