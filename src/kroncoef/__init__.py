@@ -65,9 +65,12 @@ _CACHES = {
         partitions.partitions_up_to,
         lr._lr,
         lr._lr3,
-        sym_characters._char,
         sym_characters._classes,
+        sym_characters._class_index,
         sym_characters._chars,
+        sym_characters._upto,
+        sym_characters._block,
+        sym_characters._partition_count,
         sym_characters._weighted,
         sym_characters._specht_model_cached,
         kronecker._reduced_kron,

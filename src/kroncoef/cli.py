@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import diagram_algebra as da
 from . import kronecker as kr
 from .partitions import Partition, block_chain, dagger, pad, partitions_up_to
-from .sym_characters import character_table
+from .sym_characters import _partition_count, character_table
 
 
 @dataclass
@@ -225,7 +225,20 @@ def cmd_diagram(args, cfg: Config) -> int:
     raise SystemExit("error: unknown diagram subcommand")
 
 
+# the character table of S_n has p(n)^2 cells; this admits n <= 21
+TABLE_MAX_CELLS = 10**6
+
+
 def cmd_table(args, cfg: Config) -> int:
+    # p(k) grows with k, so the scan stops at the first table that is too
+    # large, long before it would count the partitions of a huge n
+    for k in range(args.n + 1):
+        cells = _partition_count(k, k) ** 2
+        if cells > TABLE_MAX_CELLS:
+            raise SystemExit(
+                f"error: the character table of S_{args.n} has at least p({k})^2 = {cells} cells, "
+                f"more than {TABLE_MAX_CELLS}; use --n <= {k - 1}"
+            )
     sys.stdout.write(character_table(args.n).to_tsv())
     return 0
 

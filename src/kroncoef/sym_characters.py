@@ -1,18 +1,20 @@
 """Symmetric group character theory: the brute-force oracle.
 
-Everything here is exact integer arithmetic: characters by border-strip
-recursion, Kronecker coefficients as class-weighted triple products,
-induction multiplicities by summing over class pairs, and explicit Specht
-module matrices on the standard polytabloid basis, obtained by straightening
-in dominance order.
+Everything here is exact integer arithmetic: characters by one
+Murnaghan-Nakayama kernel that computes chi^lam on every class of S_|lam| at
+once, block by block of the classes with the same largest part; Kronecker
+coefficients as class-weighted triple products; induction multiplicities by
+summing over class pairs; and explicit Specht module matrices on the
+standard polytabloid basis, obtained by straightening in dominance order.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial
+from operator import add, sub
 
 from .partitions import Partition, partitions_of
 
@@ -38,37 +40,7 @@ def character(lam: Partition, rho: Partition) -> int:
     lam, rho = Partition(lam), Partition(rho)
     if lam.size != rho.size:
         raise ValueError(f"size mismatch: |{lam}| != |{rho}|")
-    return _char(lam.parts, rho.parts)
-
-
-@lru_cache(maxsize=None)
-def _char(lam: tuple, rho: tuple) -> int:
-    """Murnaghan-Nakayama recursion: remove every border strip of length
-    rho[0] from lam, with sign (-1)^(rows - 1), and recurse on rho[1:].
-
-    Strips are removed by row arithmetic.  The strip of length t that starts
-    in row i ends in row k - 1, where k is the first row below i with
-    lam[k] - k <= lam[i] - i - t; it exists unless that is an equality or
-    lam[i] - i - t <= -len(lam).  Rows i+1..k-1 move up one row and lose a
-    box each, and row k - 1 becomes lam[i] - i - t + k - 1.
-    """
-    if not lam:
-        return 1
-    t, rest = rho[0], rho[1:]
-    m = len(lam)
-    total = 0
-    for i in range(m):
-        end = lam[i] - i - t
-        k = i + 1
-        while k < m and lam[k] - k > end:
-            k += 1
-        if (lam[k] - k if k < m else -m) >= end:
-            continue
-        new = lam[:i] + tuple(p - 1 for p in lam[i + 1 : k]) + (end + k - 1,) + lam[k:]
-        while new and not new[-1]:
-            new = new[:-1]
-        total += (-1) ** (k - 1 - i) * _char(new, rest)
-    return total
+    return _chars(lam.parts)[_class_index(lam.size)[rho.parts]]
 
 
 def class_size(rho: Partition) -> int:
@@ -88,6 +60,12 @@ def _classes(n: int) -> tuple[tuple[tuple, int], ...]:
     return tuple((rho.parts, class_size(rho)) for rho in partitions_of(n))
 
 
+@lru_cache(maxsize=None)
+def _class_index(n: int) -> dict[tuple, int]:
+    """Position of each cycle type of S_n in _classes(n)."""
+    return {rho: i for i, (rho, _size) in enumerate(_classes(n))}
+
+
 class CharacterTable:
     """Exact character table of the symmetric group of degree n."""
 
@@ -95,8 +73,9 @@ class CharacterTable:
         self.n = n
         self.partitions = partitions_of(n)
         self.class_sizes = {rho: class_size(rho) for rho in self.partitions}
+        index = _class_index(n)
         self.values = {
-            (lam, rho): character(lam, rho)
+            (lam, rho): _chars(lam.parts)[index[rho.parts]]
             for lam in self.partitions
             for rho in self.partitions
         }
@@ -174,7 +153,66 @@ def _kron(lam: tuple, mu: tuple, nu: tuple) -> int:
 @lru_cache(maxsize=None)
 def _chars(lam: tuple) -> tuple[int, ...]:
     """chi^lam on every class of S_|lam|, in the order of _classes."""
-    return tuple(_char(lam, rho) for rho, _size in _classes(sum(lam)))
+    n = sum(lam)
+    values = _upto(lam, n)
+    if len(values) != len(_classes(n)):
+        raise ArithmeticError(f"{len(values)} character values for the {len(_classes(n))} classes of S_{n}")
+    return values
+
+
+@lru_cache(maxsize=None)
+def _upto(lam: tuple, t: int) -> tuple[int, ...]:
+    """chi^lam on the classes whose parts are all <= t, in the order of
+    _classes: the blocks of first part 1, 2, ..., min(t, |lam|) in turn.
+
+    _classes(n) is sorted lexicographically, so its classes come grouped by
+    first part in ascending order, and the tails of the group of first part u
+    are the partitions of n - u with parts <= u, again in that order.
+    """
+    if not lam:
+        return (1,)
+    return tuple(chain.from_iterable(_block(lam, u) for u in range(1, min(t, sum(lam)) + 1)))
+
+
+@lru_cache(maxsize=None)
+def _block(lam: tuple, t: int) -> tuple[int, ...]:
+    """chi^lam on the classes of first part t <= |lam|, by the
+    Murnaghan-Nakayama rule: the sum over the border strips of length t,
+    with sign (-1)^(rows - 1), of _upto(lam - strip, t).
+
+    Strips are removed by row arithmetic.  The strip of length t that starts
+    in row i ends in row k - 1, where k is the first row below i with
+    lam[k] - k <= lam[i] - i - t; it exists unless that is an equality or
+    lam[i] - i - t <= -len(lam).  Rows i+1..k-1 move up one row and lose a
+    box each, and row k - 1 becomes lam[i] - i - t + k - 1.
+    """
+    rest = sum(lam) - t
+    total = [0] * _partition_count(rest, t)
+    m = len(lam)
+    for i in range(m):
+        end = lam[i] - i - t
+        k = i + 1
+        while k < m and lam[k] - k > end:
+            k += 1
+        if (lam[k] - k if k < m else -m) >= end:
+            continue
+        new = lam[:i] + tuple(p - 1 for p in lam[i + 1 : k]) + (end + k - 1,) + lam[k:]
+        while new and not new[-1]:
+            new = new[:-1]
+        total = list(map(sub if (k - 1 - i) % 2 else add, total, _upto(new, min(t, rest))))
+    return tuple(total)
+
+
+@lru_cache(maxsize=None)
+def _partition_count(m: int, t: int) -> int:
+    """Number of partitions of m with every part <= t, that is the length of
+    _upto(lam, t) for |lam| = m; p(m) is _partition_count(m, m)."""
+    if m == 0:
+        return 1
+    if t == 0:
+        return 0
+    t = min(t, m)
+    return _partition_count(m, t - 1) + _partition_count(m - t, t)
 
 
 @lru_cache(maxsize=None)
@@ -190,17 +228,16 @@ def induction_mult(lam: Partition, mu: Partition, nu: Partition) -> int:
     r1, r2 = lam.size, mu.size
     if nu.size != r1 + r2:
         raise ValueError("induction_mult needs |nu| = |lam| + |mu|")
+    nu_chars, index = _chars(nu.parts), _class_index(r1 + r2)
     total = 0
-    for rho1, s1 in _classes(r1):
-        c1 = _char(lam.parts, rho1)
+    for (rho1, s1), c1 in zip(_classes(r1), _chars(lam.parts)):
         if not c1:
             continue
-        for rho2, s2 in _classes(r2):
-            c2 = _char(mu.parts, rho2)
+        for (rho2, s2), c2 in zip(_classes(r2), _chars(mu.parts)):
             if not c2:
                 continue
             joint = tuple(sorted(rho1 + rho2, reverse=True))
-            total += s1 * s2 * c1 * c2 * _char(nu.parts, joint)
+            total += s1 * s2 * c1 * c2 * nu_chars[index[joint]]
     q, rem = divmod(total, factorial(r1) * factorial(r2))
     if rem:
         raise ArithmeticError("non-integral induction sum")

@@ -3,9 +3,10 @@
 These deliberately take different routes than the library: the LR count here
 fills the skew shape one cell at a time along the reverse reading word and
 checks the lattice condition on each prefix, where the library adds whole
-letters as horizontal strips; the character recursion here moves beads on a
-beta-set, where the library removes border strips by row arithmetic; the
-n-pair check compares raw cell sets.
+letters as horizontal strips; the character recursion here computes one
+value chi^lam(rho) at a time by moving beads on a beta-set, where the library
+removes border strips by row arithmetic and computes chi^lam on whole blocks
+of classes at once; the n-pair check compares raw cell sets.
 """
 
 from functools import lru_cache

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -188,6 +189,13 @@ class TestTable:
 
     def test_negative_degree(self, capsys):
         assert "--n" in refused(capsys, "table", "--n", "-2")
+
+    def test_oversized_table_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        assert "p(22)^2 = 1004004 cells" in refused(capsys, "table", "--n", "60")
+        assert "--n <= 21" in refused(capsys, "table", "--n", "22")
+        assert "--n" in refused(capsys, "table", "--n", str(10**9))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,8 @@ from kroncoef.diagram_algebra import (
     standard_module,
 )
 from kroncoef.kronecker import reduced_kron
-from kroncoef.partitions import Partition, block_chain, partitions_up_to
-from kroncoef.sym_characters import _mat_mul, character, cycle_type, specht_dim
+from kroncoef.partitions import Partition, _pad, block_chain, partitions_up_to
+from kroncoef.sym_characters import _classes, _mat_mul, _weighted, character, cycle_type, specht_dim
 
 P = Partition
 D = SetPartitionDiagram.parse
@@ -302,6 +303,24 @@ class TestStandardModules:
         chain = sum((-1) ** i * dim_standard(4, entry) for i, entry in enumerate(block_chain(P([2, 1]), 5, 4)))
         assert _rank(mod.gram_matrix()) == chain == 17
 
+    def test_gram_rank_is_the_chain_sum_and_the_schur_weyl_multiplicity(self):
+        # three independent values of dim L_r(nu) at delta = n: the rank of the
+        # Gram form, the alternating dim_standard sum along the n-pair chain,
+        # and the multiplicity of S(pad(nu, n)) in (C^n)^{(x) r}, that is
+        # (1/n!) sum over rho of |C_rho| chi(rho) fix(rho)^r
+        cases = 0
+        for r in range(5):
+            for nu in partitions_up_to(r):
+                for n in range(max(1, nu.size + nu.row(1)), 2 * r + 2):
+                    rank = _rank(standard_module(r, nu, Fraction(n)).gram_matrix())
+                    chain = sum((-1) ** i * dim_standard(r, entry) for i, entry in enumerate(block_chain(nu, n, r)))
+                    weighted = _weighted(_pad(nu.parts, n))
+                    total = sum(w * rho.count(1) ** r for (rho, _size), w in zip(_classes(n), weighted))
+                    tensor, rem = divmod(total, factorial(n))
+                    assert rem == 0 and rank == chain == tensor, (r, nu, n, rank, chain, tensor)
+                    cases += 1
+        assert cases == 114
+
     def test_permutation_traces_on_top_layer(self):
         mod = standard_module(3, P([2, 1]), DELTA)
         for sigma in [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1)]:
@@ -404,20 +423,27 @@ def _integral(mat):
 
 
 def _rank(mat):
-    m = [row[:] for row in mat]
+    """Rank of a rational matrix: clear each row's denominators, then run
+    fraction-free (Bareiss) elimination on the integers."""
+    m = []
+    for row in mat:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        m.append([int(x * scale) for x in row])
     rows = len(m)
     cols = len(m[0]) if m else 0
-    rank = 0
+    rank, prev = 0, 1
     for c in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(rank, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        p = m[rank][c]
+        # every entry below is a minor of the rows and columns pivoted so far,
+        # so the division by the previous pivot is exact (Sylvester)
+        for i in range(rank + 1, rows):
+            f = m[i][c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[rank])]
+        prev = p
         rank += 1
     return rank

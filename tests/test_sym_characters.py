@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kroncoef
+from kroncoef import sym_characters
 from kroncoef.partitions import Partition, conjugate, partitions_of, partitions_up_to
 from kroncoef.sym_characters import (
     character,
@@ -18,7 +20,10 @@ from kroncoef.sym_characters import (
     specht_dim,
     specht_model,
     standard_tableaux,
+    _chars,
+    _classes,
     _mat_mul,
+    _partition_count,
 )
 from oracles import char_beta
 
@@ -50,6 +55,25 @@ class TestCharacter:
             for lam in partitions_of(n):
                 for rho in partitions_of(n):
                     assert character(lam, rho) == char_beta(lam.parts, rho.parts), (lam, rho)
+
+    @pytest.mark.parametrize("n", [20, 24, 30])
+    def test_matches_beta_set_recursion_with_a_long_first_row(self, n):
+        # a long first row makes every class block non-trivial; a fault in
+        # the order of the blocks or of their tails shows only at such sizes
+        for tail in ((2, 1, 1), (3, 3), (5,), (1,) * 6):
+            lam = (n - sum(tail),) + tail
+            assert _chars(lam) == tuple(char_beta(lam, rho) for rho, _size in _classes(n)), lam
+
+    def test_short_character_vector_raises(self, monkeypatch):
+        kroncoef.clear_caches()
+        monkeypatch.setattr(sym_characters, "_upto", lambda lam, t: (1,))
+        with pytest.raises(ArithmeticError):
+            _chars((2, 1))
+
+    def test_partition_count(self):
+        for m in range(21):
+            for t in range(m + 2):
+                assert _partition_count(m, t) == sum(1 for p in partitions_of(m) if not p.parts or p.parts[0] <= t)
 
 
 class TestClassSize:
