@@ -412,28 +412,31 @@ class StandardModule:
         self.specht = specht
         self.halves = half_diagrams(r, self.m)
         self.half_index = {h: i for i, h in enumerate(self.halves)}
-        self.basis = [(hi, ti) for hi in range(len(self.halves)) for ti in range(specht.dim)]
-        self.basis_index = {b: i for i, b in enumerate(self.basis)}
-        self.dim = len(self.basis)
+        # basis vector (h, t) has index h * specht.dim + t
+        self.dim = len(self.halves) * specht.dim
+
+    def _factor(self, x: SetPartitionDiagram, half: SetPartitionDiagram):
+        """Compose x above half and write the result as delta^t times a
+        canonical half-diagram times a permutation: (t, sigma, canonical), or
+        None when propagating blocks are lost."""
+        t, z = compose(x, half)
+        if propagating_count(z) < self.m:
+            return None
+        return (t, *factor_half_diagram(z))
 
     def apply_diagram(self, X: SetPartitionDiagram, index: int) -> dict[int, Fraction]:
         """Action of a single diagram on one basis vector, as a sparse map."""
         if X.r != self.r or X.m != self.r:
             raise ValueError(f"diagram profile ({X.r},{X.m}) does not match degree {self.r}")
-        hi, ti = self.basis[index]
-        t, vprime = compose(X, self.halves[hi])
-        if propagating_count(vprime) < self.m:
+        sd = self.specht.dim
+        hi, ti = divmod(index, sd)
+        step = self._factor(X, self.halves[hi])
+        if step is None:
             return {}
-        sigma, canonical = factor_half_diagram(vprime)
+        t, sigma, canonical = step
         hj = self.half_index[canonical]
-        mat = self.specht.matrix_of(sigma)
         scale = self.delta**t
-        out: dict[int, Fraction] = {}
-        for a in range(self.specht.dim):
-            c = mat[a][ti]
-            if c:
-                out[self.basis_index[(hj, a)]] = scale * c
-        return out
+        return {hj * sd + a: scale * row[ti] for a, row in enumerate(self.specht.matrix_of(sigma)) if row[ti]}
 
     def action_matrix(self, x) -> list[list[Fraction]]:
         """Matrix of a diagram or algebra element on the basis (columns are
@@ -457,10 +460,10 @@ class StandardModule:
         for i, vi in enumerate(self.halves):
             flipped = vi.flip()
             for j, vj in enumerate(self.halves):
-                t, z = compose(flipped, vj)
-                if propagating_count(z) < self.m:
+                step = self._factor(flipped, vj)
+                if step is None:
                     continue
-                sigma = _permutation_of(z)
+                t, sigma, _ = step
                 block = _mat_mul(form0, self.specht.matrix_of(sigma))
                 scale = self.delta**t
                 for a in range(sd):
@@ -468,17 +471,6 @@ class StandardModule:
                         if block[a][b]:
                             gram[i * sd + a][j * sd + b] = scale * block[a][b]
         return gram
-
-
-def _permutation_of(z: SetPartitionDiagram) -> tuple[int, ...]:
-    sigma = [0] * z.r
-    for b in z.blocks:
-        tops = [v for v in b if v > 0]
-        bots = [-v for v in b if v < 0]
-        if len(tops) != 1 or len(bots) != 1:
-            raise ValueError(f"{z} is not a permutation diagram")
-        sigma[bots[0] - 1] = tops[0]
-    return tuple(sigma)
 
 
 def standard_module(r: int, nu: Partition, delta) -> StandardModule:
@@ -562,13 +554,8 @@ def dimension_identity_cases(max_m: int):
 
 def check_dimension_identity(nu: Partition, r: int, s: int) -> dict:
     """Standard module dimension vs the restriction-weighted sum of products
-    of smaller standard module dimensions."""
+    of smaller standard module dimensions; ValueError when |nu| > r + s, as
+    for restriction_table."""
     lhs = dim_standard(r + s, nu)
-    rhs = 0
-    for lam in partitions_up_to(r):
-        dl = dim_standard(r, lam)
-        for mu in partitions_up_to(s):
-            c = restrict_multiplicity(nu, r, s, lam, mu)
-            if c:
-                rhs += c * dl * dim_standard(s, mu)
+    rhs = sum(c * dim_standard(r, lam) * dim_standard(s, mu) for (lam, mu), c in restriction_table(nu, r, s).items())
     return {"dim": lhs, "filtration": rhs, "ok": lhs == rhs}

@@ -5,11 +5,13 @@ Routes implemented side by side so they can be cross-checked:
 * the character oracle on first-row-padded triples,
 * an alternating sum of reduced coefficients over the n-pair block chain,
 * an alternating sum over the dagger partitions of the padded third factor,
-* closed formulas for two-row and hook third factors.
+* closed formulas for two-row and hook third factors (n-k, k) and
+  (n-k, 1^k): in their ranges, the reduced coefficient at nu = (k) and
+  nu = (1^k).
 
-The block chain and dagger routes take their reduced coefficients from one
-cached kernel, _reduced_kron, the positive quadruple sum of
-Littlewood-Richardson products of the source paper; it needs Kronecker
+The block chain and dagger routes and the closed formulas take their reduced
+coefficients from one cached kernel, _reduced_kron, the positive quadruple sum
+of Littlewood-Richardson products of the source paper; it needs Kronecker
 coefficients only of degree at most min(|lam|, |mu|).  reduced_kron, the
 character oracle at the stability bound, is kept as its comparator.
 
@@ -159,7 +161,7 @@ def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
 
 def kron_two_row(lam: Partition, mu: Partition, k: int, n: int) -> int:
     """Closed formula for the Kronecker coefficient whose third factor is the
-    two-row partition (n-k, k)."""
+    two-row partition (n-k, k): in its range, the reduced coefficient at (k)."""
     lam, mu = Partition(lam), Partition(mu)
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -168,12 +170,12 @@ def kron_two_row(lam: Partition, mu: Partition, k: int, n: int) -> int:
     bound = min(lam.size + mu.row(1) + k, mu.size + lam.row(1) + k)
     if n < bound:
         raise FormulaRangeError(f"two-row formula needs n >= {bound}, got {n}")
-    return _strip_sum(lam, mu, k, hook=False)
+    return _reduced_kron(lam.parts, mu.parts, (k,) if k else ())
 
 
 def kron_hook(lam: Partition, mu: Partition, k: int, n: int) -> int:
     """Closed formula for the Kronecker coefficient whose third factor is the
-    hook partition (n-k, 1^k)."""
+    hook partition (n-k, 1^k): in its range, the reduced coefficient at (1^k)."""
     lam, mu = Partition(lam), Partition(mu)
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -182,23 +184,7 @@ def kron_hook(lam: Partition, mu: Partition, k: int, n: int) -> int:
     bound = min(lam.size + mu.size + 1, mu.size + lam.row(1) + k, lam.size + mu.row(1) + k)
     if n < bound:
         raise FormulaRangeError(f"hook formula needs n >= {bound}, got {n}")
-    return _strip_sum(lam, mu, k, hook=True)
-
-
-def _strip_sum(lam: Partition, mu: Partition, k: int, hook: bool) -> int:
-    """Sum of c(strip_a, sigma, gamma; lam) c(gamma, sigma, strip_b; mu) over
-    the splits of |lam| + |mu| - k.  The strips are rows for the two-row
-    formula; the hook formula conjugates both strips and the middle sigma."""
-    flip = Partition.conjugate if hook else Partition
-    total = 0
-    for l1, l2, a, b in _l_splits(lam.size + mu.size - k, lam.size, mu.size):
-        strip_a, strip_b = flip(Partition([a])).parts, flip(Partition([b])).parts
-        for sigma in partitions_of(l1):
-            for gamma in partitions_of(l2):
-                c1 = _lr3(strip_a, sigma.parts, gamma.parts, lam.parts)
-                if c1:
-                    total += c1 * _lr3(gamma.parts, flip(sigma).parts, strip_b, mu.parts)
-    return total
+    return _reduced_kron(lam.parts, mu.parts, (1,) * k)
 
 
 def _l_splits(l: int, r: int, s: int):

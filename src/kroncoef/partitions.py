@@ -121,8 +121,8 @@ class PaddedPartition:
 
     @property
     def length(self) -> int:
-        """Number of nonzero rows (the padding row counts when nonzero)."""
-        return len(Partition(self.rows))
+        """Number of nonzero rows; _pad makes every row positive."""
+        return len(self.rows)
 
     def to_partition(self) -> Partition:
         return Partition(self.rows)
@@ -250,9 +250,6 @@ class BlockChain:
 
     def __iter__(self) -> Iterator[Partition]:
         return iter(self.chain)
-
-    def index_of(self, nu: Partition) -> int:
-        return self.chain.index(Partition(nu))
 
     def truncation_index(self, max_size: int) -> int:
         """Largest t with |chain[t]| <= max_size, or -1 if none."""

@@ -14,7 +14,7 @@ import threading
 from functools import lru_cache
 from itertools import chain, permutations, product
 from math import factorial
-from operator import add, sub
+from operator import add, mul, sub
 
 from .partitions import Partition, partitions_of
 
@@ -67,50 +67,43 @@ def _class_index(n: int) -> dict[tuple, int]:
 
 
 class CharacterTable:
-    """Exact character table of the symmetric group of degree n."""
+    """Exact character table of the symmetric group of degree n.
+
+    The row of lam is its character vector _chars(lam); rows and columns run
+    over partitions_of(n), which is also the order of the classes in
+    _classes(n).
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.partitions = partitions_of(n)
-        self.class_sizes = {rho: class_size(rho) for rho in self.partitions}
-        index = _class_index(n)
-        self.values = {
-            (lam, rho): _chars(lam.parts)[index[rho.parts]]
-            for lam in self.partitions
-            for rho in self.partitions
-        }
 
     def value(self, lam: Partition, rho: Partition) -> int:
-        return self.values[(Partition(lam), Partition(rho))]
+        lam, rho = Partition(lam), Partition(rho)
+        if lam.size != self.n or rho.size != self.n:
+            raise ValueError(f"{lam} and {rho} are not both partitions of {self.n}")
+        return character(lam, rho)
 
     def check_orthogonality(self) -> None:
         """Raise if either orthogonality relation fails."""
         nfact = factorial(self.n)
+        rows = [_chars(lam.parts) for lam in self.partitions]
         for lam in self.partitions:
-            for mu in self.partitions:
-                s = sum(
-                    self.class_sizes[rho] * self.values[(lam, rho)] * self.values[(mu, rho)]
-                    for rho in self.partitions
-                )
-                if s != (nfact if lam == mu else 0):
+            weighted = _weighted(lam.parts)
+            for mu, chi in zip(self.partitions, rows):
+                if sum(map(mul, weighted, chi)) != (nfact if lam == mu else 0):
                     raise ArithmeticError(f"row orthogonality fails at ({lam}, {mu})")
-        for rho in self.partitions:
-            for tau in self.partitions:
-                s = sum(
-                    self.values[(lam, rho)] * self.values[(lam, tau)]
-                    for lam in self.partitions
-                )
-                expect = nfact // self.class_sizes[rho] if rho == tau else 0
-                if s != expect:
+        for i, (rho, (_parts, size)) in enumerate(zip(self.partitions, _classes(self.n))):
+            for j, tau in enumerate(self.partitions):
+                expect = nfact // size if i == j else 0
+                if sum(row[i] * row[j] for row in rows) != expect:
                     raise ArithmeticError(f"column orthogonality fails at ({rho}, {tau})")
 
     def to_tsv(self) -> str:
         """Rows are Specht labels, columns are cycle types."""
-        header = "\t".join(["lambda\\rho"] + [str(r) for r in self.partitions])
-        lines = [header]
+        lines = ["\t".join(["lambda\\rho"] + [str(r) for r in self.partitions])]
         for lam in self.partitions:
-            row = [str(lam)] + [str(self.values[(lam, rho)]) for rho in self.partitions]
-            lines.append("\t".join(row))
+            lines.append("\t".join([str(lam)] + [str(c) for c in _chars(lam.parts)]))
         return "\n".join(lines) + "\n"
 
 
@@ -325,10 +318,9 @@ class SpechtModel:
         self.k = self.nu.size
         self.tableaux = standard_tableaux(self.nu)
         self.dim = len(self.tableaux)
-        self.basis_vectors = [_polytabloid(t) for t in self.tableaux]
-        # the same vectors keyed by row indices, and the top tabloid {t} of
+        # the polytabloids keyed by row indices, and the top tabloid {t} of
         # each e_t, dominance-largest first
-        self._keyed = [{_row_key(tab, self.k): c for tab, c in v.items()} for v in self.basis_vectors]
+        self._keyed = [{_row_key(tab, self.k): c for tab, c in _polytabloid(t).items()} for t in self.tableaux]
         self._tops = sorted((_row_key(t, self.k), j) for j, t in enumerate(self.tableaux))
         self._matrix_cache: dict[tuple, tuple] = {}
         self.generators = [
@@ -379,10 +371,10 @@ class SpechtModel:
 
     def invariant_form(self) -> tuple:
         """Gram matrix of the basis under the tabloid inner product."""
-        g = []
-        for u in self.basis_vectors:
-            g.append(tuple(sum(c * v.get(tab, 0) for tab, c in u.items()) for v in self.basis_vectors))
-        return tuple(g)
+        # a row key names one tabloid, so keys pair up as tabloids do
+        return tuple(
+            tuple(sum(c * v.get(key, 0) for key, c in u.items()) for v in self._keyed) for u in self._keyed
+        )
 
 
 def _mat_mul(a, b):

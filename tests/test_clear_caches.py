@@ -9,7 +9,7 @@ from kroncoef import Partition as P
 from kroncoef import sym_characters
 from kroncoef.diagram_algebra import bell, dim_standard, restriction_table
 from kroncoef.kronecker import check_reduced, check_routes, reduced_kron_via_lr
-from kroncoef.sym_characters import character_table, specht_model
+from kroncoef.sym_characters import character, character_table, specht_model
 
 
 def package_caches() -> dict:
@@ -30,6 +30,7 @@ def values():
         check_reduced(P([2, 1]), P([2, 1]), P([2, 1])),
         reduced_kron_via_lr(P([3, 1]), P([2, 2]), P([3, 2])),
         character_table(5).to_tsv(),
+        character(P([3, 1]), P([2, 2])),
         specht_model(P([3, 2])).generators,
         restriction_table(P([2, 1]), 2, 2),
         dim_standard(4, P([2, 1])),

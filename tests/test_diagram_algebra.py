@@ -321,6 +321,22 @@ class TestStandardModules:
                     cases += 1
         assert cases == 114
 
+    @pytest.mark.parametrize("r, delta, sample", [(3, 5, None), (4, 6, 10)])
+    def test_gram_form_is_invariant(self, r, delta, sample):
+        # <X v, w> = <v, X* w> with X* = X.flip(), that is A(X)^T G = G A(X*):
+        # every (3,3) diagram, or a seeded sample of (4,4) diagrams; at an
+        # integral delta every matrix here is integral
+        diagrams = enumerate_diagrams(r, r)
+        if sample:
+            diagrams = random.Random(r).sample(diagrams, sample)
+        for nu in partitions_up_to(r):
+            mod = standard_module(r, nu, Fraction(delta))
+            gram = _integral(mod.gram_matrix())
+            mats = {y: _integral(mod.action_matrix(y)) for y in {*diagrams, *(x.flip() for x in diagrams)}}
+            for x in diagrams:
+                lhs = _mat_mul(tuple(zip(*mats[x])), gram)
+                assert lhs == _mat_mul(gram, mats[x.flip()]), (r, nu, str(x))
+
     def test_permutation_traces_on_top_layer(self):
         mod = standard_module(3, P([2, 1]), DELTA)
         for sigma in [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1)]:

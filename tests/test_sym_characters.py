@@ -100,6 +100,28 @@ class TestCharacterTable:
         assert len(lines) == 6
         assert lines[0].startswith("lambda\\rho")
 
+    def test_tsv_cells_are_the_characters(self):
+        # each cell is looked up by its row and column labels, so a row or
+        # column out of order fails even when the set of values is right
+        for n in range(8):
+            header, *lines = character_table(n).to_tsv().splitlines()
+            columns = [P.parse(text) for text in header.split("\t")[1:]]
+            assert sorted(columns) == list(partitions_of(n))
+            assert len(lines) == len(columns)
+            for line in lines:
+                label, *cells = line.split("\t")
+                assert len(cells) == len(columns)
+                for rho, cell in zip(columns, cells):
+                    assert int(cell) == character(P.parse(label), rho), (n, label, rho)
+            assert sorted(P.parse(line.split("\t")[0]) for line in lines) == list(partitions_of(n))
+
+    def test_value_refuses_a_label_of_another_size(self):
+        table = character_table(4)
+        assert table.value(P([3, 1]), P([2, 2])) == -1
+        for lam, rho in [(P([3]), P([2, 2])), (P([2, 2]), P([5])), (P([3]), P([2, 1]))]:
+            with pytest.raises(ValueError, match="not both partitions of 4$"):
+                table.value(lam, rho)
+
     def test_idempotent_under_threads(self):
         with ThreadPoolExecutor(max_workers=8) as pool:
             tables = list(pool.map(character_table, [6] * 16))
@@ -130,12 +152,12 @@ class TestKronOracle:
         # the class sum taken straight from the table's values
         for n in range(7):
             table = character_table(n)
-            ps, chi = table.partitions, table.values
+            ps, chi = table.partitions, table.value
             for lam in ps:
                 for mu in ps:
                     for nu in ps:
                         total = sum(
-                            table.class_sizes[rho] * chi[lam, rho] * chi[mu, rho] * chi[nu, rho]
+                            class_size(rho) * chi(lam, rho) * chi(mu, rho) * chi(nu, rho)
                             for rho in ps
                         )
                         assert total % factorial(n) == 0
