@@ -7,7 +7,7 @@ import argparse
 
 from kroncoef.diagram_algebra import dim_standard, restriction_table
 from kroncoef.kronecker import tensor_square_decomposition
-from kroncoef.partitions import Partition, block_chain, partitions_up_to
+from kroncoef.partitions import block_chain, partitions_up_to
 
 
 def main() -> None:

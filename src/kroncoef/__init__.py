@@ -63,7 +63,7 @@ _CACHES = {
     for fn in (
         partitions.partitions_of,
         partitions.partitions_up_to,
-        lr._lr,
+        lr._skew,
         lr._lr3,
         sym_characters._classes,
         sym_characters._class_index,
@@ -92,7 +92,7 @@ def clear_caches() -> None:
 
 def cache_stats() -> dict[str, dict[str, int]]:
     """Hits, misses and current size of every lru_cache of the package, by
-    module-qualified name (e.g. "lr._lr")."""
+    module-qualified name (e.g. "lr._skew")."""
     stats = {}
     for name, cache in _CACHES.items():
         info = cache.cache_info()

@@ -173,8 +173,21 @@ def cmd_dagger(args, cfg: Config) -> int:
     return 0
 
 
+# restrict computes one reduced coefficient per label pair (lam, mu) with
+# |lam| <= r and |mu| <= s; this admits r = s = 9 (97^2 = 9409 pairs)
+RESTRICT_MAX_PAIRS = 10**4
+
+
 def cmd_restrict(args, cfg: Config) -> int:
     nu = _parse_partition(args.nu)
+    # the label counts p(0) + ... + p(k) only grow with k, so the scan stops
+    # at the first k past the cap, however large --r or --s is
+    lams = mus = 0
+    for k in range(max(args.r, args.s) + 1):
+        lams += _partition_count(k, k) if k <= args.r else 0
+        mus += _partition_count(k, k) if k <= args.s else 0
+        if lams * mus > RESTRICT_MAX_PAIRS:
+            raise SystemExit(f"error: --r {args.r} --s {args.s} give more than {RESTRICT_MAX_PAIRS} label pairs")
     try:
         table = da.restriction_table(nu, args.r, args.s)
     except ValueError as exc:

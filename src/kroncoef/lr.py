@@ -1,25 +1,24 @@
-"""Littlewood-Richardson coefficients by counting LR tableaux.
+"""Littlewood-Richardson coefficients read from skew Schur expansions.
 
 c^nu_{lam,mu} is the number of semistandard fillings of nu/lam with content mu
-whose reverse reading word is a lattice word.  The count adds the letters of
-mu one at a time: letter j fills a horizontal strip of mu_j boxes on the
-current shape, inside nu, and the lattice condition bounds each row in
-advance, since rows 1..r may hold no more j's than rows 1..r-1 hold (j-1)'s.
+whose reverse reading word is a lattice word.  _skew(nu, lam) counts the
+fillings of every content at once, which is the expansion of the skew Schur
+function s_{nu/lam}.  Letter j fills a nonempty horizontal strip on the
+current shape, inside nu, and its length is the j-th part of the content.
+The lattice condition bounds each row in advance, since rows 1..r may hold
+no more j's than rows 1..r-1 hold (j-1)'s; it also makes the content a
+partition, and it rules out a strip after which the rows above it can no
+longer be filled.  Each call memoizes on the shape and the row bounds.
 
-Two cuts keep the count from visiting fillings that cannot finish.  Before
-any recursion, a triple is dropped unless lam and mu lie inside nu and nu
-lies between the union of the parts of lam and mu and their row-wise sum in
-the dominance order.  Within a letter, room[r] bounds the boxes that rows
-r, r+1, ... can still take: row r takes at most min(nu_r, shape_{r-1}) -
-shape_r boxes and no more than its lattice bound, so a strip with more
-boxes left than that is abandoned at row r.
+The three-factor coefficient is symmetric in lam, mu and eta; it expands the
+smallest skew shapes by taking eta largest and lam the larger of the rest.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 
 
 def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -39,85 +38,56 @@ def lr_coeff3(lam: Partition, mu: Partition, eta: Partition, nu: Partition) -> i
 def _lr3(lam: tuple, mu: tuple, eta: tuple, nu: tuple) -> int:
     if sum(lam) + sum(mu) + sum(eta) != sum(nu):
         return 0
-    total = 0
-    for xi in partitions_of(sum(lam) + sum(mu)):
-        c1 = _lr(lam, mu, xi.parts)
-        if c1:
-            total += c1 * _lr(xi.parts, eta, nu)
-    return total
+    mu, lam, eta = sorted((lam, mu, eta), key=sum)
+    return sum(c * _skew(xi, lam).get(mu, 0) for xi, c in _skew(nu, eta).items())
+
+
+def _lr(lam: tuple, mu: tuple, nu: tuple) -> int:
+    if sum(lam) + sum(mu) != sum(nu):
+        return 0
+    return _skew(nu, lam).get(mu, 0)
 
 
 @lru_cache(maxsize=None)
-def _lr(lam: tuple, mu: tuple, nu: tuple) -> int:
-    if not _admissible(lam, mu, nu):
-        return 0
-    rows = len(nu)
+def _skew(outer: tuple, inner: tuple) -> dict[tuple, int]:
+    """{mu: c^outer_{inner,mu}} over the mu with a nonzero coefficient: the
+    expansion of the skew Schur function s_{outer/inner}.  The cached dict
+    is shared by every caller, so it is read, never changed."""
+    rows = len(outer)
+    if len(inner) > rows or any(p > q for p, q in zip(inner, outer)):
+        return {}
     memo: dict = {}
 
-    def letter(j: int, shape: tuple, limit: tuple) -> int:
-        # Ways to place letters j, j+1, ... on shape; limit[r] caps the number
-        # of j's in rows 0..r.
-        if j == len(mu):
-            return 1
-        key = (j, shape, limit)
+    def letter(shape: tuple, limit: tuple) -> dict:
+        # {content of the letters still to place: fillings of outer/shape};
+        # limit[r] caps the number of the next letter in rows 0..r
+        if shape == outer:
+            return {(): 1}
+        key = (shape, limit)
         hit = memo.get(key)
         if hit is None:
-            # room[r]: the most j's that rows r, r+1, ... can still take
-            room = [0] * (rows + 1)
-            for r in range(rows - 1, -1, -1):
-                top = min(nu[r], shape[r - 1]) if r else nu[0]
-                room[r] = room[r + 1] + min(top - shape[r], limit[r])
-            hit = memo[key] = strip(j, 0, shape, limit, room, (), (), mu[j])
+            hit = memo[key] = {}
+            strip(0, shape, limit, (), (), 0, hit)
         return hit
 
-    def strip(j: int, r: int, shape: tuple, limit: tuple, room: list, new: tuple, placed: tuple, left: int) -> int:
-        # Rows 0..r-1 of letter j's strip are chosen: new holds their lengths
-        # and placed the running count of j's through each of them.
+    def strip(r: int, shape: tuple, limit: tuple, new: tuple, placed: tuple, slack: int, out: dict) -> None:
+        # Rows 0..r-1 of the strip are chosen: new holds their lengths and
+        # placed the running count of the letter through each of them.  The
+        # later letters fit at most sum(placed[:r]) boxes into rows 0..r;
+        # slack is that less what rows 0..r-1 still lack.
         done = placed[-1] if placed else 0
-        if left == 0:
-            counts = placed + (done,) * (rows - r)
-            return letter(j + 1, new + shape[r:], (0,) + counts[:-1])
-        if left > room[r]:
-            return 0
+        if r == rows:
+            for tail, c in letter(new, (0,) + placed[:-1]).items():
+                content = (done,) + tail
+                out[content] = out.get(content, 0) + c
+            return
         lo = shape[r]
-        hi = min(nu[r], lo + left, lo + limit[r] - done)
+        hi = min(outer[r], lo + limit[r] - done)
         if r:
             hi = min(hi, shape[r - 1])
-        total = 0
-        for v in range(lo, hi + 1):
-            total += strip(j, r + 1, shape, limit, room, new + (v,), placed + (done + v - lo,), left - v + lo)
-        return total
+        for v in range(max(lo, outer[r] - slack), hi + 1):
+            count = done + v - lo
+            strip(r + 1, shape, limit, new + (v,), placed + (count,), slack + count - outer[r] + v, out)
 
-    # shapes are padded with zero rows to the length of nu
-    return letter(0, lam + (0,) * (rows - len(lam)), (sum(mu),) * rows)
-
-
-def _admissible(lam: tuple, mu: tuple, nu: tuple) -> bool:
-    """Necessary conditions for c^nu_{lam,mu} != 0: |lam| + |mu| = |nu|,
-    lam and mu inside nu, and nu between the union of the parts of lam and
-    mu and their row-wise sum in the dominance order."""
-    if sum(lam) + sum(mu) != sum(nu) or len(lam) > len(nu) or len(mu) > len(nu):
-        return False
-    if any(p > q for p, q in zip(lam, nu)) or any(p > q for p, q in zip(mu, nu)):
-        return False
-    return _dominates(_row_sum(lam, mu), nu) and _dominates(nu, sorted(lam + mu, reverse=True))
-
-
-def _row_sum(lam: tuple, mu: tuple) -> tuple:
-    """The row-wise sum lam + mu."""
-    if len(lam) < len(mu):
-        lam, mu = mu, lam
-    return tuple(p + q for p, q in zip(lam, mu)) + lam[len(mu):]
-
-
-def _dominates(a, b) -> bool:
-    """Whether a dominates b, for two partitions of one size."""
-    # stopping at the shorter one is enough: past a shorter a nothing can
-    # fail, and a longer a already fails at b's last part
-    sa = sb = 0
-    for p, q in zip(a, b):
-        sa += p
-        sb += q
-        if sa < sb:
-            return False
-    return True
+    # shapes are padded with zero rows to the length of outer
+    return letter(inner + (0,) * (rows - len(inner)), (sum(outer) - sum(inner),) * rows)

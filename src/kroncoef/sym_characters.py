@@ -57,7 +57,20 @@ def class_size(rho: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[tuple[tuple, int], ...]:
-    return tuple((rho.parts, class_size(rho)) for rho in partitions_of(n))
+    """(cycle type, class size) of every class of S_n, in the order of
+    partitions_of(n), read off smaller degrees as in _upto: the classes of
+    first part u are u followed by the first _partition_count(n - u, u)
+    classes of S_{n-u}.  Adding the part u multiplies |rho|! by
+    n! / (n-u)! and z_rho by u times the new multiplicity of u."""
+    if n == 0:
+        return (((), 1),)
+    out = []
+    for u in range(1, n + 1):
+        # n! / (n-u)! is a product of u consecutive integers, so u divides it
+        ways = factorial(n) // factorial(n - u) // u
+        for rho, size in _classes(n - u)[: _partition_count(n - u, u)]:
+            out.append(((u,) + rho, size * ways // (rho.count(u) + 1)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -147,6 +147,18 @@ class TestRestrict:
         assert "[5]" in refused(capsys, "restrict", "[5]", "--r", "1", "--s", "1")
         assert "[1]" in refused(capsys, "restrict", "[1]", "--r", "0", "--s", "0")
 
+    def test_oversized_restriction_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        assert "more than 10000 label pairs" in refused(capsys, "restrict", "[1]", "--r", "20", "--s", "20")
+        assert "label pairs" in refused(capsys, "restrict", "[1]", "--r", "1000000000", "--s", "1")
+        assert "label pairs" in refused(capsys, "restrict", "[1]", "--r", "0", "--s", "1000000000")
+        assert time.perf_counter() - start < 1.0
+
+    def test_small_degrees_admitted(self, capsys):
+        for r in range(8):
+            code, out, _ = run(capsys, "restrict", "[]", "--r", str(r), "--s", str(7 - r))
+            assert code == 0 and out.startswith("lambda\tmu\tmultiplicity\n")
+
 
 class TestDiagram:
     def test_compose(self, capsys):

@@ -1,0 +1,46 @@
+"""Every name a module imports is used in it.
+
+The package's __init__.py is exempt: its imports are the public API.
+"""
+
+import ast
+import glob
+import os
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+FILES = sorted(
+    path
+    for pattern in ("src/kroncoef/*.py", "tests/*.py", "scripts/*.py")
+    for path in glob.glob(os.path.join(ROOT, pattern))
+    if os.path.basename(path) != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # "import a.b" binds a
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_the_scan_sees_an_unused_import():
+    assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["line 1: os"]
+    assert unused_imports("from a.b import c as d, e\nd(e)\n") == []
+    assert unused_imports("import a.b\n") == ["line 1: a"]
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: os.path.relpath(p, ROOT))
+def test_no_unused_import(path):
+    with open(path, encoding="utf-8") as handle:
+        assert unused_imports(handle.read()) == []

@@ -1,6 +1,6 @@
 from itertools import permutations
 
-from kroncoef.lr import _admissible, lr_coeff, lr_coeff3
+from kroncoef.lr import _skew, lr_coeff, lr_coeff3
 from kroncoef.partitions import Partition, conjugate, partitions_of
 from kroncoef.sym_characters import induction_mult
 from oracles import lr_lattice
@@ -51,12 +51,23 @@ def test_matches_induction_oracle_up_to_8():
 
 
 def test_each_prefilter_condition_rejects_alone():
-    # each triple fails exactly one condition: mu inside nu, nu dominated by
-    # the row-wise sum, nu dominating the union of the parts; the lattice
-    # count tests above show that the prefilter drops no nonzero coefficient
+    # each triple fails exactly one necessary condition for a nonzero
+    # coefficient: mu inside nu, nu dominated by the row-wise sum, nu
+    # dominating the union of the parts; the skew expansion must leave it out
     for lam, mu, nu in [((1,), (2, 2), (3, 1, 1)), ((1, 1), (1, 1), (3, 1)), ((2,), (2,), (2, 1, 1))]:
-        assert not _admissible(lam, mu, nu)
-        assert lr_lattice(P(lam), P(mu), P(nu)) == 0
+        assert lr_coeff(P(lam), P(mu), P(nu)) == 0 == lr_lattice(P(lam), P(mu), P(nu))
+        assert mu not in _skew(nu, lam)
+
+
+def test_skew_expansion_is_the_lattice_word_count_up_to_8():
+    for total in range(9):
+        for outer in partitions_of(total):
+            for a in range(total + 1):
+                for inner in partitions_of(a):
+                    expansion = _skew(outer.parts, inner.parts)
+                    counts = {mu.parts: lr_lattice(inner, mu, outer) for mu in partitions_of(total - a)}
+                    assert expansion == {mu: c for mu, c in counts.items() if c}, (outer, inner)
+                    assert all(expansion.values())
 
 
 def test_pieri_up_to_8():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from kroncoef.partitions import (
     BlockChain,
-    PaddedPartition,
     Partition,
     block_chain,
     conjugate,

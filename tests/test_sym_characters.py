@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import kroncoef
 from kroncoef import sym_characters
-from kroncoef.partitions import Partition, conjugate, partitions_of, partitions_up_to
+from kroncoef.partitions import Partition, conjugate, partitions_of
 from kroncoef.sym_characters import (
     character,
     character_table,
