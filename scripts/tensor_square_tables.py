@@ -33,7 +33,7 @@ def main() -> None:
 
     print("\nblock chains in degrees <= 2 at parameter n = 2")
     for nu in partitions_up_to(2):
-        print(f"  {nu}: {block_chain(nu, 2, 2)}")
+        print(f"  {nu}: " + " -> ".join(map(str, block_chain(nu, 2, 2))))
 
 
 if __name__ == "__main__":

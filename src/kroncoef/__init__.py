@@ -30,8 +30,6 @@ from .kronecker import (
 )
 from .lr import lr_coeff, lr_coeff3
 from .partitions import (
-    BlockChain,
-    PaddedPartition,
     Partition,
     block_chain,
     conjugate,
@@ -61,16 +59,16 @@ __version__ = "0.1.0"
 _CACHES = {
     f"{fn.__module__.removeprefix('kroncoef.')}.{fn.__name__}": fn
     for fn in (
+        partitions._partition_count,
+        partitions._classes,
         partitions.partitions_of,
         partitions.partitions_up_to,
         lr._skew,
         lr._lr3,
-        sym_characters._classes,
         sym_characters._class_index,
         sym_characters._chars,
         sym_characters._upto,
         sym_characters._block,
-        sym_characters._partition_count,
         sym_characters._weighted,
         sym_characters._specht_model_cached,
         kronecker._reduced_kron,

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from . import diagram_algebra as da
 from . import kronecker as kr
-from .partitions import Partition, block_chain, dagger, pad, partitions_up_to
-from .sym_characters import _partition_count, character_table
+from .partitions import Partition, _partition_count, block_chain, dagger, pad, partitions_up_to
+from .sym_characters import character_table
 
 
 @dataclass
@@ -143,14 +143,24 @@ def cmd_lr(args, cfg: Config) -> int:
     return 0
 
 
+# the most cells, rows, boxes or parts one command may print: this admits
+# table --n <= 21, diagram dims --r <= 48, chain --r <= 1413 and dagger --i <= 10^6
+OUTPUT_BUDGET = 10**6
+
+
 def cmd_chain(args, cfg: Config) -> int:
     nu = _parse_partition(args.nu)
+    # the entry sizes strictly increase up to r, so the chain holds at most
+    # 1 + 2 + ... + r boxes
+    boxes = args.r * (args.r + 1) // 2
+    if boxes > OUTPUT_BUDGET:
+        raise SystemExit(f"error: a chain up to --r {args.r} may hold {boxes} boxes, more than {OUTPUT_BUDGET}")
     try:
         chain = block_chain(nu, args.n, args.r)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     if cfg.fmt == "human":
-        print(chain)
+        print(" -> ".join(map(str, chain)))
     else:
         rows = [(i, str(p), p.size) for i, p in enumerate(chain)]
         _emit_table(cfg, "chain", ["index", "partition", "size"], rows)
@@ -159,6 +169,9 @@ def cmd_chain(args, cfg: Config) -> int:
 
 def cmd_dagger(args, cfg: Config) -> int:
     nu = _parse_partition(args.nu)
+    # the i-th dagger partition has at least i parts
+    if args.i > OUTPUT_BUDGET:
+        raise SystemExit(f"error: the dagger partition at --i {args.i} has more than {OUTPUT_BUDGET} parts")
     try:
         padded = pad(kr.reduce_mod_n(nu, args.n), args.n)
     except ValueError as exc:
@@ -230,6 +243,13 @@ def cmd_diagram(args, cfg: Config) -> int:
             print(f"p_r={p_r} p_s={p_s} p_c={p_c} n_c={n_c}")
         return 0
     if args.diagram_cmd == "dims":
+        # one row per partition of size <= r; the count stops at the first
+        # degree past the budget, however large --r is
+        labels = 0
+        for k in range(args.r + 1):
+            labels += _partition_count(k, k)
+            if labels > OUTPUT_BUDGET:
+                raise SystemExit(f"error: --r {args.r} gives more than {OUTPUT_BUDGET} rows; use --r <= {k - 1}")
         rows = [(str(nu), da.dim_standard(args.r, nu)) for nu in partitions_up_to(args.r)]
         _emit_table(cfg, "dims", ["nu", "dim"], rows)
         if cfg.fmt == "human":
@@ -238,19 +258,15 @@ def cmd_diagram(args, cfg: Config) -> int:
     raise SystemExit("error: unknown diagram subcommand")
 
 
-# the character table of S_n has p(n)^2 cells; this admits n <= 21
-TABLE_MAX_CELLS = 10**6
-
-
 def cmd_table(args, cfg: Config) -> int:
     # p(k) grows with k, so the scan stops at the first table that is too
     # large, long before it would count the partitions of a huge n
     for k in range(args.n + 1):
         cells = _partition_count(k, k) ** 2
-        if cells > TABLE_MAX_CELLS:
+        if cells > OUTPUT_BUDGET:
             raise SystemExit(
                 f"error: the character table of S_{args.n} has at least p({k})^2 = {cells} cells, "
-                f"more than {TABLE_MAX_CELLS}; use --n <= {k - 1}"
+                f"more than {OUTPUT_BUDGET}; use --n <= {k - 1}"
             )
     sys.stdout.write(character_table(args.n).to_tsv())
     return 0

@@ -115,7 +115,7 @@ def kron_via_dagger(lam: Partition, mu: Partition, nu: Partition, n: int) -> int
     reduced coefficient of an oversize third factor is zero."""
     lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
     nu_padded = pad(nu, n)
-    rows = nu_padded.rows
+    rows = nu_padded.parts
     boxes = sum(lam) + sum(mu)
     total = 0
     # every padded part is positive, so a padded length is a tuple length

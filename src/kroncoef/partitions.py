@@ -1,16 +1,20 @@
-"""Integer partitions, Young diagram geometry, first-row padding, and the
-n-pair chains that describe blocks of the partition algebra at integral
-parameter.
+"""Integer partitions, Young diagram geometry, first-row padding, the one
+enumeration of partitions, and the n-pair chains that describe blocks of the
+partition algebra at integral parameter.
 
 Partitions are stored canonically (weakly decreasing positive parts, no
 trailing zeros) and serialize as bracketed part lists, e.g. ``[4,1]``; the
-empty partition is ``[]``.
+empty partition is ``[]``.  A padded label is itself a Partition of n (pad),
+and a block chain is a tuple of Partitions (block_chain).  Partitions are
+enumerated once, by _classes, which also sizes the conjugacy classes of the
+symmetric group; partitions_of reads its cycle types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import takewhile
+from math import factorial
 from typing import Iterable, Iterator
 
 
@@ -93,44 +97,6 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
 
-EMPTY = Partition()
-
-
-@dataclass(frozen=True)
-class PaddedPartition:
-    """A partition of n of the form (n - |base|, base_1, ..., base_ell).
-
-    Row 0 is the padding row n - |base|; construction is rejected when that
-    first entry would break weak decrease.
-    """
-
-    base: Partition
-    n: int
-    rows: tuple[int, ...] = field(init=False, compare=False)
-
-    def __post_init__(self):
-        base = Partition(self.base)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "rows", _pad(base.parts, self.n))
-
-    def row(self, i: int) -> int:
-        """Row i with the 0-indexed convention; 0 beyond the diagram."""
-        if i < 0:
-            raise ValueError("row index must be >= 0")
-        return self.rows[i] if i < len(self.rows) else 0
-
-    @property
-    def length(self) -> int:
-        """Number of nonzero rows; _pad makes every row positive."""
-        return len(self.rows)
-
-    def to_partition(self) -> Partition:
-        return Partition(self.rows)
-
-    def __str__(self) -> str:
-        return str(self.to_partition())
-
-
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
     return Partition(lam).conjugate()
@@ -144,9 +110,10 @@ def content_last(lam: Partition, i: int) -> int:
     return lam.row(i) - i
 
 
-def pad(lam: Partition, n: int) -> PaddedPartition:
-    """Prepend the first row n - |lam|; valid only when n - |lam| >= lam_1."""
-    return PaddedPartition(Partition(lam), n)
+def pad(lam: Partition, n: int) -> Partition:
+    """The partition (n - |lam|, lam_1, lam_2, ...) of n, whose first row is
+    the padding row; valid only when n - |lam| >= lam_1."""
+    return Partition(_pad(Partition(lam).parts, n))
 
 
 def _pad(parts: tuple, n: int) -> tuple:
@@ -215,60 +182,26 @@ def _predecessor(nu: tuple, n: int) -> tuple | None:
     return out
 
 
+def _walk(nu: tuple, n: int) -> Iterator[tuple]:
+    """The n-pair chain through the parts tuple nu, from its minimal element
+    upward: down the predecessors, then up the successors."""
+    while (prev := _predecessor(nu, n)) is not None:
+        nu = prev
+    yield nu
+    while (nu := _successor(nu, n)) is not None:
+        yield nu
+
+
 def n_pair_chain(nu: Partition, n: int) -> Iterator[Partition]:
     """Unbounded chain of n-pairs through nu, yielded from its minimal
     element onward.  The forward walk never terminates once the padding row
     exists, so consume with a bound."""
-    cur = Partition(nu).parts
-    while (prev := _predecessor(cur, n)) is not None:
-        cur = prev
-    yield Partition(cur)
-    while (cur := _successor(cur, n)) is not None:
-        yield Partition(cur)
+    return map(Partition, _walk(Partition(nu).parts, n))
 
 
-@dataclass(frozen=True)
-class BlockChain:
-    """Maximal chain of n-pairs inside the degree cap r.
-
-    Entry sizes strictly increase; consecutive entries are n-pairs.
-    """
-
-    n: int
-    r: int
-    chain: tuple[Partition, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.chain, self.chain[1:]):
-            if not is_n_pair(a, b, self.n):
-                raise ValueError(f"{a} -> {b} is not an {self.n}-pair")
-        if any(p.size > self.r for p in self.chain):
-            raise ValueError("chain entry exceeds the degree cap")
-
-    def __len__(self) -> int:
-        return len(self.chain)
-
-    def __iter__(self) -> Iterator[Partition]:
-        return iter(self.chain)
-
-    def truncation_index(self, max_size: int) -> int:
-        """Largest t with |chain[t]| <= max_size, or -1 if none."""
-        t = -1
-        for i, p in enumerate(self.chain):
-            if p.size <= max_size:
-                t = i
-        return t
-
-    def truncate(self, max_size: int) -> "BlockChain":
-        t = self.truncation_index(max_size)
-        return BlockChain(self.n, self.r, self.chain[: t + 1])
-
-    def __str__(self) -> str:
-        return " -> ".join(str(p) for p in self.chain)
-
-
-def block_chain(nu: Partition, n: int, r: int) -> BlockChain:
-    """The full n-pair chain through nu restricted to partitions of size <= r.
+def block_chain(nu: Partition, n: int, r: int) -> tuple[Partition, ...]:
+    """The n-pair chain through nu restricted to partitions of size <= r:
+    consecutive entries are n-pairs, so sizes strictly increase.
 
     When pad(nu, n) exists, nu is the minimal entry and the chain starts at
     it; otherwise the backward walk finds the true minimum.
@@ -278,43 +211,62 @@ def block_chain(nu: Partition, n: int, r: int) -> BlockChain:
         raise ValueError("n must be a positive integer")
     if nu.size > r:
         raise ValueError(f"{nu} does not lie in degrees <= {r}")
-    entries = []
-    for p in n_pair_chain(nu, n):
-        if p.size > r:
-            break
-        entries.append(p)
-    return BlockChain(n, r, tuple(entries))
+    return tuple(map(Partition, takewhile(lambda p: sum(p) <= r, _walk(nu.parts, n))))
 
 
-def dagger(nu_padded: PaddedPartition, i: int) -> Partition:
-    """Add 1 to the rows with index 0..i-1 of the padded partition, erase row
-    i, and return the result.
+def dagger(padded: Partition, i: int) -> Partition:
+    """Add 1 to the parts with index 0..i-1 of the padded partition, erase
+    part i, and return the result.
 
-    Rows are taken in the 0-indexed convention (row 0 is the padding row);
+    Parts are counted from 0, so part 0 is the padding row of pad(nu, n);
     zero rows below the diagram participate and become parts equal to 1.
     With i = 0 this recovers the unpadded base partition.
     """
     if i < 0:
         raise ValueError("dagger index must be >= 0")
-    rows = nu_padded.rows
+    rows = Partition(padded).parts
     head = [r + 1 for r in rows[:i]] + [1] * (i - len(rows))
     return Partition(head + list(rows[i + 1:]))
 
 
 @lru_cache(maxsize=None)
+def _partition_count(m: int, t: int) -> int:
+    """Number of partitions of m with every part <= t; p(m) is
+    _partition_count(m, m)."""
+    if m == 0:
+        return 1
+    if t == 0:
+        return 0
+    t = min(t, m)
+    return _partition_count(m, t - 1) + _partition_count(m - t, t)
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[tuple[tuple, int], ...]:
+    """(cycle type, class size) of every class of S_n, the cycle types as
+    parts tuples in ascending lexicographic order; empty for n < 0.
+
+    The classes of first part u are u followed by the first
+    _partition_count(n - u, u) classes of S_{n-u}, those with parts <= u.
+    Adding the part u multiplies |rho|! by n! / (n-u)! and z_rho by u times
+    the new multiplicity of u.
+    """
+    if n == 0:
+        return (((), 1),)
+    out = []
+    for u in range(1, n + 1):
+        # n! / (n-u)! is a product of u consecutive integers, so u divides it
+        ways = factorial(n) // factorial(n - u) // u
+        for rho, size in _classes(n - u)[: _partition_count(n - u, u)]:
+            out.append(((u,) + rho, size * ways // (rho.count(u) + 1)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def partitions_of(k: int) -> tuple[Partition, ...]:
-    """All partitions of k, sorted."""
-    if k < 0:
-        return ()
-
-    def gen(total: int, bound: int, prefix: tuple[int, ...]):
-        if total == 0:
-            yield Partition(prefix)
-            return
-        for part in range(min(total, bound), 0, -1):
-            yield from gen(total - part, part, prefix + (part,))
-
-    return tuple(sorted(gen(k, k, ())))
+    """All partitions of k, sorted: the cycle types of _classes(k), whose
+    lexicographic order is the (size, parts) order of Partition."""
+    return tuple(Partition(rho) for rho, _size in _classes(k))
 
 
 @lru_cache(maxsize=None)

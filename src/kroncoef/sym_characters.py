@@ -2,10 +2,12 @@
 
 Everything here is exact integer arithmetic: characters by one
 Murnaghan-Nakayama kernel that computes chi^lam on every class of S_|lam| at
-once, block by block of the classes with the same largest part; Kronecker
-coefficients as class-weighted triple products; induction multiplicities by
-summing over class pairs; and explicit Specht module matrices on the
-standard polytabloid basis, obtained by straightening in dominance order.
+once, block by block of the classes with the same largest part, in the
+order of partitions._classes, which enumerates the classes and their sizes;
+Kronecker coefficients as class-weighted triple products; induction
+multiplicities by summing over class pairs; and explicit Specht module
+matrices on the standard polytabloid basis, obtained by straightening in
+dominance order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import chain, permutations, product
 from math import factorial
 from operator import add, mul, sub
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _classes, _partition_count, partitions_of
 
 SPECHT_CAP = 7
 
@@ -56,24 +58,6 @@ def class_size(rho: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[tuple[tuple, int], ...]:
-    """(cycle type, class size) of every class of S_n, in the order of
-    partitions_of(n), read off smaller degrees as in _upto: the classes of
-    first part u are u followed by the first _partition_count(n - u, u)
-    classes of S_{n-u}.  Adding the part u multiplies |rho|! by
-    n! / (n-u)! and z_rho by u times the new multiplicity of u."""
-    if n == 0:
-        return (((), 1),)
-    out = []
-    for u in range(1, n + 1):
-        # n! / (n-u)! is a product of u consecutive integers, so u divides it
-        ways = factorial(n) // factorial(n - u) // u
-        for rho, size in _classes(n - u)[: _partition_count(n - u, u)]:
-            out.append(((u,) + rho, size * ways // (rho.count(u) + 1)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _class_index(n: int) -> dict[tuple, int]:
     """Position of each cycle type of S_n in _classes(n)."""
     return {rho: i for i, (rho, _size) in enumerate(_classes(n))}
@@ -83,8 +67,7 @@ class CharacterTable:
     """Exact character table of the symmetric group of degree n.
 
     The row of lam is its character vector _chars(lam); rows and columns run
-    over partitions_of(n), which is also the order of the classes in
-    _classes(n).
+    over partitions_of(n), the cycle types of _classes(n) in their order.
     """
 
     def __init__(self, n: int):
@@ -207,18 +190,6 @@ def _block(lam: tuple, t: int) -> tuple[int, ...]:
             new = new[:-1]
         total = list(map(sub if (k - 1 - i) % 2 else add, total, _upto(new, min(t, rest))))
     return tuple(total)
-
-
-@lru_cache(maxsize=None)
-def _partition_count(m: int, t: int) -> int:
-    """Number of partitions of m with every part <= t, that is the length of
-    _upto(lam, t) for |lam| = m; p(m) is _partition_count(m, m)."""
-    if m == 0:
-        return 1
-    if t == 0:
-        return 0
-    t = min(t, m)
-    return _partition_count(m, t - 1) + _partition_count(m - t, t)
 
 
 @lru_cache(maxsize=None)

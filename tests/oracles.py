@@ -6,7 +6,9 @@ checks the lattice condition on each prefix, where the library adds whole
 letters as horizontal strips; the character recursion here computes one
 value chi^lam(rho) at a time by moving beads on a beta-set, where the library
 removes border strips by row arithmetic and computes chi^lam on whole blocks
-of classes at once; the n-pair check compares raw cell sets.
+of classes at once; the n-pair check compares raw cell sets; the partition
+list here is generated part by part and sorted, where the library reads the
+cycle types of its class enumeration.
 """
 
 from functools import lru_cache
@@ -98,3 +100,18 @@ def char_beta(lam: tuple, rho: tuple) -> int:
             newlam = newlam[:-1]
         total += (-1) ** height * char_beta(newlam, rest)
     return total
+
+
+def partitions_of_generated(k: int) -> tuple[Partition, ...]:
+    """All partitions of k, sorted."""
+    if k < 0:
+        return ()
+
+    def gen(total: int, bound: int, prefix: tuple[int, ...]):
+        if total == 0:
+            yield Partition(prefix)
+            return
+        for part in range(min(total, bound), 0, -1):
+            yield from gen(total - part, part, prefix + (part,))
+
+    return tuple(sorted(gen(k, k, ())))

@@ -122,8 +122,8 @@ def test_acceptance_5_closed_formulas():
                 n0 = max(two_row_bound, 2 * k, pad_floor)
                 for n in range(n0, n0 + 3):
                     want = kron_oracle(
-                        pad(lam, n).to_partition(),
-                        pad(mu, n).to_partition(),
+                        pad(lam, n),
+                        pad(mu, n),
                         P([n - k, k] if k else [n]),
                     )
                     total += 1
@@ -137,8 +137,8 @@ def test_acceptance_5_closed_formulas():
                 h0 = max(hook_bound, k + 1, pad_floor)
                 for n in range(h0, h0 + 3):
                     want = kron_oracle(
-                        pad(lam, n).to_partition(),
-                        pad(mu, n).to_partition(),
+                        pad(lam, n),
+                        pad(mu, n),
                         P([n - k] + [1] * k),
                     )
                     total += 1

@@ -1,4 +1,6 @@
 import json
+import os
+import shlex
 import time
 
 import pytest
@@ -127,6 +129,15 @@ class TestChainDagger:
     def test_chain_zero_n(self, capsys):
         assert "positive integer" in refused(capsys, "chain", "[1]", "--n", "0", "--r", "2")
 
+    def test_oversized_output_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        assert "more than 1000000 parts" in refused(capsys, "dagger", "[1]", "--n", "3", "--i", str(10**9))
+        assert "parts" in refused(capsys, "dagger", "[1]", "--n", "3", "--i", "1000001")
+        assert "boxes, more than 1000000" in refused(capsys, "chain", "[1]", "--n", "2", "--r", str(10**5))
+        assert "boxes" in refused(capsys, "chain", "[1]", "--n", "2", "--r", str(10**9))
+        assert "1000405 boxes" in refused(capsys, "chain", "[1]", "--n", "2", "--r", "1414")
+        assert time.perf_counter() - start < 1.0
+
     def test_closed_route_zero_n(self, capsys):
         message = refused(capsys, "kron", "[]", "[]", "[]", "--n", "0", "--route", "closed")
         assert "positive integer" in message and "--fallback" not in message
@@ -185,6 +196,12 @@ class TestDiagram:
         code, out, _ = run(capsys, "diagram", "dims", "--r", "2")
         assert code == 0
         assert "algebra dimension = 15" in out
+
+    def test_oversized_dims_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        assert "--r <= 48" in refused(capsys, "diagram", "dims", "--r", "80")
+        assert "--r <= 48" in refused(capsys, "diagram", "dims", "--r", str(10**9))
+        assert time.perf_counter() - start < 1.0
 
     def test_dims_negative_degree(self, capsys):
         assert "--r" in refused(capsys, "diagram", "dims", "--r", "-1")
@@ -245,3 +262,19 @@ class TestSweep:
         assert code == 0
         rows = [json.loads(line) for line in out.strip().split("\n")]
         assert all(row["ok"] for row in rows)
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every kroncoef line in the README's CLI block."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("kroncoef ")]
+
+
+def test_readme_examples_exit_zero(capsys):
+    commands = readme_commands()
+    assert len(commands) == 14
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out, argv

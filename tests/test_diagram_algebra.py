@@ -29,8 +29,8 @@ from kroncoef.diagram_algebra import (
     standard_module,
 )
 from kroncoef.kronecker import reduced_kron
-from kroncoef.partitions import Partition, _pad, block_chain, partitions_up_to
-from kroncoef.sym_characters import _classes, _mat_mul, _weighted, character, cycle_type, specht_dim
+from kroncoef.partitions import Partition, _classes, _pad, block_chain, partitions_up_to
+from kroncoef.sym_characters import _mat_mul, _weighted, character, cycle_type, specht_dim
 
 P = Partition
 D = SetPartitionDiagram.parse

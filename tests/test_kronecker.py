@@ -141,11 +141,11 @@ class TestRoutes:
             assert check_routes(lam, mu, nu, n)["ok"], (lam, mu, nu, n)
 
     def test_dagger_truncation_is_exact(self):
-        # the untruncated sum over all pad(lam).length * pad(mu).length terms
+        # the untruncated sum over all len(pad(lam)) * len(pad(mu)) terms
         for lam, mu, nu, n in route_agreement_cases(SweepBounds(max_weight=3)):
             lam_r, mu_r, nu_r = (reduce_mod_n(p, n) for p in (lam, mu, nu))
             nu_padded = pad(nu_r, n)
-            count = pad(lam_r, n).length * pad(mu_r, n).length
+            count = len(pad(lam_r, n)) * len(pad(mu_r, n))
             daggers = [dagger(nu_padded, i) for i in range(count)]
             sizes = [d.size for d in daggers]
             assert all(a < b for a, b in zip(sizes, sizes[1:])), (nu_padded, sizes)
@@ -233,8 +233,8 @@ class TestClosedFormulas:
                     )
                     for n in (n0, n0 + 1):
                         want = kron_oracle(
-                            pad(lam, n).to_partition(),
-                            pad(mu, n).to_partition(),
+                            pad(lam, n),
+                            pad(mu, n),
                             P([n - k, k] if k else [n]),
                         )
                         assert kron_two_row(lam, mu, k, n) == want, (lam, mu, k, n)
@@ -251,8 +251,8 @@ class TestClosedFormulas:
                     )
                     for n in (h0, h0 + 1):
                         want = kron_oracle(
-                            pad(lam, n).to_partition(),
-                            pad(mu, n).to_partition(),
+                            pad(lam, n),
+                            pad(mu, n),
                             P([n - k] + [1] * k),
                         )
                         assert kron_hook(lam, mu, k, n) == want, (lam, mu, k, n)

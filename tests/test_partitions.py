@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kroncoef.partitions import (
-    BlockChain,
     Partition,
     block_chain,
     conjugate,
@@ -19,7 +18,7 @@ from kroncoef.partitions import (
     partitions_of,
     partitions_up_to,
 )
-from oracles import is_n_pair_bruteforce
+from oracles import is_n_pair_bruteforce, partitions_of_generated
 
 P = Partition
 
@@ -79,8 +78,8 @@ class TestContentLast:
 
 class TestPad:
     def test_examples(self):
-        assert pad(P([1]), 2).rows == (1, 1)
-        assert pad(P([1]), 5).rows == (4, 1)
+        assert pad(P([1]), 2).parts == (1, 1)
+        assert pad(P([1]), 5).parts == (4, 1)
         with pytest.raises(ValueError):
             pad(P([2]), 3)
 
@@ -92,8 +91,8 @@ class TestPad:
                 except ValueError:
                     assert n - lam.size < lam.row(1)
                     continue
-                assert padded.to_partition().size == n
-                assert padded.row(0) == n - lam.size
+                assert padded.size == n
+                assert padded.row(1) == n - lam.size
 
     @given(partition_st, st.integers(1, 30))
     @settings(max_examples=150, deadline=None)
@@ -102,7 +101,7 @@ class TestPad:
             padded = pad(lam, n)
         except ValueError:
             return
-        assert Partition(padded.rows[1:]) == lam
+        assert Partition(padded.parts[1:]) == lam
 
 
 class TestNPairs:
@@ -148,8 +147,8 @@ class TestBlockChain:
 
     def test_long_chain_entries(self):
         chain = block_chain(P([10, 10]), 30, 40)
-        assert chain.chain[9] == P([11, 11, 11, 1, 1, 1, 1, 1, 1])
-        assert chain.chain[10] == P([11, 11, 11, 1, 1, 1, 1, 1, 1, 1])
+        assert chain[9] == P([11, 11, 11, 1, 1, 1, 1, 1, 1])
+        assert chain[10] == P([11, 11, 11, 1, 1, 1, 1, 1, 1, 1])
         assert len(chain) == 11
 
     def test_sizes_strictly_increase(self):
@@ -187,14 +186,14 @@ class TestBlockChain:
                     ]
                     assert changed == [i]
 
-    def test_truncate(self):
-        chain = block_chain(P([10, 10]), 30, 40)
-        assert chain.truncation_index(38) == 8
-        assert len(chain.truncate(38)) == 9
-
-    def test_invalid_chain_rejected(self):
-        with pytest.raises(ValueError):
-            BlockChain(2, 2, (P([1]), P([1, 1])))
+    def test_steps_are_n_pairs_within_the_degree_cap(self):
+        for nu in partitions_up_to(5):
+            for n in range(1, 12):
+                for r in range(nu.size, 11):
+                    chain = block_chain(nu, n, r)
+                    assert all(p.size <= r for p in chain), (nu, n, r)
+                    for a, b in zip(chain, chain[1:]):
+                        assert is_n_pair_bruteforce(a, b, n), (nu, n, r, a, b)
 
 
 class TestDagger:
@@ -231,6 +230,10 @@ class TestEnumeration:
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
         assert [len(partitions_of(k)) for k in range(11)] == expected
         assert len(partitions_up_to(4)) == 12
+
+    def test_matches_the_generated_and_sorted_list(self):
+        for k in range(-1, 16):
+            assert partitions_of(k) == partitions_of_generated(k), k
 
     def test_sorted_and_unique(self):
         ps = partitions_up_to(6)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import kroncoef
 from kroncoef import sym_characters
-from kroncoef.partitions import Partition, conjugate, partitions_of
+from kroncoef.partitions import Partition, _classes, _partition_count, conjugate, partitions_of
 from kroncoef.sym_characters import (
     character,
     character_table,
@@ -21,9 +21,7 @@ from kroncoef.sym_characters import (
     specht_model,
     standard_tableaux,
     _chars,
-    _classes,
     _mat_mul,
-    _partition_count,
 )
 from oracles import char_beta
 
