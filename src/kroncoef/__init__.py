@@ -46,7 +46,6 @@ from .sym_characters import (
     character,
     character_table,
     class_size,
-    induction_mult,
     kron_oracle,
     specht_dim,
     specht_model,
@@ -79,13 +78,11 @@ _CACHES = {
 
 
 def clear_caches() -> None:
-    """Empty every memo table of the package: the lru_caches of all modules
-    and the character tables.  Values computed afterwards are the same; only
-    the memory the caches held is given back."""
+    """Empty every memo table of the package, the lru_caches of all modules.
+    Values computed afterwards are the same; only the memory the caches held
+    is given back."""
     for cache in _CACHES.values():
         cache.cache_clear()
-    with sym_characters._tables_lock:
-        sym_characters._tables.clear()
 
 
 def cache_stats() -> dict[str, dict[str, int]]:

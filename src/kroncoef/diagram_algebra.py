@@ -424,32 +424,29 @@ class StandardModule:
             return None
         return (t, *factor_half_diagram(z))
 
-    def apply_diagram(self, X: SetPartitionDiagram, index: int) -> dict[int, Fraction]:
-        """Action of a single diagram on one basis vector, as a sparse map."""
-        if X.r != self.r or X.m != self.r:
-            raise ValueError(f"diagram profile ({X.r},{X.m}) does not match degree {self.r}")
-        sd = self.specht.dim
-        hi, ti = divmod(index, sd)
-        step = self._factor(X, self.halves[hi])
-        if step is None:
-            return {}
-        t, sigma, canonical = step
-        hj = self.half_index[canonical]
-        scale = self.delta**t
-        return {hj * sd + a: scale * row[ti] for a, row in enumerate(self.specht.matrix_of(sigma)) if row[ti]}
-
     def action_matrix(self, x) -> list[list[Fraction]]:
         """Matrix of a diagram or algebra element on the basis (columns are
-        images of basis vectors)."""
+        images of basis vectors), placed one Specht block per half-diagram."""
         if isinstance(x, SetPartitionDiagram):
             x = AlgebraElement.from_diagram(x, self.delta)
         if x.delta != self.delta:
             raise ValueError("parameter mismatch")
         mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        sd = self.specht.dim
         for d, coeff in x.terms.items():
-            for j in range(self.dim):
-                for i, c in self.apply_diagram(d, j).items():
-                    mat[i][j] += coeff * c
+            if d.r != self.r or d.m != self.r:
+                raise ValueError(f"diagram profile ({d.r},{d.m}) does not match degree {self.r}")
+            for hi, half in enumerate(self.halves):
+                step = self._factor(d, half)
+                if step is None:
+                    continue
+                t, sigma, canonical = step
+                hj = self.half_index[canonical]
+                scale = coeff * self.delta**t
+                for a, row in enumerate(self.specht.matrix_of(sigma)):
+                    for b, c in enumerate(row):
+                        if c:
+                            mat[hj * sd + a][hi * sd + b] += scale * c
         return mat
 
     def gram_matrix(self) -> list[list[Fraction]]:

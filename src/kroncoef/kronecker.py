@@ -6,8 +6,8 @@ Routes implemented side by side so they can be cross-checked:
 * an alternating sum of reduced coefficients over the n-pair block chain,
 * an alternating sum over the dagger partitions of the padded third factor,
 * closed formulas for two-row and hook third factors (n-k, k) and
-  (n-k, 1^k): in their ranges, the reduced coefficient at nu = (k) and
-  nu = (1^k).
+  (n-k, 1^k): the dagger sum cut after its first two terms, on the one
+  range rule of _two_dagger_terms.
 
 The block chain and dagger routes and the closed formulas take their reduced
 coefficients from one cached kernel, _reduced_kron, the positive quadruple sum
@@ -160,31 +160,42 @@ def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
 
 
 def kron_two_row(lam: Partition, mu: Partition, k: int, n: int) -> int:
-    """Closed formula for the Kronecker coefficient whose third factor is the
-    two-row partition (n-k, k): in its range, the reduced coefficient at (k)."""
-    lam, mu = Partition(lam), Partition(mu)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    """g(lam, mu, (n-k, k)) = gbar(lam, mu, (k)) - gbar(lam, mu, (n-k+1)) for
+    n >= min(stability bound, |lam| + |mu| - 1), by _two_dagger_terms."""
+    lam, mu = _reduce(lam, n), _reduce(mu, n)
     if n - k < k:
         raise FormulaRangeError(f"(n-k,k) needs n >= 2k, got n={n}, k={k}")
-    bound = min(lam.size + mu.row(1) + k, mu.size + lam.row(1) + k)
-    if n < bound:
-        raise FormulaRangeError(f"two-row formula needs n >= {bound}, got {n}")
-    return _reduced_kron(lam.parts, mu.parts, (k,) if k else ())
+    return _two_dagger_terms(lam, mu, (k,) if k else (), n)
 
 
 def kron_hook(lam: Partition, mu: Partition, k: int, n: int) -> int:
-    """Closed formula for the Kronecker coefficient whose third factor is the
-    hook partition (n-k, 1^k): in its range, the reduced coefficient at (1^k)."""
-    lam, mu = Partition(lam), Partition(mu)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    """g(lam, mu, (n-k, 1^k)) = gbar(lam, mu, (1^k)) - gbar(lam, mu, (n-k+1, 1^(k-1)))
+    for n >= min(stability bound, |lam| + |mu|), by _two_dagger_terms."""
+    lam, mu = _reduce(lam, n), _reduce(mu, n)
     if n - k < 1:
         raise FormulaRangeError(f"(n-k,1^k) needs n >= k+1, got n={n}, k={k}")
-    bound = min(lam.size + mu.size + 1, mu.size + lam.row(1) + k, lam.size + mu.row(1) + k)
-    if n < bound:
-        raise FormulaRangeError(f"hook formula needs n >= {bound}, got {n}")
-    return _reduced_kron(lam.parts, mu.parts, (1,) * k)
+    return _two_dagger_terms(lam, mu, (1,) * k, n)
+
+
+def _two_dagger_terms(lam: tuple, mu: tuple, nu: tuple, n: int) -> int:
+    """The dagger sum of kron_via_dagger cut after two terms on a padded
+    triple: gbar(lam, mu, nu) - gbar(lam, mu, nu+), nu+ = dagger(pad(nu, n), 1)
+    = (n - |nu| + 1, nu_2, ...).  It is g from n0 = min(stability bound,
+    |lam| + |mu| + nu_2 - 1) on (nu_2 = 0 for fewer than two parts), and
+    FormulaRangeError below:
+    1. From |lam| + |mu| + nu_2 - 1 on, the third dagger partition has
+       n - nu_2 + 2 > |lam| + |mu| boxes, so it and every later term are zero.
+    2. From the stability bound on, g = gbar(lam, mu, nu) and gbar(nu+) = 0:
+       gbar(lam, mu, rho) != 0 needs |rho| <= |lam| + |mu|, rho_1 <= |lam| + mu_1
+       and rho_1 <= |mu| + lam_1 (in the LR sum rho_1 <= alpha_1 + beta_1 + pi_1,
+       alpha_1 + pi_1 <= |lam|, beta_1 <= mu_1), and nu+ has n - nu_1 + 1 boxes
+       and first row n - |nu| + 1: each term of the bound rules it out.
+    """
+    second = nu[1] if len(nu) > 1 else 0
+    n0 = min(_stability_bound(lam, mu, nu), sum(lam) + sum(mu) + second - 1)
+    if n < n0:
+        raise FormulaRangeError(f"the two-term dagger sum needs n >= {n0}, got n={n}")
+    return _reduced_kron(lam, mu, nu) - _reduced_kron(lam, mu, (n - sum(nu) + 1,) + nu[1:])
 
 
 def _l_splits(l: int, r: int, s: int):

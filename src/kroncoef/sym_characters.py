@@ -4,15 +4,13 @@ Everything here is exact integer arithmetic: characters by one
 Murnaghan-Nakayama kernel that computes chi^lam on every class of S_|lam| at
 once, block by block of the classes with the same largest part, in the
 order of partitions._classes, which enumerates the classes and their sizes;
-Kronecker coefficients as class-weighted triple products; induction
-multiplicities by summing over class pairs; and explicit Specht module
-matrices on the standard polytabloid basis, obtained by straightening in
-dominance order.
+Kronecker coefficients as class-weighted triple products; and explicit
+Specht module matrices on the standard polytabloid basis, obtained by
+straightening in dominance order.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from itertools import chain, permutations, product
 from math import factorial
@@ -103,20 +101,9 @@ class CharacterTable:
         return "\n".join(lines) + "\n"
 
 
-_tables: dict[int, CharacterTable] = {}
-_tables_lock = threading.Lock()
-
-
 def character_table(n: int) -> CharacterTable:
-    """Build (once) and return the character table for degree n.
-
-    Concurrent callers observe a single coherent table.
-    """
-    with _tables_lock:
-        table = _tables.get(n)
-        if table is None:
-            table = _tables[n] = CharacterTable(n)
-        return table
+    """The character table for degree n."""
+    return CharacterTable(n)
 
 
 def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -196,29 +183,6 @@ def _block(lam: tuple, t: int) -> tuple[int, ...]:
 def _weighted(lam: tuple) -> tuple[int, ...]:
     """|C_rho| chi^lam(rho) on every class, in the order of _classes."""
     return tuple(size * c for (_rho, size), c in zip(_classes(sum(lam)), _chars(lam)))
-
-
-def induction_mult(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Multiplicity of the outer product piece S(lam) x S(mu) in the
-    restriction of S(nu) to the corresponding Young subgroup."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    r1, r2 = lam.size, mu.size
-    if nu.size != r1 + r2:
-        raise ValueError("induction_mult needs |nu| = |lam| + |mu|")
-    nu_chars, index = _chars(nu.parts), _class_index(r1 + r2)
-    total = 0
-    for (rho1, s1), c1 in zip(_classes(r1), _chars(lam.parts)):
-        if not c1:
-            continue
-        for (rho2, s2), c2 in zip(_classes(r2), _chars(mu.parts)):
-            if not c2:
-                continue
-            joint = tuple(sorted(rho1 + rho2, reverse=True))
-            total += s1 * s2 * c1 * c2 * nu_chars[index[joint]]
-    q, rem = divmod(total, factorial(r1) * factorial(r2))
-    if rem:
-        raise ArithmeticError("non-integral induction sum")
-    return q
 
 
 # ---------------------------------------------------------------------------

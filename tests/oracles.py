@@ -8,12 +8,16 @@ value chi^lam(rho) at a time by moving beads on a beta-set, where the library
 removes border strips by row arithmetic and computes chi^lam on whole blocks
 of classes at once; the n-pair check compares raw cell sets; the partition
 list here is generated part by part and sorted, where the library reads the
-cycle types of its class enumeration.
+cycle types of its class enumeration.  The induction multiplicity here sums
+character products over pairs of classes, where the library counts LR
+tableaux.
 """
 
 from functools import lru_cache
+from math import factorial
 
-from kroncoef.partitions import Partition
+from kroncoef.partitions import Partition, _classes
+from kroncoef.sym_characters import _chars, _class_index
 
 
 def lr_lattice(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -115,3 +119,26 @@ def partitions_of_generated(k: int) -> tuple[Partition, ...]:
             yield from gen(total - part, part, prefix + (part,))
 
     return tuple(sorted(gen(k, k, ())))
+
+
+def induction_mult(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Multiplicity of the outer product piece S(lam) x S(mu) in the
+    restriction of S(nu) to the corresponding Young subgroup."""
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    r1, r2 = lam.size, mu.size
+    if nu.size != r1 + r2:
+        raise ValueError("induction_mult needs |nu| = |lam| + |mu|")
+    nu_chars, index = _chars(nu.parts), _class_index(r1 + r2)
+    total = 0
+    for (rho1, s1), c1 in zip(_classes(r1), _chars(lam.parts)):
+        if not c1:
+            continue
+        for (rho2, s2), c2 in zip(_classes(r2), _chars(mu.parts)):
+            if not c2:
+                continue
+            joint = tuple(sorted(rho1 + rho2, reverse=True))
+            total += s1 * s2 * c1 * c2 * nu_chars[index[joint]]
+    q, rem = divmod(total, factorial(r1) * factorial(r2))
+    if rem:
+        raise ArithmeticError("non-integral induction sum")
+    return q

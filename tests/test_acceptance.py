@@ -23,6 +23,7 @@ from kroncoef.diagram_algebra import (
     standard_module,
 )
 from kroncoef.kronecker import (
+    FormulaRangeError,
     SweepBounds,
     expected_tensor_square,
     kron_hook,
@@ -31,6 +32,7 @@ from kroncoef.kronecker import (
     kron_via_dagger,
     reduced_kron,
     reduced_kron_via_lr,
+    stability_bound,
     tensor_square_decomposition,
 )
 from kroncoef.partitions import Partition, pad, partitions_of, partitions_up_to
@@ -110,46 +112,42 @@ def test_acceptance_4_route_agreement_sweep():
 
 
 def test_acceptance_5_closed_formulas():
+    # from the padding and shape floor up: below min(stability bound,
+    # |lam| + |mu| + nu_2 - 1) a FormulaRangeError, from there the oracle
     started = time.perf_counter()
     small = list(partitions_up_to(4))
     bad = []
-    total = 0
+    admitted = refused = 0
     for lam in small:
         for mu in small:
             pad_floor = max(lam.size + lam.row(1), mu.size + mu.row(1), 1)
             for k in range(7):
-                two_row_bound = min(lam.size + mu.row(1) + k, mu.size + lam.row(1) + k)
-                n0 = max(two_row_bound, 2 * k, pad_floor)
-                for n in range(n0, n0 + 3):
-                    want = kron_oracle(
-                        pad(lam, n),
-                        pad(mu, n),
-                        P([n - k, k] if k else [n]),
-                    )
-                    total += 1
-                    if kron_two_row(lam, mu, k, n) != want:
-                        bad.append(("two-row", lam, mu, k, n))
-                hook_bound = min(
-                    lam.size + mu.size + 1,
-                    mu.size + lam.row(1) + k,
-                    lam.size + mu.row(1) + k,
-                )
-                h0 = max(hook_bound, k + 1, pad_floor)
-                for n in range(h0, h0 + 3):
-                    want = kron_oracle(
-                        pad(lam, n),
-                        pad(mu, n),
-                        P([n - k] + [1] * k),
-                    )
-                    total += 1
-                    if kron_hook(lam, mu, k, n) != want:
-                        bad.append(("hook", lam, mu, k, n))
+                for name, formula, nu, shape_floor in (
+                    ("two-row", kron_two_row, P([k] if k else []), 2 * k),
+                    ("hook", kron_hook, P([1] * k), k + 1),
+                ):
+                    n0 = min(stability_bound(lam, mu, nu), lam.size + mu.size + nu.row(2) - 1)
+                    floor = max(pad_floor, shape_floor)
+                    for n in range(floor, max(floor, lam.size + mu.size + k + 1) + 3):
+                        if n < n0:
+                            refused += 1
+                            try:
+                                formula(lam, mu, k, n)
+                                bad.append((name, lam, mu, k, n, "admitted below the range"))
+                            except FormulaRangeError:
+                                pass
+                            continue
+                        admitted += 1
+                        want = kron_oracle(pad(lam, n), pad(mu, n), pad(nu, n))
+                        if formula(lam, mu, k, n) != want:
+                            bad.append((name, lam, mu, k, n))
     _report(
         5,
         "two-row and hook closed formulas",
         not bad,
         started,
-        f"{total} evaluations from the sharp bound up" + (f", first bad {bad[0]}" if bad else ""),
+        f"{admitted} evaluations equal the oracle, {refused} below the range refused"
+        + (f", first bad {bad[0]}" if bad else ""),
     )
 
 

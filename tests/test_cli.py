@@ -77,10 +77,18 @@ class TestKron:
         with pytest.raises(SystemExit):
             main(["kron", "[2,1]", "[2,1]", "[2,1]", "--n", "9", "--route", "closed"])
 
-    def test_closed_route_fallback(self, capsys):
-        code, out, _ = run(
-            capsys, "kron", "[2,1]", "[2,1]", "[2,1]", "--n", "9", "--route", "closed", "--fallback"
-        )
+    def test_dagger_route_where_no_closed_formula_applies(self, capsys):
+        code, out, _ = run(capsys, "kron", "[2,1]", "[2,1]", "[2,1]", "--n", "9", "--route", "dagger")
+        assert code == 0 and out == "9\n"
+
+    def test_oracle_refused_past_its_class_cap(self, capsys):
+        start = time.perf_counter()
+        for route in ("all", "oracle"):
+            message = refused(capsys, "kron", "[2,1]", "[2,1]", "[3,1]", "--n", "1000000", "--route", route)
+            assert "oracle route" in message and "--route dagger" in message
+        assert "oracle route" in refused(capsys, "kron", "[2,1]", "[2,1]", "[3,1]", "--n", "46")
+        assert time.perf_counter() - start < 1.0
+        code, out, _ = run(capsys, "kron", "[2,1]", "[2,1]", "[3,1]", "--n", "1000000", "--route", "dagger")
         assert code == 0 and out == "9\n"
 
 

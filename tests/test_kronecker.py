@@ -214,48 +214,48 @@ class TestClosedFormulas:
 
     def test_out_of_range(self):
         with pytest.raises(FormulaRangeError):
-            kron_two_row(P([2]), P([2]), 2, 5)
+            kron_two_row(P([1, 1, 1]), P([1, 1, 1]), 1, 4)
         with pytest.raises(FormulaRangeError):
             kron_two_row(P([1]), P([1]), 3, 5)
         with pytest.raises(FormulaRangeError):
-            kron_hook(P([2]), P([2]), 2, 4)
+            kron_hook(P([1, 1]), P([1, 1]), 2, 3)
+
+    def test_arguments_are_read_like_the_routes(self):
+        # a partition of size n is already padded, and one that cannot be
+        # padded is the routes' ValueError
+        for lam, mu, n in [([3], [], 3), ([2], [1], 3), ([3], [2, 1], 3), ([2, 1], [2, 1], 3), ([2, 2], [1], 4)]:
+            lam, mu = P(lam), P(mu)
+            for k in (0, 1):
+                for formula, nu in ((kron_two_row, P([k] if k else [])), (kron_hook, P([1] * k))):
+                    try:
+                        want = kron_via_oracle(lam, mu, nu, n)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as got:
+                            formula(lam, mu, k, n)
+                        assert str(got.value) == str(exc), (formula.__name__, lam, mu, k, n)
+                        continue
+                    assert formula(lam, mu, k, n) == want, (formula.__name__, lam, mu, k, n)
 
     def test_agreement_with_oracle_small(self):
+        # from the padding and shape floor up: below min(stability bound,
+        # |lam| + |mu| + nu_2 - 1) a FormulaRangeError, from there the oracle
         for lam in partitions_up_to(3):
             for mu in partitions_up_to(3):
+                pad_floor = max(lam.size + lam.row(1), mu.size + mu.row(1), 1)
                 for k in range(5):
-                    n0 = max(
-                        min(lam.size + mu.row(1) + k, mu.size + lam.row(1) + k),
-                        2 * k,
-                        lam.size + lam.row(1),
-                        mu.size + mu.row(1),
-                        1,
-                    )
-                    for n in (n0, n0 + 1):
-                        want = kron_oracle(
-                            pad(lam, n),
-                            pad(mu, n),
-                            P([n - k, k] if k else [n]),
-                        )
-                        assert kron_two_row(lam, mu, k, n) == want, (lam, mu, k, n)
-                    h0 = max(
-                        min(
-                            lam.size + mu.size + 1,
-                            mu.size + lam.row(1) + k,
-                            lam.size + mu.row(1) + k,
-                        ),
-                        k + 1,
-                        lam.size + lam.row(1),
-                        mu.size + mu.row(1),
-                        1,
-                    )
-                    for n in (h0, h0 + 1):
-                        want = kron_oracle(
-                            pad(lam, n),
-                            pad(mu, n),
-                            P([n - k] + [1] * k),
-                        )
-                        assert kron_hook(lam, mu, k, n) == want, (lam, mu, k, n)
+                    for formula, nu, shape_floor in (
+                        (kron_two_row, P([k] if k else []), 2 * k),
+                        (kron_hook, P([1] * k), k + 1),
+                    ):
+                        n0 = min(stability_bound(lam, mu, nu), lam.size + mu.size + nu.row(2) - 1)
+                        floor = max(pad_floor, shape_floor)
+                        for n in range(floor, max(floor, lam.size + mu.size + k + 1) + 2):
+                            if n < n0:
+                                with pytest.raises(FormulaRangeError, match=f"needs n >= {n0},"):
+                                    formula(lam, mu, k, n)
+                            else:
+                                want = kron_via_oracle(lam, mu, nu, n)
+                                assert formula(lam, mu, k, n) == want, (formula.__name__, lam, mu, k, n)
 
 
 class TestTensorSquare:

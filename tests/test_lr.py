@@ -2,8 +2,7 @@ from itertools import permutations
 
 from kroncoef.lr import _skew, lr_coeff, lr_coeff3
 from kroncoef.partitions import Partition, conjugate, partitions_of
-from kroncoef.sym_characters import induction_mult
-from oracles import lr_lattice
+from oracles import induction_mult, lr_lattice
 
 P = Partition
 
