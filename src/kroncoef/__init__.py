@@ -71,7 +71,6 @@ _CACHES = {
         sym_characters._weighted,
         sym_characters._specht_model_cached,
         kronecker._reduced_kron,
-        diagram_algebra.bell,
         diagram_algebra._stirling2,
     )
 }

@@ -117,6 +117,12 @@ def cmd_rkron(args, cfg: Config) -> int:
     start = time.perf_counter()
     routes = {}
     if args.route in ("both", "stable"):
+        n = kr._oracle_n(lam.parts, mu.parts, nu.parts)
+        if n is not None and _first_past(n, ORACLE_MAX_CLASSES, lambda c: c[-1]) is not None:
+            raise SystemExit(
+                f"error: the stable route runs the oracle at n = {n}, which sums over more than "
+                f"{ORACLE_MAX_CLASSES} classes; use --route lr"
+            )
         routes["stable"] = kr.reduced_kron(lam, mu, nu)
     if args.route in ("both", "lr"):
         routes["lr"] = kr.reduced_kron_via_lr(lam, mu, nu)

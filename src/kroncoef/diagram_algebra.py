@@ -1,13 +1,14 @@
 """Set-partition diagram calculus for the partition algebra at an exact
 rational parameter.
 
-Diagrams are set partitions of r top and m bottom vertices.  Composition is
-concatenation with union-find contraction of the middle layer; the power of
-the parameter is returned separately, so that diagram-level reasoning stays
-parameter-free.  On top of the diagrams: the algebra elements with rational
-coefficients, the standard modules with their explicit action, crossing-block
-profiles of half-diagrams, and the restriction multiplicities of a standard
-module to a left/right pair of smaller partition algebras.
+Diagrams are set partitions of r top and m bottom vertices, held as one block
+label per vertex.  Composition joins the blocks of the two diagrams that meet
+at the middle vertices; the power of the parameter is returned separately, so
+that diagram-level reasoning stays parameter-free.  On top of the diagrams:
+the algebra elements with rational coefficients, the standard modules with
+their explicit action, crossing-block profiles of half-diagrams, and the
+restriction multiplicities of a standard module to a left/right pair of
+smaller partition algebras.
 
 Text format for a diagram: blocks as sorted vertex lists, top vertices as
 plain integers and bottom vertices primed, e.g.
@@ -25,45 +26,62 @@ from .kronecker import _reduced_kron
 from .partitions import Partition, partitions_up_to
 from .sym_characters import SpechtModel, _mat_mul, specht_dim, specht_model
 
-# Vertices are encoded internally as +i for top vertex i and -j for bottom
-# vertex j'; the display order puts all top vertices before all bottom ones.
 
-
-def _vertex_key(v: int) -> tuple[int, int]:
-    return (0, v) if v > 0 else (1, -v)
+def _relabel(labels) -> tuple[int, ...]:
+    """Renumber the blocks of a labelling 0, 1, ... in order of first
+    appearance: the one canonical label tuple of its set partition."""
+    first: dict = {}
+    return tuple([first.setdefault(b, len(first)) for b in labels])
 
 
 class SetPartitionDiagram:
     """A set partition of {1..r} on top and {1'..m'} on the bottom.
 
-    Canonical form: each block sorted top-before-bottom, blocks ordered by
-    least vertex.  Diagrams compare equal iff canonical forms match.
+    Canonical form: the vertices in the order 1..r, 1'..m', and labels[i] the
+    number of the block of the i-th vertex, blocks numbered in order of first
+    appearance.  Diagrams compare equal iff (r, m, labels) match.  Blocks are
+    given and read as vertex lists, +i for top vertex i and -j for bottom
+    vertex j'.  Only the public constructor validates; the library builds the
+    label tuples it made itself with the unchecked _of.
     """
 
-    __slots__ = ("r", "m", "blocks")
+    __slots__ = ("r", "m", "labels")
 
     def __init__(self, r: int, m: int, blocks):
-        self.r = r
-        self.m = m
-        canon = tuple(
-            sorted(
-                (tuple(sorted(set(b), key=_vertex_key)) for b in blocks),
-                key=lambda b: _vertex_key(b[0]),
-            )
-        )
-        seen: set[int] = set()
-        for b in canon:
-            if not b:
+        if r < 0 or m < 0:
+            raise ValueError(f"negative size ({r},{m})")
+        labels = [-1] * (r + m)
+        for k, block in enumerate(blocks):
+            block = tuple(block)
+            if not block:
                 raise ValueError("empty block")
-            for v in b:
+            for v in block:
                 if v == 0 or v > r or -v > m:
                     raise ValueError(f"vertex {v} out of range for ({r},{m})")
-                if v in seen:
+                i = v - 1 if v > 0 else r - v - 1
+                if labels[i] not in (-1, k):
                     raise ValueError(f"vertex {v} in two blocks")
-                seen.add(v)
-        if len(seen) != r + m:
+                labels[i] = k
+        if -1 in labels:
             raise ValueError("blocks do not cover all vertices")
-        self.blocks = canon
+        self.r = r
+        self.m = m
+        self.labels = _relabel(labels)
+
+    @classmethod
+    def _of(cls, r: int, m: int, labels: tuple[int, ...]) -> "SetPartitionDiagram":
+        """The diagram of a canonical label tuple, unchecked."""
+        d = object.__new__(cls)
+        d.r, d.m, d.labels = r, m, labels
+        return d
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks as vertex tuples, each top-before-bottom, in label order."""
+        out = [[] for _ in range(max(self.labels, default=-1) + 1)]
+        for i, b in enumerate(self.labels):
+            out[b].append(i + 1 if i < self.r else self.r - i - 1)
+        return tuple(map(tuple, out))
 
     @classmethod
     def parse(cls, text: str) -> "SetPartitionDiagram":
@@ -98,16 +116,16 @@ class SetPartitionDiagram:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SetPartitionDiagram)
-            and (self.r, self.m, self.blocks) == (other.r, other.m, other.blocks)
+            and (self.r, self.m, self.labels) == (other.r, other.m, other.labels)
         )
 
     def __hash__(self) -> int:
-        return hash((self.r, self.m, self.blocks))
+        return hash((self.r, self.m, self.labels))
 
     def flip(self) -> "SetPartitionDiagram":
         """Mirror top and bottom: the (m, r) diagram with the same blocks."""
-        return SetPartitionDiagram(
-            self.m, self.r, [[-v for v in b] for b in self.blocks]
+        return SetPartitionDiagram._of(
+            self.m, self.r, _relabel(self.labels[self.r:] + self.labels[:self.r])
         )
 
 
@@ -124,27 +142,7 @@ def permutation_diagram(sigma: tuple[int, ...]) -> SetPartitionDiagram:
 
 def propagating_count(d: SetPartitionDiagram) -> int:
     """Number of blocks meeting both the top and the bottom row."""
-    return sum(
-        1 for b in d.blocks if any(v > 0 for v in b) and any(v < 0 for v in b)
-    )
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
+    return len(set(d.labels[:d.r]) & set(d.labels[d.r:]))
 
 
 def compose(x: SetPartitionDiagram, y: SetPartitionDiagram) -> tuple[int, SetPartitionDiagram]:
@@ -152,42 +150,16 @@ def compose(x: SetPartitionDiagram, y: SetPartitionDiagram) -> tuple[int, SetPar
     (t, result) where t counts the removed middle-only components."""
     if x.m != y.r:
         raise ValueError(f"degree mismatch: ({x.r},{x.m}) over ({y.r},{y.m})")
-    r, k, m = x.r, x.m, y.m
-    # index layout: 0..r-1 top, r..r+k-1 middle, r+k..r+k+m-1 bottom
-    uf = _UnionFind(r + k + m)
-
-    def x_idx(v: int) -> int:
-        return v - 1 if v > 0 else r + (-v) - 1
-
-    def y_idx(v: int) -> int:
-        return r + v - 1 if v > 0 else r + k + (-v) - 1
-
-    for b in x.blocks:
-        first = x_idx(b[0])
-        for v in b[1:]:
-            uf.union(first, x_idx(v))
-    for b in y.blocks:
-        first = y_idx(b[0])
-        for v in b[1:]:
-            uf.union(first, y_idx(v))
-
-    components: dict[int, list[int]] = {}
-    for i in range(r + k + m):
-        components.setdefault(uf.find(i), []).append(i)
-    t = 0
-    blocks = []
-    for members in components.values():
-        outer = []
-        for i in members:
-            if i < r:
-                outer.append(i + 1)
-            elif i >= r + k:
-                outer.append(-(i - r - k + 1))
-        if outer:
-            blocks.append(outer)
-        else:
-            t += 1
-    return t, SetPartitionDiagram(r, m, blocks)
+    r, k = x.r, x.m
+    # component of each block: x's blocks first, y's numbered after them
+    shift = max(x.labels, default=-1) + 1
+    comp = list(range(shift + max(y.labels, default=-1) + 1))
+    for a, b in zip(x.labels[r:], y.labels[:k]):
+        ca, cb = comp[a], comp[shift + b]
+        if ca != cb:
+            comp = [ca if c == cb else c for c in comp]
+    outer = [comp[a] for a in x.labels[:r]] + [comp[shift + b] for b in y.labels[k:]]
+    return len(set(comp)) - len(set(outer)), SetPartitionDiagram._of(r, y.m, _relabel(outer))
 
 
 class AlgebraElement:
@@ -310,22 +282,20 @@ def set_partitions(items: tuple):
 
 
 @lru_cache(maxsize=None)
-def bell(k: int) -> int:
-    """Bell number: set partitions of a k-element set (triangle recurrence)."""
-    if k < 0:
-        raise ValueError(f"Bell number of a negative count: {k}")
-    if k == 0:
-        return 1
-    return sum(comb(k - 1, j) * bell(j) for j in range(k))
-
-
-@lru_cache(maxsize=None)
 def _stirling2(n: int, b: int) -> int:
     if n == 0:
         return 1 if b == 0 else 0
     if b == 0:
         return 0
     return b * _stirling2(n - 1, b) + _stirling2(n - 1, b - 1)
+
+
+def bell(k: int) -> int:
+    """Bell number: set partitions of a k-element set, summed over the
+    block count."""
+    if k < 0:
+        raise ValueError(f"Bell number of a negative count: {k}")
+    return sum(_stirling2(k, b) for b in range(k + 1))
 
 
 def enumerate_diagrams(r: int, m: int) -> list[SetPartitionDiagram]:
@@ -349,18 +319,14 @@ def half_diagrams(r: int, m: int) -> list[SetPartitionDiagram]:
     """Canonical (r, m) half-diagrams: every set partition of the top row with
     m blocks marked propagating, bottoms attached in least-vertex order."""
     out = []
-    for part in set_partitions(tuple(range(1, r + 1))):
-        blocks = sorted(part, key=lambda b: b[0])
-        if len(blocks) < m:
-            continue
-        for chosen in combinations(range(len(blocks)), m):
-            full = []
-            for bi, b in enumerate(blocks):
-                if bi in chosen:
-                    full.append(list(b) + [-(chosen.index(bi) + 1)])
-                else:
-                    full.append(list(b))
-            out.append(SetPartitionDiagram(r, m, full))
+    for part in set_partitions(tuple(range(r))):
+        labels = [0] * r
+        for block in part:
+            for v in block:
+                labels[v] = block[0]
+        top = _relabel(labels)
+        for chosen in combinations(range(len(part)), m):
+            out.append(SetPartitionDiagram._of(r, m, top + chosen))
     out.sort(key=str)
     return out
 
@@ -370,25 +336,16 @@ def factor_half_diagram(d: SetPartitionDiagram) -> tuple[tuple[int, ...], SetPar
     canonical) where sigma sends each bottom vertex k' of d to the 1-based
     index, in least-top-vertex order, of the propagating block holding it;
     this is the convention of permutation_diagram."""
-    props = []
-    rest = []
-    for b in d.blocks:
-        tops = [v for v in b if v > 0]
-        bots = [v for v in b if v < 0]
-        if tops and bots:
-            if len(bots) != 1:
-                raise ValueError("half-diagram propagating block with several bottoms")
-            props.append((tops, -bots[0]))
-        elif tops:
-            rest.append(tops)
-        else:
-            raise ValueError("half-diagram with a bottom-only block")
-    props.sort(key=lambda tb: tb[0][0])
-    sigma = [0] * len(props)
-    for k, (_, bottom) in enumerate(props, 1):
-        sigma[bottom - 1] = k
-    blocks = [tops + [-(k + 1)] for k, (tops, _) in enumerate(props)] + rest
-    return tuple(sigma), SetPartitionDiagram(d.r, d.m, blocks)
+    tops, bottoms = d.labels[:d.r], d.labels[d.r:]
+    # the blocks meeting the top row are labelled first, in least-top-vertex order
+    top_count = max(tops, default=-1) + 1
+    props = sorted(b for b in bottoms if b < top_count)
+    if len(set(props)) < len(props):
+        raise ValueError("half-diagram propagating block with several bottoms")
+    if len(props) < len(bottoms):
+        raise ValueError("half-diagram with a bottom-only block")
+    index = {b: k for k, b in enumerate(props, 1)}
+    return tuple(index[b] for b in bottoms), SetPartitionDiagram._of(d.r, d.m, tops + tuple(props))
 
 
 class StandardModule:
@@ -483,29 +440,16 @@ def crossing_profile(d: SetPartitionDiagram, r: int, s: int) -> tuple[int, int, 
 
     Requires d to have exactly as many propagating blocks as bottom vertices.
     """
-    if r + s != d.r:
+    if r < 0 or s < 0 or r + s != d.r:
         raise ValueError(f"split {r}+{s} does not match {d.r} top vertices")
     if propagating_count(d) != d.m:
         raise ValueError("half-diagram must have exactly m propagating blocks")
-    p_r = p_s = p_c = n_c = 0
-    for b in d.blocks:
-        tops = [v for v in b if v > 0]
-        if not tops:
-            raise ValueError("half-diagram with a bottom-only block")
-        prop = any(v < 0 for v in b)
-        left = any(v <= r for v in tops)
-        right = any(v > r for v in tops)
-        if left and right:
-            if prop:
-                p_c += 1
-            else:
-                n_c += 1
-        elif prop:
-            if left:
-                p_r += 1
-            else:
-                p_s += 1
-    return p_r, p_s, p_c, n_c
+    # with m propagating blocks each bottom vertex has a block of its own
+    left, right = set(d.labels[:r]), set(d.labels[r:d.r])
+    props = set(d.labels[d.r:])
+    crossing = left & right
+    p_c = len(crossing & props)
+    return len(left & props) - p_c, len(right & props) - p_c, p_c, len(crossing) - p_c
 
 
 def restrict_multiplicity(nu: Partition, r: int, s: int, lam: Partition, mu: Partition) -> int:

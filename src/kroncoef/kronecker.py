@@ -81,10 +81,18 @@ def reduced_kron(lam: Partition, mu: Partition, nu: Partition) -> int:
     three paddings exist and stability has set in.  This is the comparator
     for the Littlewood-Richardson kernel behind the other routes."""
     lam, mu, nu = (Partition(p).parts for p in (lam, mu, nu))
-    if sum(nu) > sum(lam) + sum(mu):
+    n = _oracle_n(lam, mu, nu)
+    if n is None:
         return 0
-    n = max(_stability_bound(lam, mu, nu), _first_n(lam, mu, nu))
     return _kron(_pad(lam, n), _pad(mu, n), _pad(nu, n))
+
+
+def _oracle_n(lam: tuple, mu: tuple, nu: tuple) -> int | None:
+    """The n at which reduced_kron runs the oracle, or None when
+    |nu| > |lam| + |mu| and the coefficient is 0 without it."""
+    if sum(nu) > sum(lam) + sum(mu):
+        return None
+    return max(_stability_bound(lam, mu, nu), _first_n(lam, mu, nu))
 
 
 def kron_via_oracle(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
@@ -162,6 +170,8 @@ def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
 def kron_two_row(lam: Partition, mu: Partition, k: int, n: int) -> int:
     """g(lam, mu, (n-k, k)) = gbar(lam, mu, (k)) - gbar(lam, mu, (n-k+1)) for
     n >= min(stability bound, |lam| + |mu| - 1), by _two_dagger_terms."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     lam, mu = _reduce(lam, n), _reduce(mu, n)
     if n - k < k:
         raise FormulaRangeError(f"(n-k,k) needs n >= 2k, got n={n}, k={k}")
@@ -171,6 +181,8 @@ def kron_two_row(lam: Partition, mu: Partition, k: int, n: int) -> int:
 def kron_hook(lam: Partition, mu: Partition, k: int, n: int) -> int:
     """g(lam, mu, (n-k, 1^k)) = gbar(lam, mu, (1^k)) - gbar(lam, mu, (n-k+1, 1^(k-1)))
     for n >= min(stability bound, |lam| + |mu|), by _two_dagger_terms."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     lam, mu = _reduce(lam, n), _reduce(mu, n)
     if n - k < 1:
         raise FormulaRangeError(f"(n-k,1^k) needs n >= k+1, got n={n}, k={k}")

@@ -10,7 +10,8 @@ of classes at once; the n-pair check compares raw cell sets; the partition
 list here is generated part by part and sorted, where the library reads the
 cycle types of its class enumeration.  The induction multiplicity here sums
 character products over pairs of classes, where the library counts LR
-tableaux.
+tableaux.  The diagram composition here runs a union-find on the vertices of
+the stacked picture, given as blocks, where the library joins block labels.
 """
 
 from functools import lru_cache
@@ -142,3 +143,37 @@ def induction_mult(lam: Partition, mu: Partition, nu: Partition) -> int:
     if rem:
         raise ArithmeticError("non-integral induction sum")
     return q
+
+
+def compose_union_find(x_blocks, y_blocks, r: int, k: int, m: int) -> tuple[int, str, int]:
+    """Stack the (r, k) diagram x over the (k, m) diagram y, both given as
+    blocks of vertices (+i on top, -j for j' below), and join vertices by a
+    union-find on the r + k + m vertices of the picture.  Returns (t, text,
+    propagating): the number of components left inside the middle row, the
+    outer blocks in text form (each sorted top-before-bottom, blocks by least
+    vertex) and the number of outer blocks meeting both rows."""
+    parent: dict = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    def join(block):
+        for v in block[1:]:
+            parent[find(v)] = find(block[0])
+
+    for b in x_blocks:
+        join([("top", v) if v > 0 else ("mid", -v) for v in b])
+    for b in y_blocks:
+        join([("mid", v) if v > 0 else ("bot", -v) for v in b])
+    vertices = [(row, i) for row, size in (("top", r), ("mid", k), ("bot", m)) for i in range(1, size + 1)]
+    components: dict = {}
+    for v in vertices:
+        components.setdefault(find(v), []).append(v)
+    # (False, i) is top vertex i and (True, j) bottom vertex j'
+    outer = [sorted((row == "bot", i) for row, i in c if row != "mid") for c in components.values()]
+    blocks = sorted(b for b in outer if b)
+    text = "".join("{" + ",".join(f"{i}'" if below else str(i) for below, i in b) + "}" for b in blocks)
+    propagating = sum(1 for b in blocks if not b[0][0] and b[-1][0])
+    return len(outer) - len(blocks), text, propagating

@@ -102,6 +102,19 @@ class TestRkron:
         code, out, _ = run(capsys, "rkron", "[2,1]", "[2,1]", "[2,1]", "--route", "stable")
         assert code == 0 and out == "9\n"
 
+    def test_stable_route_refused_past_the_oracle_cap(self, capsys):
+        # the stable route would run the oracle at n = 60, p(60) = 966,467
+        start = time.perf_counter()
+        for route in ("both", "stable"):
+            message = refused(capsys, "rkron", "[20]", "[20]", "[20]", "--route", route)
+            assert "n = 60" in message and "--route lr" in message
+        assert time.perf_counter() - start < 1.0
+        code, out, _ = run(capsys, "rkron", "[20]", "[20]", "[20]", "--route", "lr")
+        assert code == 0 and out == "11\n"
+        # an oversize third factor is 0 on both routes without the oracle
+        code, out, _ = run(capsys, "rkron", "[20]", "[20]", "[41]")
+        assert code == 0 and out == "0\n"
+
 
 class TestLr:
     def test_basic(self, capsys):

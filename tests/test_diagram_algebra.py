@@ -31,6 +31,7 @@ from kroncoef.diagram_algebra import (
 from kroncoef.kronecker import reduced_kron
 from kroncoef.partitions import Partition, _classes, _pad, block_chain, partitions_up_to
 from kroncoef.sym_characters import _mat_mul, _weighted, character, cycle_type, specht_dim
+from oracles import compose_union_find
 
 P = Partition
 D = SetPartitionDiagram.parse
@@ -39,13 +40,17 @@ DELTA = Fraction(5)
 EXAMPLE_TEXT = "{1,2,4,2',5'}{3}{5,6,7,3',4',6',7'}{8,8'}{1'}"
 
 
-def random_diagram(rng, r, m):
+def random_blocks(rng, r, m):
     verts = list(range(1, r + 1)) + [-j for j in range(1, m + 1)]
     labels = [rng.randrange(len(verts)) for _ in verts]
     groups = {}
     for v, lab in zip(verts, labels):
         groups.setdefault(lab, []).append(v)
-    return SetPartitionDiagram(r, m, list(groups.values()))
+    return list(groups.values())
+
+
+def random_diagram(rng, r, m):
+    return SetPartitionDiagram(r, m, random_blocks(rng, r, m))
 
 
 class TestDiagramType:
@@ -68,6 +73,10 @@ class TestDiagramType:
             SetPartitionDiagram(2, 2, [[1, 2], [1, -1], [-2]])  # duplicated
         with pytest.raises(ValueError):
             SetPartitionDiagram(1, 1, [[1, 2, -1]])  # out of range
+        with pytest.raises(ValueError):
+            SetPartitionDiagram(1, 1, [[], [1, -1]])  # empty block
+        with pytest.raises(ValueError):
+            SetPartitionDiagram(-1, 1, [])  # negative size
 
     def test_flip(self):
         d = D("{1,2,1'}{2'}")
@@ -117,6 +126,21 @@ class TestCompose:
             y = random_diagram(rng, 4, 4)
             _, z = compose(x, y)
             assert propagating_count(z) <= min(propagating_count(x), propagating_count(y))
+
+    def test_matches_the_union_find_oracle(self):
+        rng = random.Random(7)
+        for _ in range(1500):
+            r, k, m = (rng.randint(0, 6) for _ in range(3))
+            xb, yb = random_blocks(rng, r, k), random_blocks(rng, k, m)
+            x, y = SetPartitionDiagram(r, k, xb), SetPartitionDiagram(k, m, yb)
+            t, z = compose(x, y)
+            want_t, want_text, want_props = compose_union_find(xb, yb, r, k, m)
+            assert (t, str(z)) == (want_t, want_text), (str(x), str(y))
+            assert propagating_count(z) == want_props, (str(x), str(y))
+            for d in (x, y, z):
+                assert d.flip().flip() == d
+                if d.r + d.m:
+                    assert D(str(d)) == d
 
     @given(st.integers(0, 10 ** 9))
     @settings(max_examples=60, deadline=None)
@@ -385,6 +409,8 @@ class TestCrossingProfile:
     def test_precondition(self):
         with pytest.raises(ValueError):
             crossing_profile(D("{1,2}{1'}{2'}"), 1, 1)
+        with pytest.raises(ValueError):
+            crossing_profile(D("{1,1'}{2}"), -1, 3)  # negative split
 
 
 class TestRestriction:

@@ -220,6 +220,12 @@ class TestClosedFormulas:
         with pytest.raises(FormulaRangeError):
             kron_hook(P([1, 1]), P([1, 1]), 2, 3)
 
+    def test_negative_k_refused(self):
+        for formula in (kron_two_row, kron_hook):
+            with pytest.raises(ValueError) as exc:
+                formula(P([1]), P([1]), -1, 4)
+            assert type(exc.value) is ValueError, formula.__name__
+
     def test_arguments_are_read_like_the_routes(self):
         # a partition of size n is already padded, and one that cannot be
         # padded is the routes' ValueError
