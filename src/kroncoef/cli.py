@@ -12,21 +12,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagram_algebra as da
 from . import kronecker as kr
 from .partitions import Partition, _partition_count, block_chain, dagger, pad, partitions_up_to
 from .sym_characters import character_table
-
-
-@dataclass
-class Config:
-    """Run configuration assembled from the command line."""
-
-    fmt: str = "human"
-    delta: Fraction | None = None
 
 
 def _parse_partition(text: str) -> Partition:
@@ -43,11 +34,11 @@ def _parse_rational(text: str) -> Fraction:
         raise SystemExit(f"error: bad rational {text!r}: {exc}")
 
 
-def _emit_value(cfg: Config, command: str, inputs: dict, route: str, value: int, ms: float) -> None:
-    if cfg.fmt == "json":
+def _emit_value(fmt: str, command: str, inputs: dict, route: str, value: int, ms: float) -> None:
+    if fmt == "json":
         obj = {"command": command, **inputs, "route": route, "value": value, "ms": round(ms, 3)}
         print(json.dumps(obj))
-    elif cfg.fmt == "tsv":
+    elif fmt == "tsv":
         keys = list(inputs) + ["route", "value"]
         print("\t".join(keys))
         print("\t".join(str(v) for v in list(inputs.values()) + [route, value]))
@@ -55,8 +46,8 @@ def _emit_value(cfg: Config, command: str, inputs: dict, route: str, value: int,
         print(value)
 
 
-def _emit_table(cfg: Config, command: str, columns: list[str], rows: list[tuple]) -> None:
-    if cfg.fmt == "json":
+def _emit_table(fmt: str, command: str, columns: list[str], rows: list[tuple]) -> None:
+    if fmt == "json":
         for row in rows:
             print(json.dumps({"command": command, **dict(zip(columns, map(str, row)))}))
     else:
@@ -70,17 +61,30 @@ def _emit_table(cfg: Config, command: str, columns: list[str], rows: list[tuple]
 ORACLE_MAX_CLASSES = 10**5
 
 
-def cmd_kron(args, cfg: Config) -> int:
+def _refuse_past_oracle_cap(n: int, route: str, alternative: str) -> None:
+    if _first_past(n, ORACLE_MAX_CLASSES, lambda c: c[-1]) is not None:
+        raise SystemExit(f"error: {route} sums over more than {ORACLE_MAX_CLASSES} classes; use {alternative}")
+
+
+def _emit_agreed(args, command: str, inputs: dict, routes: dict, start: float) -> int:
+    """Print the one value of every route, or name the routes and fail."""
+    ms = (time.perf_counter() - start) * 1000
+    values = set(routes.values())
+    if len(values) != 1:
+        detail = " ".join(f"{k}={v}" for k, v in routes.items())
+        print(f"error: route disagreement: {detail}", file=sys.stderr)
+        return 1
+    _emit_value(args.format, command, inputs, args.route, values.pop(), ms)
+    return 0
+
+
+def cmd_kron(args) -> int:
     lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
     start = time.perf_counter()
     routes = {}
     try:
         if args.route in ("all", "oracle"):
-            if _first_past(args.n, ORACLE_MAX_CLASSES, lambda c: c[-1]) is not None:
-                raise SystemExit(
-                    f"error: the oracle route at --n {args.n} sums over more than {ORACLE_MAX_CLASSES} classes; "
-                    "use --route blocks or --route dagger"
-                )
+            _refuse_past_oracle_cap(args.n, f"the oracle route at --n {args.n}", "--route blocks or --route dagger")
             routes["oracle"] = kr.kron_via_oracle(lam, mu, nu, args.n)
         if args.route in ("all", "blocks"):
             routes["blocks"] = kr.kron_via_blocks(lam, mu, nu, args.n)
@@ -92,15 +96,8 @@ def cmd_kron(args, cfg: Config) -> int:
         raise SystemExit(f"error: {exc} (--route dagger sums every term)")
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    ms = (time.perf_counter() - start) * 1000
-    values = set(routes.values())
-    if len(values) != 1:
-        detail = " ".join(f"{k}={v}" for k, v in routes.items())
-        print(f"error: route disagreement: {detail}", file=sys.stderr)
-        return 1
     inputs = {"lambda": str(lam), "mu": str(mu), "nu": str(nu), "n": args.n}
-    _emit_value(cfg, "kron", inputs, args.route, values.pop(), ms)
-    return 0
+    return _emit_agreed(args, "kron", inputs, routes, start)
 
 
 def _closed_formula(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
@@ -112,32 +109,22 @@ def _closed_formula(lam: Partition, mu: Partition, nu: Partition, n: int) -> int
     raise kr.FormulaRangeError(f"no closed formula: {nu} padded is neither two-row nor hook")
 
 
-def cmd_rkron(args, cfg: Config) -> int:
+def cmd_rkron(args) -> int:
     lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
     start = time.perf_counter()
     routes = {}
     if args.route in ("both", "stable"):
         n = kr._oracle_n(lam.parts, mu.parts, nu.parts)
-        if n is not None and _first_past(n, ORACLE_MAX_CLASSES, lambda c: c[-1]) is not None:
-            raise SystemExit(
-                f"error: the stable route runs the oracle at n = {n}, which sums over more than "
-                f"{ORACLE_MAX_CLASSES} classes; use --route lr"
-            )
+        if n is not None:
+            _refuse_past_oracle_cap(n, f"the stable route runs the oracle at n = {n}, which", "--route lr")
         routes["stable"] = kr.reduced_kron(lam, mu, nu)
     if args.route in ("both", "lr"):
         routes["lr"] = kr.reduced_kron_via_lr(lam, mu, nu)
-    ms = (time.perf_counter() - start) * 1000
-    values = set(routes.values())
-    if len(values) != 1:
-        detail = " ".join(f"{k}={v}" for k, v in routes.items())
-        print(f"error: route disagreement: {detail}", file=sys.stderr)
-        return 1
     inputs = {"lambda": str(lam), "mu": str(mu), "nu": str(nu)}
-    _emit_value(cfg, "rkron", inputs, args.route, values.pop(), ms)
-    return 0
+    return _emit_agreed(args, "rkron", inputs, routes, start)
 
 
-def cmd_lr(args, cfg: Config) -> int:
+def cmd_lr(args) -> int:
     from .lr import lr_coeff, lr_coeff3
 
     lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
@@ -150,7 +137,7 @@ def cmd_lr(args, cfg: Config) -> int:
     else:
         value = lr_coeff(lam, mu, nu)
     ms = (time.perf_counter() - start) * 1000
-    _emit_value(cfg, "lr", inputs, "placement", value, ms)
+    _emit_value(args.format, "lr", inputs, "placement", value, ms)
     return 0
 
 
@@ -171,7 +158,7 @@ def _first_past(n: int, limit: int, measure) -> int | None:
 OUTPUT_BUDGET = 10**6
 
 
-def cmd_chain(args, cfg: Config) -> int:
+def cmd_chain(args) -> int:
     nu = _parse_partition(args.nu)
     # the entry sizes strictly increase up to r, so the chain holds at most
     # 1 + 2 + ... + r boxes
@@ -182,15 +169,15 @@ def cmd_chain(args, cfg: Config) -> int:
         chain = block_chain(nu, args.n, args.r)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    if cfg.fmt == "human":
+    if args.format == "human":
         print(" -> ".join(map(str, chain)))
     else:
         rows = [(i, str(p), p.size) for i, p in enumerate(chain)]
-        _emit_table(cfg, "chain", ["index", "partition", "size"], rows)
+        _emit_table(args.format, "chain", ["index", "partition", "size"], rows)
     return 0
 
 
-def cmd_dagger(args, cfg: Config) -> int:
+def cmd_dagger(args) -> int:
     nu = _parse_partition(args.nu)
     # the i-th dagger partition has at least i parts
     if args.i > OUTPUT_BUDGET:
@@ -202,10 +189,10 @@ def cmd_dagger(args, cfg: Config) -> int:
     start = time.perf_counter()
     result = dagger(padded, args.i)
     ms = (time.perf_counter() - start) * 1000
-    if cfg.fmt == "human":
+    if args.format == "human":
         print(result)
     else:
-        _emit_value(cfg, "dagger", {"nu": str(nu), "n": args.n, "i": args.i}, "dagger", str(result), ms)
+        _emit_value(args.format, "dagger", {"nu": str(nu), "n": args.n, "i": args.i}, "dagger", str(result), ms)
     return 0
 
 
@@ -214,7 +201,7 @@ def cmd_dagger(args, cfg: Config) -> int:
 RESTRICT_MAX_PAIRS = 10**4
 
 
-def cmd_restrict(args, cfg: Config) -> int:
+def cmd_restrict(args) -> int:
     nu = _parse_partition(args.nu)
     # (p(0) + ... + p(r)) * (p(0) + ... + p(s)) label pairs
     k = _first_past(max(args.r, args.s), RESTRICT_MAX_PAIRS, lambda c: sum(c[: args.r + 1]) * sum(c[: args.s + 1]))
@@ -228,20 +215,21 @@ def cmd_restrict(args, cfg: Config) -> int:
         (str(lam), str(mu), c)
         for (lam, mu), c in sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1]))
     ]
-    _emit_table(cfg, "restrict", ["lambda", "mu", "multiplicity"], rows)
+    _emit_table(args.format, "restrict", ["lambda", "mu", "multiplicity"], rows)
     return 0
 
 
-def cmd_diagram(args, cfg: Config) -> int:
+def cmd_diagram(args) -> int:
     if args.diagram_cmd == "compose":
+        delta = _parse_rational(args.delta) if args.delta is not None else None
         try:
             x = da.SetPartitionDiagram.parse(args.x)
             y = da.SetPartitionDiagram.parse(args.y)
             t, z = da.compose(x, y)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
-        scalar = str(cfg.delta**t) if cfg.delta is not None else None
-        if cfg.fmt == "json":
+        scalar = str(delta**t) if delta is not None else None
+        if args.format == "json":
             obj = {"command": "compose", "t": t, "diagram": str(z)}
             if scalar is not None:
                 obj["scalar"] = scalar
@@ -256,7 +244,7 @@ def cmd_diagram(args, cfg: Config) -> int:
             p_r, p_s, p_c, n_c = da.crossing_profile(d, args.r, args.s)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
-        if cfg.fmt == "json":
+        if args.format == "json":
             print(json.dumps({"command": "profile", "p_r": p_r, "p_s": p_s, "p_c": p_c, "n_c": n_c}))
         else:
             print(f"p_r={p_r} p_s={p_s} p_c={p_c} n_c={n_c}")
@@ -267,14 +255,14 @@ def cmd_diagram(args, cfg: Config) -> int:
         if k is not None:
             raise SystemExit(f"error: --r {args.r} gives more than {OUTPUT_BUDGET} rows; use --r <= {k - 1}")
         rows = [(str(nu), da.dim_standard(args.r, nu)) for nu in partitions_up_to(args.r)]
-        _emit_table(cfg, "dims", ["nu", "dim"], rows)
-        if cfg.fmt == "human":
+        _emit_table(args.format, "dims", ["nu", "dim"], rows)
+        if args.format == "human":
             print(f"algebra dimension = {da.bell(2 * args.r)}")
         return 0
     raise SystemExit("error: unknown diagram subcommand")
 
 
-def cmd_table(args, cfg: Config) -> int:
+def cmd_table(args) -> int:
     k = _first_past(args.n, OUTPUT_BUDGET, lambda c: c[-1] ** 2)
     if k is not None:
         raise SystemExit(
@@ -291,22 +279,12 @@ def sweep_rows(bounds: kr.SweepBounds):
     stabilization and the standard-module dimension identity."""
     route_cases = list(kr.route_agreement_cases(bounds))
     for lam, mu, nu, n in route_cases:
-        res = kr.check_routes(lam, mu, nu, n)
-        yield (
-            "kron_routes",
-            f"{lam} {mu} {nu} n={n}",
-            f"oracle={res['oracle']} blocks={res['blocks']} dagger={res['dagger']}",
-            res["ok"],
-        )
+        o, b, d = (route(lam, mu, nu, n) for route in (kr.kron_via_oracle, kr.kron_via_blocks, kr.kron_via_dagger))
+        yield "kron_routes", f"{lam} {mu} {nu} n={n}", f"oracle={o} blocks={b} dagger={d}", o == b == d
 
     for lam, mu, nu in dict.fromkeys(case[:3] for case in route_cases):
-        res = kr.check_reduced(lam, mu, nu)
-        yield (
-            "reduced_routes",
-            f"{lam} {mu} {nu}",
-            f"stable={res['stable']} lr={res['lr']}",
-            res["ok"],
-        )
+        stable, lr = kr.reduced_kron(lam, mu, nu), kr.reduced_kron_via_lr(lam, mu, nu)
+        yield "reduced_routes", f"{lam} {mu} {nu}", f"stable={stable} lr={lr}", stable == lr
 
     for n in range(2, bounds.stab_max_n + 1):
         got = kr.tensor_square_decomposition(n)
@@ -318,60 +296,49 @@ def sweep_rows(bounds: kr.SweepBounds):
             got == want,
         )
 
+    # dim Delta_{r+s}(nu) against the restriction-weighted sum of products
+    # of the dimensions of the degree r and degree s standard modules
     for nu, r, s in da.dimension_identity_cases(bounds.dim_max):
-        res = da.check_dimension_identity(nu, r, s)
-        yield (
-            "dim_identity",
-            f"{nu} r={r} s={s}",
-            f"dim={res['dim']} filtration={res['filtration']}",
-            res["ok"],
-        )
+        dim = da.dim_standard(r + s, nu)
+        table = da.restriction_table(nu, r, s)
+        filtration = sum(c * da.dim_standard(r, lam) * da.dim_standard(s, mu) for (lam, mu), c in table.items())
+        yield "dim_identity", f"{nu} r={r} s={s}", f"dim={dim} filtration={filtration}", dim == filtration
 
 
-def add_bounds_arguments(parser: argparse.ArgumentParser) -> None:
-    """The sweep bounds as options, with the defaults of SweepBounds()."""
-    default = kr.SweepBounds()
-    parser.add_argument("--max-weight", type=int, default=default.max_weight, help="cap on |lambda|, |mu| (negative disables)")
-    parser.add_argument("--extra-n", type=int, default=default.extra_n, help="n beyond the stability bound")
-    parser.add_argument("--dim-max", type=int, default=default.dim_max, help="degree cap for the dimension identity (below 2 disables)")
-    parser.add_argument("--stab-max-n", type=int, default=default.stab_max_n, help="last n of the stabilization check (below 2 disables)")
-
-
-def bounds_from_args(args) -> kr.SweepBounds:
+def cmd_sweep(args) -> int:
     # each n range ends extra_n past the stability bound; a negative value
     # silently drops cases that the sweep is meant to check
     if args.extra_n < 0:
         raise SystemExit(f"error: --extra-n must be >= 0, got {args.extra_n}")
-    return kr.SweepBounds(args.max_weight, args.extra_n, args.dim_max, args.stab_max_n)
-
-
-def cmd_sweep(args, cfg: Config) -> int:
-    bounds = bounds_from_args(args)
-    failures = 0
-    if cfg.fmt != "json":
+    bounds = kr.SweepBounds(args.max_weight, args.extra_n, args.dim_max, args.stab_max_n)
+    start = time.perf_counter()
+    rows = dict.fromkeys(("kron_routes", "reduced_routes", "stabilization", "dim_identity"), 0)
+    failed = 0
+    if args.format != "json":
         print("check\tcase\tvalues\tok")
     for check, case, values, ok in sweep_rows(bounds):
-        failures += not ok
-        if cfg.fmt == "json":
+        rows[check] += 1
+        failed += not ok
+        if args.format == "json":
             print(json.dumps({"check": check, "case": case, "values": values, "ok": ok}))
         else:
             print(f"{check}\t{case}\t{values}\t{ok}")
-    if failures:
-        print(f"error: {failures} sweep mismatches", file=sys.stderr)
+    seconds = time.perf_counter() - start
+    # stdout is the report alone; flushed first, the summary on stderr
+    # follows the rows also where both streams go to one file
+    sys.stdout.flush()
+    rate = round(sum(rows.values()) / seconds, 1)
+    print(json.dumps({"rows": rows, "failed": failed, "seconds": round(seconds, 3), "rows_per_s": rate}), file=sys.stderr)
+    if failed:
+        print(f"error: {failed} sweep mismatches", file=sys.stderr)
         return 1
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the common flags can be given before or after the subcommand
+    # --format can be given before or after the subcommand
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("human", "json", "tsv"), default=argparse.SUPPRESS
-    )
-    common.add_argument(
-        "--delta", type=str, default=argparse.SUPPRESS,
-        help="exact rational p/q for diagram commands",
-    )
+    common.add_argument("--format", choices=("human", "json", "tsv"), default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="kroncoef",
         description="Exact Kronecker and reduced Kronecker coefficients via the partition algebra.",
@@ -420,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="diagram_cmd", required=True)
     pc = dsub.add_parser("compose", help="concatenate two diagrams", parents=[common])
     pc.add_argument("x"), pc.add_argument("y")
+    pc.add_argument("--delta", help="exact rational p/q: also print delta^t")
     pp = dsub.add_parser("profile", help="crossing-block profile of a half-diagram", parents=[common])
     pp.add_argument("d")
     pp.add_argument("--r", type=int, required=True)
@@ -432,26 +400,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_table)
 
-    p = add_cmd("sweep", "route-agreement and dimension-identity sweeps")
-    add_bounds_arguments(p)
+    p = add_cmd("sweep", "route-agreement and dimension-identity sweeps; a JSON summary on stderr")
+    default = kr.SweepBounds()
+    p.add_argument("--max-weight", type=int, default=default.max_weight, help="cap on |lambda|, |mu| (negative disables)")
+    p.add_argument("--extra-n", type=int, default=default.extra_n, help="n beyond the stability bound")
+    p.add_argument("--dim-max", type=int, default=default.dim_max, help="degree cap for the dimension identity (below 2 disables)")
+    p.add_argument("--stab-max-n", type=int, default=default.stab_max_n, help="last n of the stabilization check (below 2 disables)")
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # --format is suppressed unless given, so that a subcommand does not
+    # reset a --format given before it; its default comes in here
+    args = build_parser().parse_args(argv, argparse.Namespace(format="human"))
     # in every command --n, --r, --s and --i are degrees, sizes or indices
     for name in ("n", "r", "s", "i"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise SystemExit(f"error: --{name} must be >= 0, got {value}")
-    delta = getattr(args, "delta", None)
-    cfg = Config(
-        fmt=getattr(args, "format", "human"),
-        delta=_parse_rational(delta) if delta is not None else None,
-    )
-    return args.func(args, cfg)
+    return args.func(args)
 
 
 if __name__ == "__main__":

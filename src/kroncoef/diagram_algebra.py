@@ -59,8 +59,8 @@ class SetPartitionDiagram:
                 if v == 0 or v > r or -v > m:
                     raise ValueError(f"vertex {v} out of range for ({r},{m})")
                 i = v - 1 if v > 0 else r - v - 1
-                if labels[i] not in (-1, k):
-                    raise ValueError(f"vertex {v} in two blocks")
+                if labels[i] != -1:
+                    raise ValueError(f"vertex {v} listed twice")
                 labels[i] = k
         if -1 in labels:
             raise ValueError("blocks do not cover all vertices")
@@ -85,20 +85,22 @@ class SetPartitionDiagram:
 
     @classmethod
     def parse(cls, text: str) -> "SetPartitionDiagram":
-        """Inverse of str(); sizes are inferred from the vertex sets."""
+        """Inverse of str(), '' for the degree-0 diagram; sizes are inferred
+        from the vertex sets.  A vertex is an unsigned number, primed on the
+        bottom row."""
         s = text.replace(" ", "")
+        if not s:
+            return cls(0, 0, [])
         if not (s.startswith("{") and s.endswith("}")):
             raise ValueError(f"expected {{...}}-blocks, got {text!r}")
         blocks = []
         for chunk in s[1:-1].split("}{"):
             block = []
             for item in chunk.split(","):
-                if not item:
-                    raise ValueError(f"empty vertex in {text!r}")
-                if item.endswith("'"):
-                    block.append(-int(item[:-1]))
-                else:
-                    block.append(int(item))
+                digits = item.removesuffix("'")
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(f"bad vertex {item!r} in {text!r}")
+                block.append(-int(digits) if item.endswith("'") else int(digits))
             blocks.append(block)
         r = max((v for b in blocks for v in b if v > 0), default=0)
         m = max((-v for b in blocks for v in b if v < 0), default=0)
@@ -491,12 +493,3 @@ def dimension_identity_cases(max_m: int):
             s = m - r
             for nu in partitions_up_to(m):
                 yield nu, r, s
-
-
-def check_dimension_identity(nu: Partition, r: int, s: int) -> dict:
-    """Standard module dimension vs the restriction-weighted sum of products
-    of smaller standard module dimensions; ValueError when |nu| > r + s, as
-    for restriction_table."""
-    lhs = dim_standard(r + s, nu)
-    rhs = sum(c * dim_standard(r, lam) * dim_standard(s, mu) for (lam, mu), c in restriction_table(nu, r, s).items())
-    return {"dim": lhs, "filtration": rhs, "ok": lhs == rhs}

@@ -263,21 +263,6 @@ def route_agreement_cases(bounds: SweepBounds):
                         yield lam, mu, nu, n
 
 
-def check_routes(lam: Partition, mu: Partition, nu: Partition, n: int) -> dict:
-    """Compute the Kronecker coefficient by all three routes."""
-    o = kron_via_oracle(lam, mu, nu, n)
-    b = kron_via_blocks(lam, mu, nu, n)
-    d = kron_via_dagger(lam, mu, nu, n)
-    return {"oracle": o, "blocks": b, "dagger": d, "ok": o == b == d}
-
-
-def check_reduced(lam: Partition, mu: Partition, nu: Partition) -> dict:
-    """Compare the stable-limit and LR-expansion reduced coefficients."""
-    a = reduced_kron(lam, mu, nu)
-    b = reduced_kron_via_lr(lam, mu, nu)
-    return {"stable": a, "lr": b, "ok": a == b}
-
-
 def tensor_square_decomposition(n: int) -> dict[Partition, int]:
     """Nonzero multiplicities in the tensor square of the Specht module
     labelled (n-1, 1), straight from the character oracle."""

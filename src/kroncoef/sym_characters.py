@@ -12,7 +12,7 @@ straightening in dominance order.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import chain, product
 from math import factorial
 from operator import add, mul, sub
 
@@ -211,33 +211,35 @@ def standard_tableaux(shape: Partition) -> tuple[tuple[tuple[int, ...], ...], ..
     return tuple(out)
 
 
-def _perm_parity(seq: tuple, base: tuple) -> int:
-    """+1/-1 parity of the rearrangement taking base to seq."""
-    pos = {v: i for i, v in enumerate(base)}
-    idx = [pos[v] for v in seq]
-    inv = sum(1 for i in range(len(idx)) for j in range(i + 1, len(idx)) if idx[i] > idx[j])
-    return -1 if inv % 2 else 1
+def _signed_arrangements(seq: tuple):
+    """(sign, arrangement) for every rearrangement of seq, in the order of
+    itertools.permutations: putting seq[i] first takes i transpositions."""
+    if not seq:
+        yield 1, ()
+    for i, v in enumerate(seq):
+        for sign, rest in _signed_arrangements(seq[:i] + seq[i + 1:]):
+            yield (-sign if i % 2 else sign), (v,) + rest
 
 
-def _tabloid(rows) -> tuple:
-    return tuple(tuple(sorted(r)) for r in rows)
-
-
-def _polytabloid(rows: tuple[tuple[int, ...], ...]) -> dict[tuple, int]:
-    """Signed sum of tabloids over the column group of the tableau."""
+def _polytabloid(rows: tuple[tuple[int, ...], ...], k: int) -> dict[tuple, int]:
+    """The polytabloid e_t of the tableau t, keyed by row indices as in
+    _row_key: a signed column arrangement pi gives the tabloid {pi t}, in
+    which pi(v) lies in the row of v."""
     ncols = len(rows[0]) if rows else 0
     cols = [tuple(row[j] for row in rows if j < len(row)) for j in range(ncols)]
     vec: dict[tuple, int] = {}
-    for images in product(*map(permutations, cols)):
+    for arrangement in product(*map(_signed_arrangements, cols)):
+        key = [0] * k
         sign = 1
-        mapping = {}
-        for col, img in zip(cols, images):
-            sign *= _perm_parity(img, col)
-            mapping.update(zip(col, img))
-        tab = _tabloid(tuple(mapping[v] for v in row) for row in rows)
-        vec[tab] = vec.get(tab, 0) + sign
-        if vec[tab] == 0:
-            del vec[tab]
+        for col_sign, image in arrangement:
+            sign *= col_sign
+            # a column holds one entry of each of the rows 0, 1, ...
+            for i, w in enumerate(image):
+                key[w - 1] = i
+        key = tuple(key)
+        if key in vec:
+            raise ArithmeticError(f"two column arrangements of {rows} give one tabloid")
+        vec[key] = sign
     return vec
 
 
@@ -268,7 +270,7 @@ class SpechtModel:
         self.dim = len(self.tableaux)
         # the polytabloids keyed by row indices, and the top tabloid {t} of
         # each e_t, dominance-largest first
-        self._keyed = [{_row_key(tab, self.k): c for tab, c in _polytabloid(t).items()} for t in self.tableaux]
+        self._keyed = [_polytabloid(t, self.k) for t in self.tableaux]
         self._tops = sorted((_row_key(t, self.k), j) for j, t in enumerate(self.tableaux))
         self._matrix_cache: dict[tuple, tuple] = {}
         self.generators = [

@@ -7,7 +7,7 @@ import pkgutil
 import kroncoef
 from kroncoef import Partition as P
 from kroncoef.diagram_algebra import bell, dim_standard, restriction_table
-from kroncoef.kronecker import check_reduced, check_routes, reduced_kron_via_lr
+from kroncoef.kronecker import kron_via_blocks, kron_via_dagger, kron_via_oracle, reduced_kron, reduced_kron_via_lr
 from kroncoef.sym_characters import character, character_table, specht_model
 
 
@@ -22,11 +22,16 @@ def package_caches() -> dict:
     return out
 
 
+def routes(*args):
+    return tuple(route(*args) for route in (kron_via_oracle, kron_via_blocks, kron_via_dagger))
+
+
 def values():
     return (
-        check_routes(P([2, 1]), P([2]), P([2, 1]), 7),
-        check_routes(P([1, 1]), P([1, 1]), P([2]), 2),
-        check_reduced(P([2, 1]), P([2, 1]), P([2, 1])),
+        routes(P([2, 1]), P([2]), P([2, 1]), 7),
+        routes(P([1, 1]), P([1, 1]), P([2]), 2),
+        reduced_kron(P([2, 1]), P([2, 1]), P([2, 1])),
+        reduced_kron_via_lr(P([2, 1]), P([2, 1]), P([2, 1])),
         reduced_kron_via_lr(P([3, 1]), P([2, 2]), P([3, 2])),
         character_table(5).to_tsv(),
         character(P([3, 1]), P([2, 2])),

@@ -1,11 +1,17 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 import time
+from collections import Counter
 
 import pytest
 
+from kroncoef import kronecker
 from kroncoef.cli import main
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def run(capsys, *argv):
@@ -90,6 +96,12 @@ class TestKron:
         assert time.perf_counter() - start < 1.0
         code, out, _ = run(capsys, "kron", "[2,1]", "[2,1]", "[3,1]", "--n", "1000000", "--route", "dagger")
         assert code == 0 and out == "9\n"
+
+    def test_delta_refused(self, capsys):
+        # only diagram compose reads --delta
+        with pytest.raises(SystemExit) as exc:
+            main(["kron", "[1]", "[1]", "[2]", "--n", "4", "--delta", "3"])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 class TestRkron:
@@ -202,6 +214,13 @@ class TestDiagram:
             capsys, "diagram", "compose", "{1,2,1'}{2'}", "{1,2'}{2}{1'}", "--delta", "4"
         )
         assert code == 0 and out == "delta^1 {1,2,2'}{1'} scalar=4\n"
+        # --delta is an option of compose, after it
+        with pytest.raises(SystemExit) as exc:
+            main(["--delta", "4", "diagram", "compose", "{1,2,1'}{2'}", "{1,2'}{2}{1'}"])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+    def test_compose_refuses_a_signed_vertex(self, capsys):
+        assert "bad vertex '-1'" in refused(capsys, "diagram", "compose", "{1,-1}", "{1}")
 
     def test_profile(self, capsys):
         code, out, _ = run(
@@ -248,12 +267,13 @@ class TestTable:
         assert time.perf_counter() - start < 1.0
 
 
+SMALL_SWEEP = ("--max-weight", "1", "--extra-n", "1", "--dim-max", "3", "--stab-max-n", "4")
+SWEEP_CHECKS = ("kron_routes", "reduced_routes", "stabilization", "dim_identity")
+
+
 class TestSweep:
     def test_small_sweep_passes(self, capsys):
-        code, out, _ = run(
-            capsys, "sweep", "--max-weight", "1", "--extra-n", "1",
-            "--dim-max", "3", "--stab-max-n", "4",
-        )
+        code, out, _ = run(capsys, "sweep", *SMALL_SWEEP)
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "check\tcase\tvalues\tok"
@@ -261,12 +281,36 @@ class TestSweep:
         assert any(line.startswith("stabilization") for line in lines)
 
     def test_empty_bounds_empty_report(self, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "sweep", "--max-weight", "-1", "--extra-n", "0",
             "--dim-max", "0", "--stab-max-n", "0",
         )
         assert code == 0
         assert out == "check\tcase\tvalues\tok\n"
+        assert json.loads(err)["rows"] == dict.fromkeys(SWEEP_CHECKS, 0)
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_summary_counts_the_rows(self, capsys, fmt):
+        code, out, err = run(capsys, "--format", fmt, "sweep", *SMALL_SWEEP)
+        assert code == 0
+        if fmt == "json":
+            checks = [json.loads(line)["check"] for line in out.splitlines()]
+        else:
+            checks = [line.split("\t")[0] for line in out.splitlines()[1:]]
+        summary = json.loads(err)
+        assert list(summary["rows"]) == list(SWEEP_CHECKS)
+        assert summary["rows"] == Counter(checks) and all(summary["rows"].values())
+        assert summary["failed"] == 0 and summary["seconds"] >= 0 and summary["rows_per_s"] > 0
+
+    def test_failing_row(self, capsys, monkeypatch):
+        real = kronecker.kron_via_dagger
+        monkeypatch.setattr(kronecker, "kron_via_dagger", lambda *args: real(*args) + 1)
+        code, out, err = run(capsys, "sweep", *SMALL_SWEEP)
+        assert code == 1
+        summary, last = err.splitlines()
+        failed = json.loads(summary)["failed"]
+        assert failed >= 1 and out.count("\tFalse\n") == failed
+        assert last == f"error: {failed} sweep mismatches"
 
     def test_negative_extra_n_refused(self, capsys):
         message = refused(
@@ -274,6 +318,16 @@ class TestSweep:
             "--dim-max", "0", "--stab-max-n", "0",
         )
         assert "--extra-n" in message
+
+    def test_negative_extra_n_refused_as_a_process(self):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kroncoef.cli", "sweep", "--max-weight", "0", "--extra-n", "-5",
+             "--dim-max", "0", "--stab-max-n", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: --extra-n") and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_jobs_and_json(self, capsys):
         code, out, _ = run(
@@ -287,7 +341,7 @@ class TestSweep:
 
 def readme_commands() -> list[list[str]]:
     """The arguments of every kroncoef line in the README's CLI block."""
-    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+    with open(os.path.join(ROOT, "README.md")) as fh:
         text = fh.read()
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("kroncoef ")]
