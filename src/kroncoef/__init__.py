@@ -18,7 +18,6 @@ from .diagram_algebra import (
 )
 from .kronecker import (
     FormulaRangeError,
-    SweepBounds,
     kron_hook,
     kron_two_row,
     kron_via_blocks,

@@ -20,18 +20,11 @@ from .partitions import Partition, _partition_count, block_chain, dagger, pad, p
 from .sym_characters import character_table
 
 
-def _parse_partition(text: str) -> Partition:
-    try:
-        return Partition.parse(text)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-
-
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(f"error: bad rational {text!r}: {exc}")
+        raise ValueError(f"bad rational {text!r}: {exc}")
 
 
 def _emit_value(fmt: str, command: str, inputs: dict, route: str, value: int, ms: float) -> None:
@@ -63,7 +56,7 @@ ORACLE_MAX_CLASSES = 10**5
 
 def _refuse_past_oracle_cap(n: int, route: str, alternative: str) -> None:
     if _first_past(n, ORACLE_MAX_CLASSES, lambda c: c[-1]) is not None:
-        raise SystemExit(f"error: {route} sums over more than {ORACLE_MAX_CLASSES} classes; use {alternative}")
+        raise ValueError(f"{route} sums over more than {ORACLE_MAX_CLASSES} classes; use {alternative}")
 
 
 def _emit_agreed(args, command: str, inputs: dict, routes: dict, start: float) -> int:
@@ -79,23 +72,21 @@ def _emit_agreed(args, command: str, inputs: dict, routes: dict, start: float) -
 
 
 def cmd_kron(args) -> int:
-    lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
+    lam, mu, nu = map(Partition.parse, (args.lam, args.mu, args.nu))
     start = time.perf_counter()
     routes = {}
-    try:
-        if args.route in ("all", "oracle"):
-            _refuse_past_oracle_cap(args.n, f"the oracle route at --n {args.n}", "--route blocks or --route dagger")
-            routes["oracle"] = kr.kron_via_oracle(lam, mu, nu, args.n)
-        if args.route in ("all", "blocks"):
-            routes["blocks"] = kr.kron_via_blocks(lam, mu, nu, args.n)
-        if args.route in ("all", "dagger"):
-            routes["dagger"] = kr.kron_via_dagger(lam, mu, nu, args.n)
-        if args.route == "closed":
+    if args.route in ("all", "oracle"):
+        _refuse_past_oracle_cap(args.n, f"the oracle route at --n {args.n}", "--route blocks or --route dagger")
+        routes["oracle"] = kr.kron_via_oracle(lam, mu, nu, args.n)
+    if args.route in ("all", "blocks"):
+        routes["blocks"] = kr.kron_via_blocks(lam, mu, nu, args.n)
+    if args.route in ("all", "dagger"):
+        routes["dagger"] = kr.kron_via_dagger(lam, mu, nu, args.n)
+    if args.route == "closed":
+        try:
             routes["closed"] = _closed_formula(lam, mu, nu, args.n)
-    except kr.FormulaRangeError as exc:
-        raise SystemExit(f"error: {exc} (--route dagger sums every term)")
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        except kr.FormulaRangeError as exc:
+            raise ValueError(f"{exc} (--route dagger sums every term)")
     inputs = {"lambda": str(lam), "mu": str(mu), "nu": str(nu), "n": args.n}
     return _emit_agreed(args, "kron", inputs, routes, start)
 
@@ -110,7 +101,7 @@ def _closed_formula(lam: Partition, mu: Partition, nu: Partition, n: int) -> int
 
 
 def cmd_rkron(args) -> int:
-    lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
+    lam, mu, nu = map(Partition.parse, (args.lam, args.mu, args.nu))
     start = time.perf_counter()
     routes = {}
     if args.route in ("both", "stable"):
@@ -127,11 +118,11 @@ def cmd_rkron(args) -> int:
 def cmd_lr(args) -> int:
     from .lr import lr_coeff, lr_coeff3
 
-    lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
+    lam, mu, nu = map(Partition.parse, (args.lam, args.mu, args.nu))
     start = time.perf_counter()
     inputs = {"lambda": str(lam), "mu": str(mu), "nu": str(nu)}
     if args.eta is not None:
-        eta = _parse_partition(args.eta)
+        eta = Partition.parse(args.eta)
         inputs["eta"] = str(eta)
         value = lr_coeff3(lam, mu, eta, nu)
     else:
@@ -159,16 +150,13 @@ OUTPUT_BUDGET = 10**6
 
 
 def cmd_chain(args) -> int:
-    nu = _parse_partition(args.nu)
+    nu = Partition.parse(args.nu)
     # the entry sizes strictly increase up to r, so the chain holds at most
     # 1 + 2 + ... + r boxes
     boxes = args.r * (args.r + 1) // 2
     if boxes > OUTPUT_BUDGET:
-        raise SystemExit(f"error: a chain up to --r {args.r} may hold {boxes} boxes, more than {OUTPUT_BUDGET}")
-    try:
-        chain = block_chain(nu, args.n, args.r)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise ValueError(f"a chain up to --r {args.r} may hold {boxes} boxes, more than {OUTPUT_BUDGET}")
+    chain = block_chain(nu, args.n, args.r)
     if args.format == "human":
         print(" -> ".join(map(str, chain)))
     else:
@@ -178,14 +166,11 @@ def cmd_chain(args) -> int:
 
 
 def cmd_dagger(args) -> int:
-    nu = _parse_partition(args.nu)
+    nu = Partition.parse(args.nu)
     # the i-th dagger partition has at least i parts
     if args.i > OUTPUT_BUDGET:
-        raise SystemExit(f"error: the dagger partition at --i {args.i} has more than {OUTPUT_BUDGET} parts")
-    try:
-        padded = pad(kr.reduce_mod_n(nu, args.n), args.n)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise ValueError(f"the dagger partition at --i {args.i} has more than {OUTPUT_BUDGET} parts")
+    padded = pad(kr.reduce_mod_n(nu, args.n), args.n)
     start = time.perf_counter()
     result = dagger(padded, args.i)
     ms = (time.perf_counter() - start) * 1000
@@ -202,15 +187,12 @@ RESTRICT_MAX_PAIRS = 10**4
 
 
 def cmd_restrict(args) -> int:
-    nu = _parse_partition(args.nu)
+    nu = Partition.parse(args.nu)
     # (p(0) + ... + p(r)) * (p(0) + ... + p(s)) label pairs
     k = _first_past(max(args.r, args.s), RESTRICT_MAX_PAIRS, lambda c: sum(c[: args.r + 1]) * sum(c[: args.s + 1]))
     if k is not None:
-        raise SystemExit(f"error: --r {args.r} --s {args.s} give more than {RESTRICT_MAX_PAIRS} label pairs")
-    try:
-        table = da.restriction_table(nu, args.r, args.s)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise ValueError(f"--r {args.r} --s {args.s} give more than {RESTRICT_MAX_PAIRS} label pairs")
+    table = da.restriction_table(nu, args.r, args.s)
     rows = [
         (str(lam), str(mu), c)
         for (lam, mu), c in sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1]))
@@ -219,65 +201,60 @@ def cmd_restrict(args) -> int:
     return 0
 
 
-def cmd_diagram(args) -> int:
-    if args.diagram_cmd == "compose":
-        delta = _parse_rational(args.delta) if args.delta is not None else None
-        try:
-            x = da.SetPartitionDiagram.parse(args.x)
-            y = da.SetPartitionDiagram.parse(args.y)
-            t, z = da.compose(x, y)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
-        scalar = str(delta**t) if delta is not None else None
-        if args.format == "json":
-            obj = {"command": "compose", "t": t, "diagram": str(z)}
-            if scalar is not None:
-                obj["scalar"] = scalar
-            print(json.dumps(obj))
-        else:
-            suffix = f" scalar={scalar}" if scalar is not None else ""
-            print(f"delta^{t} {z}{suffix}")
-        return 0
-    if args.diagram_cmd == "profile":
-        try:
-            d = da.SetPartitionDiagram.parse(args.d)
-            p_r, p_s, p_c, n_c = da.crossing_profile(d, args.r, args.s)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
-        if args.format == "json":
-            print(json.dumps({"command": "profile", "p_r": p_r, "p_s": p_s, "p_c": p_c, "n_c": n_c}))
-        else:
-            print(f"p_r={p_r} p_s={p_s} p_c={p_c} n_c={n_c}")
-        return 0
-    if args.diagram_cmd == "dims":
-        # one row per partition of size <= r
-        k = _first_past(args.r, OUTPUT_BUDGET, sum)
-        if k is not None:
-            raise SystemExit(f"error: --r {args.r} gives more than {OUTPUT_BUDGET} rows; use --r <= {k - 1}")
-        rows = [(str(nu), da.dim_standard(args.r, nu)) for nu in partitions_up_to(args.r)]
-        _emit_table(args.format, "dims", ["nu", "dim"], rows)
-        if args.format == "human":
-            print(f"algebra dimension = {da.bell(2 * args.r)}")
-        return 0
-    raise SystemExit("error: unknown diagram subcommand")
+def cmd_compose(args) -> int:
+    delta = _parse_rational(args.delta) if args.delta is not None else None
+    t, z = da.compose(da.SetPartitionDiagram.parse(args.x), da.SetPartitionDiagram.parse(args.y))
+    scalar = str(delta**t) if delta is not None else None
+    if args.format == "json":
+        obj = {"command": "compose", "t": t, "diagram": str(z)}
+        if scalar is not None:
+            obj["scalar"] = scalar
+        print(json.dumps(obj))
+    else:
+        suffix = f" scalar={scalar}" if scalar is not None else ""
+        print(f"delta^{t} {z}{suffix}")
+    return 0
+
+
+def cmd_profile(args) -> int:
+    p_r, p_s, p_c, n_c = da.crossing_profile(da.SetPartitionDiagram.parse(args.d), args.r, args.s)
+    if args.format == "json":
+        print(json.dumps({"command": "profile", "p_r": p_r, "p_s": p_s, "p_c": p_c, "n_c": n_c}))
+    else:
+        print(f"p_r={p_r} p_s={p_s} p_c={p_c} n_c={n_c}")
+    return 0
+
+
+def cmd_dims(args) -> int:
+    # one row per partition of size <= r
+    k = _first_past(args.r, OUTPUT_BUDGET, sum)
+    if k is not None:
+        raise ValueError(f"--r {args.r} gives more than {OUTPUT_BUDGET} rows; use --r <= {k - 1}")
+    rows = [(str(nu), da.dim_standard(args.r, nu)) for nu in partitions_up_to(args.r)]
+    _emit_table(args.format, "dims", ["nu", "dim"], rows)
+    if args.format == "human":
+        print(f"algebra dimension = {da.bell(2 * args.r)}")
+    return 0
 
 
 def cmd_table(args) -> int:
     k = _first_past(args.n, OUTPUT_BUDGET, lambda c: c[-1] ** 2)
     if k is not None:
-        raise SystemExit(
-            f"error: the character table of S_{args.n} has at least p({k})^2 = {_partition_count(k, k) ** 2} cells, "
+        raise ValueError(
+            f"the character table of S_{args.n} has at least p({k})^2 = {_partition_count(k, k) ** 2} cells, "
             f"more than {OUTPUT_BUDGET}; use --n <= {k - 1}"
         )
     sys.stdout.write(character_table(args.n).to_tsv())
     return 0
 
 
-def sweep_rows(bounds: kr.SweepBounds):
+def sweep_rows(max_weight: int, extra_n: int, dim_max: int, stab_max_n: int):
     """Deterministically ordered (check, case, values, ok) rows of the
-    verification sweep: route agreement, reduced routes, tensor-square
-    stabilization and the standard-module dimension identity."""
-    route_cases = list(kr.route_agreement_cases(bounds))
+    verification sweep: route agreement (|lam|, |mu| <= max_weight, n up to
+    extra_n past the stability bound), reduced routes, tensor-square
+    stabilization for n = 2..stab_max_n and the standard-module dimension
+    identity up to degree dim_max."""
+    route_cases = list(kr.route_agreement_cases(max_weight, extra_n))
     for lam, mu, nu, n in route_cases:
         o, b, d = (route(lam, mu, nu, n) for route in (kr.kron_via_oracle, kr.kron_via_blocks, kr.kron_via_dagger))
         yield "kron_routes", f"{lam} {mu} {nu} n={n}", f"oracle={o} blocks={b} dagger={d}", o == b == d
@@ -286,7 +263,7 @@ def sweep_rows(bounds: kr.SweepBounds):
         stable, lr = kr.reduced_kron(lam, mu, nu), kr.reduced_kron_via_lr(lam, mu, nu)
         yield "reduced_routes", f"{lam} {mu} {nu}", f"stable={stable} lr={lr}", stable == lr
 
-    for n in range(2, bounds.stab_max_n + 1):
+    for n in range(2, stab_max_n + 1):
         got = kr.tensor_square_decomposition(n)
         want = kr.expected_tensor_square(n)
         yield (
@@ -298,7 +275,7 @@ def sweep_rows(bounds: kr.SweepBounds):
 
     # dim Delta_{r+s}(nu) against the restriction-weighted sum of products
     # of the dimensions of the degree r and degree s standard modules
-    for nu, r, s in da.dimension_identity_cases(bounds.dim_max):
+    for nu, r, s in da.dimension_identity_cases(dim_max):
         dim = da.dim_standard(r + s, nu)
         table = da.restriction_table(nu, r, s)
         filtration = sum(c * da.dim_standard(r, lam) * da.dim_standard(s, mu) for (lam, mu), c in table.items())
@@ -306,17 +283,12 @@ def sweep_rows(bounds: kr.SweepBounds):
 
 
 def cmd_sweep(args) -> int:
-    # each n range ends extra_n past the stability bound; a negative value
-    # silently drops cases that the sweep is meant to check
-    if args.extra_n < 0:
-        raise SystemExit(f"error: --extra-n must be >= 0, got {args.extra_n}")
-    bounds = kr.SweepBounds(args.max_weight, args.extra_n, args.dim_max, args.stab_max_n)
     start = time.perf_counter()
     rows = dict.fromkeys(("kron_routes", "reduced_routes", "stabilization", "dim_identity"), 0)
     failed = 0
     if args.format != "json":
         print("check\tcase\tvalues\tok")
-    for check, case, values, ok in sweep_rows(bounds):
+    for check, case, values, ok in sweep_rows(args.max_weight, args.extra_n, args.dim_max, args.stab_max_n):
         rows[check] += 1
         failed += not ok
         if args.format == "json":
@@ -335,11 +307,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's refusals as ValueError, to leave through main as one
+    error: line like every other refusal; add_subparsers gives its parsers
+    this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # --format can be given before or after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "json", "tsv"), default=argparse.SUPPRESS)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kroncoef",
         description="Exact Kronecker and reduced Kronecker coefficients via the partition algebra.",
         parents=[common],
@@ -388,39 +369,46 @@ def build_parser() -> argparse.ArgumentParser:
     pc = dsub.add_parser("compose", help="concatenate two diagrams", parents=[common])
     pc.add_argument("x"), pc.add_argument("y")
     pc.add_argument("--delta", help="exact rational p/q: also print delta^t")
+    pc.set_defaults(func=cmd_compose)
     pp = dsub.add_parser("profile", help="crossing-block profile of a half-diagram", parents=[common])
     pp.add_argument("d")
     pp.add_argument("--r", type=int, required=True)
     pp.add_argument("--s", type=int, required=True)
+    pp.set_defaults(func=cmd_profile)
     pd = dsub.add_parser("dims", help="standard module dimensions at degree r", parents=[common])
     pd.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_diagram)
+    pd.set_defaults(func=cmd_dims)
 
     p = add_cmd("table", "character table as TSV")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_table)
 
     p = add_cmd("sweep", "route-agreement and dimension-identity sweeps; a JSON summary on stderr")
-    default = kr.SweepBounds()
-    p.add_argument("--max-weight", type=int, default=default.max_weight, help="cap on |lambda|, |mu| (negative disables)")
-    p.add_argument("--extra-n", type=int, default=default.extra_n, help="n beyond the stability bound")
-    p.add_argument("--dim-max", type=int, default=default.dim_max, help="degree cap for the dimension identity (below 2 disables)")
-    p.add_argument("--stab-max-n", type=int, default=default.stab_max_n, help="last n of the stabilization check (below 2 disables)")
+    p.add_argument("--max-weight", type=int, default=4, help="cap on |lambda|, |mu| (negative disables)")
+    p.add_argument("--extra-n", type=int, default=3, help="n beyond the stability bound")
+    p.add_argument("--dim-max", type=int, default=6, help="degree cap for the dimension identity (below 2 disables)")
+    p.add_argument("--stab-max-n", type=int, default=8, help="last n of the stabilization check (below 2 disables)")
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    # --format is suppressed unless given, so that a subcommand does not
-    # reset a --format given before it; its default comes in here
-    args = build_parser().parse_args(argv, argparse.Namespace(format="human"))
-    # in every command --n, --r, --s and --i are degrees, sizes or indices
-    for name in ("n", "r", "s", "i"):
-        value = getattr(args, name, None)
-        if value is not None and value < 0:
-            raise SystemExit(f"error: --{name} must be >= 0, got {value}")
-    return args.func(args)
+    """Run one command; every refusal, argparse's and the library's included,
+    leaves as SystemExit("error: ..."): one line on stderr, exit status 1."""
+    try:
+        # --format is suppressed unless given, so that a subcommand does not
+        # reset a --format given before it; its default comes in here
+        args = build_parser().parse_args(argv, argparse.Namespace(format="human"))
+        # --n, --r, --s and --i are degrees, sizes or indices; a negative
+        # --extra-n would silently drop cases that the sweep is meant to check
+        for name in ("n", "r", "s", "i", "extra_n"):
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+        return args.func(args)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 if __name__ == "__main__":

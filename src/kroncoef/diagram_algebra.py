@@ -87,7 +87,7 @@ class SetPartitionDiagram:
     def parse(cls, text: str) -> "SetPartitionDiagram":
         """Inverse of str(), '' for the degree-0 diagram; sizes are inferred
         from the vertex sets.  A vertex is an unsigned number, primed on the
-        bottom row."""
+        bottom row, written without leading zeros."""
         s = text.replace(" ", "")
         if not s:
             return cls(0, 0, [])
@@ -98,7 +98,7 @@ class SetPartitionDiagram:
             block = []
             for item in chunk.split(","):
                 digits = item.removesuffix("'")
-                if not (digits.isascii() and digits.isdigit()):
+                if not (digits.isascii() and digits.isdigit()) or (len(digits) > 1 and digits[0] == "0"):
                     raise ValueError(f"bad vertex {item!r} in {text!r}")
                 block.append(-int(digits) if item.endswith("'") else int(digits))
             blocks.append(block)
@@ -270,17 +270,13 @@ def generator_e(l: int, r: int, delta) -> AlgebraElement:
     )
 
 
-def set_partitions(items: tuple):
-    """All set partitions of the given items, deterministically ordered."""
-    items = tuple(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + ((first,) + part[i],) + part[i + 1:]
-        yield ((first,),) + part
+def _label_tuples(k: int) -> list[tuple[int, ...]]:
+    """The canonical label tuples of the set partitions of k items: each
+    label at most one more than the largest before it."""
+    tuples = [()]
+    for _ in range(k):
+        tuples = [t + (b,) for t in tuples for b in range(max(t, default=-1) + 2)]
+    return tuples
 
 
 @lru_cache(maxsize=None)
@@ -302,8 +298,7 @@ def bell(k: int) -> int:
 
 def enumerate_diagrams(r: int, m: int) -> list[SetPartitionDiagram]:
     """All (r, m)-partition diagrams."""
-    vertices = tuple(range(1, r + 1)) + tuple(-j for j in range(1, m + 1))
-    return [SetPartitionDiagram(r, m, part) for part in set_partitions(vertices)]
+    return [SetPartitionDiagram._of(r, m, labels) for labels in _label_tuples(r + m)]
 
 
 def dim_standard(r: int, nu: Partition) -> int:
@@ -320,15 +315,11 @@ def dim_standard(r: int, nu: Partition) -> int:
 def half_diagrams(r: int, m: int) -> list[SetPartitionDiagram]:
     """Canonical (r, m) half-diagrams: every set partition of the top row with
     m blocks marked propagating, bottoms attached in least-vertex order."""
-    out = []
-    for part in set_partitions(tuple(range(r))):
-        labels = [0] * r
-        for block in part:
-            for v in block:
-                labels[v] = block[0]
-        top = _relabel(labels)
-        for chosen in combinations(range(len(part)), m):
-            out.append(SetPartitionDiagram._of(r, m, top + chosen))
+    out = [
+        SetPartitionDiagram._of(r, m, top + chosen)
+        for top in _label_tuples(r)
+        for chosen in combinations(range(max(top, default=-1) + 1), m)
+    ]
     out.sort(key=str)
     return out
 

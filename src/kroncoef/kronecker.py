@@ -26,7 +26,6 @@ sym_characters._kron, lr._lr3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .lr import _lr3
@@ -227,39 +226,22 @@ def _l_splits(l: int, r: int, s: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepBounds:
-    """Bounds for the verification sweeps.
-
-    max_weight caps |lam| and |mu| for the route-agreement sweep, extra_n is
-    how far past the stability bound to push n, dim_max caps r+s for the
-    standard-module dimension identity, and stab_max_n is the last n of the
-    tensor-square stabilization check (0 disables it).
-    """
-
-    max_weight: int = 4
-    extra_n: int = 3
-    dim_max: int = 6
-    stab_max_n: int = 8
-
-
 def valid_n_range(lam: Partition, mu: Partition, nu: Partition, extra_n: int) -> range:
     """All n from the first padding-valid value to stability_bound + extra_n."""
     lam, mu, nu = (Partition(p).parts for p in (lam, mu, nu))
     return range(_first_n(lam, mu, nu), _stability_bound(lam, mu, nu) + extra_n + 1)
 
 
-def route_agreement_cases(bounds: SweepBounds):
-    """Yield (lam, mu, nu, n) quadruples for the triple-route comparison."""
-    if bounds.max_weight < 0:
-        return
-    weights = range(bounds.max_weight + 1)
-    small = [p for w in weights for p in partitions_of(w)]
+def route_agreement_cases(max_weight: int, extra_n: int):
+    """Yield (lam, mu, nu, n) quadruples for the triple-route comparison:
+    |lam|, |mu| <= max_weight (none when it is negative), |nu| <= |lam| + |mu|,
+    and every n of valid_n_range(lam, mu, nu, extra_n)."""
+    small = [p for w in range(max_weight + 1) for p in partitions_of(w)]
     for lam in small:
         for mu in small:
             for w in range(lam.size + mu.size + 1):
                 for nu in partitions_of(w):
-                    for n in valid_n_range(lam, mu, nu, bounds.extra_n):
+                    for n in valid_n_range(lam, mu, nu, extra_n):
                         yield lam, mu, nu, n
 
 

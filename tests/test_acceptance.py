@@ -22,7 +22,6 @@ from kroncoef.diagram_algebra import (
 )
 from kroncoef.kronecker import (
     FormulaRangeError,
-    SweepBounds,
     expected_tensor_square,
     kron_hook,
     kron_two_row,
@@ -92,10 +91,9 @@ def test_acceptance_3_nonsemisimple_degree_two():
 def test_acceptance_4_route_agreement_sweep():
     started = time.perf_counter()
     # the stabilization and dimension rows are criteria 1 and 7
-    bounds = SweepBounds(max_weight=4, extra_n=3, dim_max=0, stab_max_n=0)
     counts = Counter()
     bad = []
-    for check, case, _values, ok in sweep_rows(bounds):
+    for check, case, _values, ok in sweep_rows(4, 3, 0, 0):
         counts[check] += 1
         if not ok:
             bad.append((check, case))
@@ -179,8 +177,7 @@ def test_acceptance_6_degree_two_worked_example():
 def test_acceptance_7_dimension_certificate():
     started = time.perf_counter()
     # the dimension rows of the sweep alone
-    bounds = SweepBounds(max_weight=-1, extra_n=0, dim_max=6, stab_max_n=0)
-    rows = list(sweep_rows(bounds))
+    rows = list(sweep_rows(-1, 0, 6, 0))
     bad = [case for _check, case, _values, ok in rows if not ok]
     total = len(rows)
     wedderburn_ok = all(

@@ -12,6 +12,7 @@ from kroncoef import kronecker
 from kroncoef.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
+ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
 
 
 def run(capsys, *argv):
@@ -29,6 +30,12 @@ def refused(capsys, *argv) -> str:
     message = exc.value.code
     assert isinstance(message, str) and message.startswith("error:") and "\n" not in message
     return message
+
+
+def kroncoef_process(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "kroncoef.cli", *argv], capture_output=True, text=True, env=ENV, timeout=120
+    )
 
 
 class TestKron:
@@ -66,12 +73,10 @@ class TestKron:
         assert out1 == out2
 
     def test_bad_partition_syntax(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["kron", "2,1", "[1]", "[1]", "--n", "4"])
+        refused(capsys, "kron", "2,1", "[1]", "[1]", "--n", "4")
 
     def test_invalid_padding(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["kron", "[2,1]", "[1]", "[1]", "--n", "4"])
+        refused(capsys, "kron", "[2,1]", "[1]", "[1]", "--n", "4")
 
     def test_closed_route(self, capsys):
         code, out, _ = run(capsys, "kron", "[1]", "[1]", "[2]", "--n", "4", "--route", "closed")
@@ -80,8 +85,8 @@ class TestKron:
         assert code == 0 and out == "1\n"
 
     def test_closed_route_out_of_range_errors(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["kron", "[2,1]", "[2,1]", "[2,1]", "--n", "9", "--route", "closed"])
+        message = refused(capsys, "kron", "[2,1]", "[2,1]", "[2,1]", "--n", "9", "--route", "closed")
+        assert message.endswith("(--route dagger sums every term)")
 
     def test_dagger_route_where_no_closed_formula_applies(self, capsys):
         code, out, _ = run(capsys, "kron", "[2,1]", "[2,1]", "[2,1]", "--n", "9", "--route", "dagger")
@@ -99,9 +104,8 @@ class TestKron:
 
     def test_delta_refused(self, capsys):
         # only diagram compose reads --delta
-        with pytest.raises(SystemExit) as exc:
-            main(["kron", "[1]", "[1]", "[2]", "--n", "4", "--delta", "3"])
-        assert exc.value.code == 2 and capsys.readouterr().out == ""
+        message = refused(capsys, "kron", "[1]", "[1]", "[2]", "--n", "4", "--delta", "3")
+        assert message == "error: unrecognized arguments: --delta 3"
 
 
 class TestRkron:
@@ -215,12 +219,13 @@ class TestDiagram:
         )
         assert code == 0 and out == "delta^1 {1,2,2'}{1'} scalar=4\n"
         # --delta is an option of compose, after it
-        with pytest.raises(SystemExit) as exc:
-            main(["--delta", "4", "diagram", "compose", "{1,2,1'}{2'}", "{1,2'}{2}{1'}"])
-        assert exc.value.code == 2 and capsys.readouterr().out == ""
+        refused(capsys, "--delta", "4", "diagram", "compose", "{1,2,1'}{2'}", "{1,2'}{2}{1'}")
 
     def test_compose_refuses_a_signed_vertex(self, capsys):
         assert "bad vertex '-1'" in refused(capsys, "diagram", "compose", "{1,-1}", "{1}")
+
+    def test_compose_refuses_a_leading_zero(self, capsys):
+        assert "bad vertex '01'" in refused(capsys, "diagram", "compose", "{01,1'}", "{1,1'}")
 
     def test_profile(self, capsys):
         code, out, _ = run(
@@ -280,6 +285,12 @@ class TestSweep:
         assert all(line.endswith("True") for line in lines[1:])
         assert any(line.startswith("stabilization") for line in lines)
 
+    def test_stabilization_rows_alone(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--max-weight", "-1", "--dim-max", "0")
+        rows = out.splitlines()[1:]
+        assert code == 0 and [row.split("\t")[1] for row in rows] == [f"n={n}" for n in range(2, 9)]
+        assert "stabilization\tn=4\tdecomposition=[2,1,1]:1;[2,2]:1;[3,1]:1;[4]:1\tTrue" in rows
+
     def test_empty_bounds_empty_report(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--max-weight", "-1", "--extra-n", "0",
@@ -320,11 +331,8 @@ class TestSweep:
         assert "--extra-n" in message
 
     def test_negative_extra_n_refused_as_a_process(self):
-        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "kroncoef.cli", "sweep", "--max-weight", "0", "--extra-n", "-5",
-             "--dim-max", "0", "--stab-max-n", "0"],
-            capture_output=True, text=True, env=env, timeout=120,
+        proc = kroncoef_process(
+            "sweep", "--max-weight", "0", "--extra-n", "-5", "--dim-max", "0", "--stab-max-n", "0"
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: --extra-n") and proc.stderr.count("\n") == 1, proc.stderr
@@ -337,6 +345,39 @@ class TestSweep:
         assert code == 0
         rows = [json.loads(line) for line in out.strip().split("\n")]
         assert all(row["ok"] for row in rows)
+
+
+class TestArgparseRefusals:
+    """argparse's own refusals leave the way every other refusal does."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("kron", "[1]", "[1]", "[2]"), "the following arguments are required: --n"),
+            (("kron", "[1]", "[1]", "[2]", "--n", "4", "--bogus"), "unrecognized arguments: --bogus"),
+            (("kron", "[1]", "[1]", "[2]", "--n", "x"), "argument --n: invalid int value: 'x'"),
+            (("--format", "xml", "table", "--n", "3"), "argument --format: invalid choice: 'xml'"),
+            ((), "the following arguments are required: command"),
+            (("lr", "[1]", "[1]", "[2]", "--eta"), "argument --eta: expected one argument"),
+        ],
+    )
+    def test_one_error_line(self, capsys, argv, message):
+        assert refused(capsys, *argv).startswith(f"error: {message}")
+
+    def test_as_a_process(self):
+        proc = kroncoef_process("kron", "[1]", "[1]", "[2]")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: the following arguments are required: --n\n"
+
+    def test_help_exits_zero(self):
+        proc = kroncoef_process("--help")
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: kroncoef")
+
+
+def test_import_loads_no_dataclasses():
+    code = "import sys, kroncoef.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 def readme_commands() -> list[list[str]]:

@@ -78,8 +78,8 @@ class TestDiagramType:
             SetPartitionDiagram(-1, 1, [])  # negative size
         with pytest.raises(ValueError):
             SetPartitionDiagram(1, 0, [[1, 1]])  # listed twice in one block
-        # str writes unsigned vertex numbers only
-        for text in ("{1,-1}", "{1,-1'}", "{+1,1'}"):
+        # str writes unsigned vertex numbers without leading zeros only
+        for text in ("{1,-1}", "{1,-1'}", "{+1,1'}", "{01,1'}", "{1,01'}"):
             with pytest.raises(ValueError, match="bad vertex"):
                 D(text)
 

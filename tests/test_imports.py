@@ -12,7 +12,7 @@ import pytest
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 FILES = sorted(
     path
-    for pattern in ("src/kroncoef/*.py", "tests/*.py", "scripts/*.py")
+    for pattern in ("src/kroncoef/*.py", "tests/*.py")
     for path in glob.glob(os.path.join(ROOT, pattern))
     if os.path.basename(path) != "__init__.py"
 )

@@ -4,7 +4,6 @@ import kroncoef
 from kroncoef import kronecker
 from kroncoef.kronecker import (
     FormulaRangeError,
-    SweepBounds,
     expected_tensor_square,
     kron_hook,
     kron_two_row,
@@ -126,7 +125,7 @@ class TestRoutes:
             return real(lam, mu, nu)
 
         monkeypatch.setattr(kronecker, "_kron", spy)
-        for lam, mu, nu, n in route_agreement_cases(SweepBounds(max_weight=2)):
+        for lam, mu, nu, n in route_agreement_cases(2, 3):
             start = len(degrees)
             kron_via_blocks(lam, mu, nu, n)
             kron_via_dagger(lam, mu, nu, n)
@@ -135,13 +134,13 @@ class TestRoutes:
         assert degrees
 
     def test_route_agreement_small(self):
-        for lam, mu, nu, n in route_agreement_cases(SweepBounds(max_weight=2, extra_n=2)):
+        for lam, mu, nu, n in route_agreement_cases(2, 2):
             oracle = kron_via_oracle(lam, mu, nu, n)
             assert kron_via_blocks(lam, mu, nu, n) == kron_via_dagger(lam, mu, nu, n) == oracle, (lam, mu, nu, n)
 
     def test_dagger_truncation_is_exact(self):
         # the untruncated sum over all len(pad(lam)) * len(pad(mu)) terms
-        for lam, mu, nu, n in route_agreement_cases(SweepBounds(max_weight=3)):
+        for lam, mu, nu, n in route_agreement_cases(3, 3):
             lam_r, mu_r, nu_r = (reduce_mod_n(p, n) for p in (lam, mu, nu))
             nu_padded = pad(nu_r, n)
             count = len(pad(lam_r, n)) * len(pad(mu_r, n))
