@@ -70,6 +70,7 @@ _CACHES = {
         sym_characters._weighted,
         sym_characters._specht_model_cached,
         kronecker._reduced_kron,
+        kronecker._class_vectors,
         diagram_algebra._stirling2,
     )
 }

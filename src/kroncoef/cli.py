@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import diagram_algebra as da
 from . import kronecker as kr
+from .lr import lr_coeff, lr_coeff3
 from .partitions import Partition, _partition_count, block_chain, dagger, pad, partitions_up_to
 from .sym_characters import character_table
 
@@ -116,8 +117,6 @@ def cmd_rkron(args) -> int:
 
 
 def cmd_lr(args) -> int:
-    from .lr import lr_coeff, lr_coeff3
-
     lam, mu, nu = map(Partition.parse, (args.lam, args.mu, args.nu))
     start = time.perf_counter()
     inputs = {"lambda": str(lam), "mu": str(mu), "nu": str(nu)}

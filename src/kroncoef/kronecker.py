@@ -11,26 +11,30 @@ Routes implemented side by side so they can be cross-checked:
 
 The block chain and dagger routes and the closed formulas take their reduced
 coefficients from one cached kernel, _reduced_kron, the positive quadruple sum
-of Littlewood-Richardson products of the source paper; it needs Kronecker
-coefficients only of degree at most min(|lam|, |mu|).  reduced_kron, the
-character oracle at the stability bound, is kept as its comparator.
+of Littlewood-Richardson products of the source paper, contracted over the
+classes of S_l1 for each split with l1 <= min(|lam|, |mu|): it reads
+character vectors of those degrees only, and calls no Kronecker coefficient.
+reduced_kron, the character oracle at the stability bound, is kept as its
+comparator; it and kron_via_oracle are the callers of sym_characters._kron.
 
 Arguments may be given either as reduced partitions (padded internally with a
 first row of n - |.|) or as partitions of n; a partition whose size equals n
 is taken to be already padded, and the two readings never overlap.
 
 Each public function validates its arguments as Partition once; from there
-on the routes pass plain parts tuples to the cached kernels (_reduced_kron,
-sym_characters._kron, lr._lr3).
+on the routes pass plain parts tuples to the cached kernels (_reduced_kron
+and its _class_vectors tables, sym_characters._kron).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
+from operator import mul
 
-from .lr import _lr3
-from .partitions import Partition, _pad, block_chain, dagger, pad, partitions_of
-from .sym_characters import _kron, kron_oracle
+from .lr import _skew
+from .partitions import Partition, _classes, _pad, block_chain, dagger, pad, partitions_of
+from .sym_characters import _chars, _kron, _weighted, kron_oracle
 
 
 class FormulaRangeError(ValueError):
@@ -143,27 +147,55 @@ def reduced_kron_via_lr(lam: Partition, mu: Partition, nu: Partition) -> int:
 def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
     """The sum of c^nu_{alpha beta pi} c^lam_{alpha rho gamma}
     c^mu_{gamma sigma beta} g_{rho sigma pi} over the splits of
-    |lam| + |mu| - |nu|; g is only needed on S_l1 with l1 <= min(|lam|, |mu|)."""
+    |lam| + |mu| - |nu|, with rho, sigma, pi |- l1 <= min(|lam|, |mu|).
+
+    By the character formula for g, a split's rho, sigma and pi sums are one
+    sum over the classes C of S_l1 of |C| X^nu_{alpha beta}(C)
+    X^lam_{alpha gamma}(C) X^mu_{gamma beta}(C), divided by l1!, where
+    X^lam_{alpha gamma} = sum_rho c^lam_{alpha rho gamma} chi^rho and
+    X^mu, X^nu are alike (see _class_vectors)."""
     r, s = sum(lam), sum(mu)
     total = 0
     for l1, l2, a, b in _l_splits(r + s - sum(nu), r, s):
-        for alpha in partitions_of(a):
-            for beta in partitions_of(b):
-                for pi_ in partitions_of(l1):
-                    c_nu = _lr3(alpha.parts, beta.parts, pi_.parts, nu)
-                    if not c_nu:
-                        continue
-                    for gamma in partitions_of(l2):
-                        for rho in partitions_of(l1):
-                            c_lam = _lr3(alpha.parts, rho.parts, gamma.parts, lam)
-                            if not c_lam:
-                                continue
-                            for sigma in partitions_of(l1):
-                                c_mu = _lr3(gamma.parts, sigma.parts, beta.parts, mu)
-                                if not c_mu:
-                                    continue
-                                total += c_nu * c_lam * c_mu * _kron(rho.parts, sigma.parts, pi_.parts)
+        x_lam = _class_vectors(lam, a, l2, False)
+        x_mu = _class_vectors(mu, l2, b, False)
+        split = 0
+        for alpha, nu_row in _class_vectors(nu, a, b, True).items():
+            for gamma, x in x_lam.get(alpha, {}).items():
+                mu_row = x_mu.get(gamma, {})
+                for beta, w in nu_row.items():
+                    y = mu_row.get(beta)
+                    if y:
+                        split += sum(map(mul, map(mul, w, x), y))
+        q, rem = divmod(split, factorial(l1))
+        if rem:
+            raise ArithmeticError(f"non-integral class sum on S_{l1} for ({lam}, {mu}, {nu})")
+        total += q
     return total
+
+
+@lru_cache(maxsize=None)
+def _class_vectors(outer: tuple, a: int, b: int, weighted: bool) -> dict:
+    """{alpha: {beta: X}} over alpha |- a and beta |- b, where X is the class
+    vector sum_eta c^outer_{alpha beta eta} chi^eta on S_(|outer| - a - b),
+    or |C| chi^eta when weighted, read off s_{outer/alpha} and then
+    s_{xi/beta}.  A pair with no eta is left out; the chi^eta are independent
+    and the coefficients positive, so no kept vector is zero."""
+    values = _weighted if weighted else _chars
+    table = {}
+    for alpha, _size in _classes(a):
+        skew = _skew(outer, alpha)
+        row = {}
+        for beta, _size in _classes(b):
+            coeffs = {}
+            for xi, c in skew.items():
+                for eta, d in _skew(xi, beta).items():
+                    coeffs[eta] = coeffs.get(eta, 0) + c * d
+            if coeffs:
+                row[beta] = tuple(map(sum, zip(*([k * v for v in values(eta)] for eta, k in coeffs.items()))))
+        if row:
+            table[alpha] = row
+    return table
 
 
 def kron_two_row(lam: Partition, mu: Partition, k: int, n: int) -> int:

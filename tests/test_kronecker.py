@@ -114,24 +114,40 @@ class TestRoutes:
             assert not isinstance(exc.value, FormulaRangeError)
 
     def test_blocks_and_dagger_do_not_use_the_oracle(self, monkeypatch):
-        # The LR sum needs g only on S_l1 with l1 <= min(|lam|, |mu|); the
-        # stable-limit oracle would be evaluated at the stability bound.
+        # The LR sum needs characters only of S_l1 with l1 <= min(|lam|, |mu|),
+        # and no Kronecker coefficient; the stable-limit oracle would be
+        # evaluated at the stability bound.
         kroncoef.clear_caches()
-        degrees = []
-        real = kronecker._kron
+        oracle, degrees = [], []
 
-        def spy(lam, mu, nu):
-            degrees.append(sum(lam))
-            return real(lam, mu, nu)
+        def spy(real, seen):
+            def call(lam, *rest):
+                seen.append(sum(lam))
+                return real(lam, *rest)
 
-        monkeypatch.setattr(kronecker, "_kron", spy)
+            return call
+
+        monkeypatch.setattr(kronecker, "_kron", spy(kronecker._kron, oracle))
+        monkeypatch.setattr(kronecker, "_chars", spy(kronecker._chars, degrees))
+        monkeypatch.setattr(kronecker, "_weighted", spy(kronecker._weighted, degrees))
         for lam, mu, nu, n in route_agreement_cases(2, 3):
             start = len(degrees)
             kron_via_blocks(lam, mu, nu, n)
             kron_via_dagger(lam, mu, nu, n)
             bound = min(reduce_mod_n(lam, n).size, reduce_mod_n(mu, n).size)
             assert all(d <= bound for d in degrees[start:]), (lam, mu, nu, n, degrees[start:])
+        assert oracle == []
         assert degrees
+
+    def test_non_integral_class_sum_raises(self, monkeypatch):
+        real = kronecker._weighted
+        monkeypatch.setattr(kronecker, "_weighted", lambda lam: (real(lam)[0] + 1,) + real(lam)[1:])
+        kroncoef.clear_caches()
+        try:
+            with pytest.raises(ArithmeticError, match="non-integral"):
+                kronecker._reduced_kron((2,), (2,), (2,))
+        finally:
+            kroncoef.clear_caches()
 
     def test_route_agreement_small(self):
         for lam, mu, nu, n in route_agreement_cases(2, 2):
@@ -186,6 +202,10 @@ class TestReducedViaLR:
     def test_weight_ten_to_twelve(self, lam, mu, nu, value):
         # triples of the reduced_large benchmark sample
         assert reduced_kron_via_lr(P(lam), P(mu), P(nu)) == reduced_kron(P(lam), P(mu), P(nu)) == value
+
+    def test_staircase(self):
+        stair = P([5, 4, 3, 2, 1])
+        assert reduced_kron_via_lr(stair, stair, P([6, 5, 4, 3, 2, 1])) == 1719128856
 
     def test_agreement_small(self):
         for lam in partitions_up_to(3):
