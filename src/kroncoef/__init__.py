@@ -62,7 +62,6 @@ _CACHES = {
         partitions.partitions_of,
         partitions.partitions_up_to,
         lr._skew,
-        lr._lr3,
         sym_characters._class_index,
         sym_characters._chars,
         sym_characters._upto,
@@ -70,7 +69,7 @@ _CACHES = {
         sym_characters._weighted,
         sym_characters._specht_model_cached,
         kronecker._reduced_kron,
-        kronecker._class_vectors,
+        kronecker._restricted,
         diagram_algebra._stirling2,
     )
 }

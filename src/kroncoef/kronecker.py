@@ -11,9 +11,9 @@ Routes implemented side by side so they can be cross-checked:
 
 The block chain and dagger routes and the closed formulas take their reduced
 coefficients from one cached kernel, _reduced_kron, the positive quadruple sum
-of Littlewood-Richardson products of the source paper, contracted over the
-classes of S_l1 for each split with l1 <= min(|lam|, |mu|): it reads
-character vectors of those degrees only, and calls no Kronecker coefficient.
+of Littlewood-Richardson products of the source paper contracted in class
+space: one sum of products of character values of lam, mu and nu, with no LR
+coefficient and no Kronecker coefficient.
 reduced_kron, the character oracle at the stability bound, is kept as its
 comparator; it and kron_via_oracle are the callers of sym_characters._kron.
 
@@ -23,7 +23,7 @@ is taken to be already padded, and the two readings never overlap.
 
 Each public function validates its arguments as Partition once; from there
 on the routes pass plain parts tuples to the cached kernels (_reduced_kron
-and its _class_vectors tables, sym_characters._kron).
+and its _restricted character tables, sym_characters._kron).
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from functools import lru_cache
 from math import factorial
 from operator import mul
 
-from .lr import _skew
 from .partitions import Partition, _classes, _pad, block_chain, dagger, pad, partitions_of
-from .sym_characters import _chars, _kron, _weighted, kron_oracle
+from .sym_characters import _chars, _class_index, _kron, kron_oracle
 
 
 class FormulaRangeError(ValueError):
@@ -138,64 +137,63 @@ def kron_via_dagger(lam: Partition, mu: Partition, nu: Partition, n: int) -> int
 
 
 def reduced_kron_via_lr(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Reduced Kronecker coefficient as a positive quadruple sum of
-    Littlewood-Richardson products and small Kronecker coefficients."""
+    """Reduced Kronecker coefficient as the positive quadruple sum of
+    Littlewood-Richardson products and small Kronecker coefficients of the
+    source paper, contracted in class space (see _reduced_kron)."""
     return _reduced_kron(*(Partition(p).parts for p in (lam, mu, nu)))
 
 
 @lru_cache(maxsize=None)
 def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
     """The sum of c^nu_{alpha beta pi} c^lam_{alpha rho gamma}
-    c^mu_{gamma sigma beta} g_{rho sigma pi} over the splits of
-    |lam| + |mu| - |nu|, with rho, sigma, pi |- l1 <= min(|lam|, |mu|).
+    c^mu_{gamma sigma beta} g_{rho sigma pi} over the splits (l1, l2, a, b)
+    of _l_splits, with alpha |- a, beta |- b, gamma |- l2, rho, sigma, pi |- l1.
 
-    By the character formula for g, a split's rho, sigma and pi sums are one
-    sum over the classes C of S_l1 of |C| X^nu_{alpha beta}(C)
-    X^lam_{alpha gamma}(C) X^mu_{gamma beta}(C), divided by l1!, where
-    X^lam_{alpha gamma} = sum_rho c^lam_{alpha rho gamma} chi^rho and
-    X^mu, X^nu are alike (see _class_vectors)."""
+    Each LR coefficient is a restricted character, c^lam_{alpha rho gamma} =
+    <chi^lam|(S_a x S_l1 x S_l2), chi^alpha x chi^rho x chi^gamma>, and g is
+    the character formula on S_l1, so orthogonality leaves one sum over the
+    classes tau |- a, theta |- b, kappa |- l2, C |- l1 of |tau||theta||kappa||C|
+    chi^lam(tau kappa C) chi^mu(kappa theta C) chi^nu(tau theta C) / (a! b! l2! l1!),
+    juxtaposition joining cycle types.  The coefficient is symmetric, so every
+    order of a triple is computed as the one sorted by (size, parts)."""
+    triple = sorted((lam, mu, nu), key=lambda p: (sum(p), p))
+    if triple != [lam, mu, nu]:
+        return _reduced_kron(*triple)
     r, s = sum(lam), sum(mu)
     total = 0
     for l1, l2, a, b in _l_splits(r + s - sum(nu), r, s):
-        x_lam = _class_vectors(lam, a, l2, False)
-        x_mu = _class_vectors(mu, l2, b, False)
+        x_lam, x_mu, x_nu = _restricted(lam, a, l2, l1), _restricted(mu, l2, b, l1), _restricted(nu, a, b, l1)
+        theta_sizes = [size for _theta, size in _classes(b)]
         split = 0
-        for alpha, nu_row in _class_vectors(nu, a, b, True).items():
-            for gamma, x in x_lam.get(alpha, {}).items():
-                mu_row = x_mu.get(gamma, {})
-                for beta, w in nu_row.items():
-                    y = mu_row.get(beta)
-                    if y:
-                        split += sum(map(mul, map(mul, w, x), y))
-        q, rem = divmod(split, factorial(l1))
+        for (_c, size), lam_c, mu_c, nu_c in zip(_classes(l1), x_lam, x_mu, x_nu):
+            # mu's rows weighted by the theta class sizes, once per C
+            mu_c = [tuple(map(mul, row, theta_sizes)) for row in mu_c]
+            for (_tau, tau), lam_row, nu_row in zip(_classes(a), lam_c, nu_c):
+                t = 0
+                for (_kappa, kappa), x, mu_row in zip(_classes(l2), lam_row, mu_c):
+                    if x:
+                        t += kappa * x * sum(map(mul, mu_row, nu_row))
+                split += size * tau * t
+        q, rem = divmod(split, factorial(a) * factorial(b) * factorial(l2) * factorial(l1))
         if rem:
-            raise ArithmeticError(f"non-integral class sum on S_{l1} for ({lam}, {mu}, {nu})")
+            raise ArithmeticError(f"non-integral class sum for ({lam}, {mu}, {nu}) at split {(l1, l2, a, b)}")
         total += q
     return total
 
 
 @lru_cache(maxsize=None)
-def _class_vectors(outer: tuple, a: int, b: int, weighted: bool) -> dict:
-    """{alpha: {beta: X}} over alpha |- a and beta |- b, where X is the class
-    vector sum_eta c^outer_{alpha beta eta} chi^eta on S_(|outer| - a - b),
-    or |C| chi^eta when weighted, read off s_{outer/alpha} and then
-    s_{xi/beta}.  A pair with no eta is left out; the chi^eta are independent
-    and the coefficients positive, so no kept vector is zero."""
-    values = _weighted if weighted else _chars
-    table = {}
-    for alpha, _size in _classes(a):
-        skew = _skew(outer, alpha)
-        row = {}
-        for beta, _size in _classes(b):
-            coeffs = {}
-            for xi, c in skew.items():
-                for eta, d in _skew(xi, beta).items():
-                    coeffs[eta] = coeffs.get(eta, 0) + c * d
-            if coeffs:
-                row[beta] = tuple(map(sum, zip(*([k * v for v in values(eta)] for eta, k in coeffs.items()))))
-        if row:
-            table[alpha] = row
-    return table
+def _restricted(outer: tuple, x: int, y: int, c: int) -> tuple:
+    """chi^outer restricted to S_x x S_y x S_c as nested tuples [C][sigma][omega]
+    over the classes C of S_c, sigma of S_x and omega of S_y, each in the
+    order of _classes: entry chi^outer(sigma omega C) of the joined cycle type."""
+    chars, index = _chars(outer), _class_index(x + y + c)
+    return tuple(
+        tuple(
+            tuple(chars[index[tuple(sorted(sigma + omega + C, reverse=True))]] for omega, _ in _classes(y))
+            for sigma, _ in _classes(x)
+        )
+        for C, _ in _classes(c)
+    )
 
 
 def kron_two_row(lam: Partition, mu: Partition, k: int, n: int) -> int:

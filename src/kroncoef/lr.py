@@ -24,28 +24,19 @@ from .partitions import Partition
 def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Multiplicity c^nu_{lam,mu}; zero unless |lam|+|mu| = |nu| and
     lam fits inside nu."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    return _lr(lam.parts, mu.parts, nu.parts)
+    lam, mu, nu = (Partition(p).parts for p in (lam, mu, nu))
+    if sum(lam) + sum(mu) != sum(nu):
+        return 0
+    return _skew(nu, lam).get(mu, 0)
 
 
 def lr_coeff3(lam: Partition, mu: Partition, eta: Partition, nu: Partition) -> int:
     """Three-factor coefficient: sum over xi of c^xi_{lam,mu} c^nu_{xi,eta}."""
-    lam, mu, eta, nu = (Partition(p) for p in (lam, mu, eta, nu))
-    return _lr3(lam.parts, mu.parts, eta.parts, nu.parts)
-
-
-@lru_cache(maxsize=None)
-def _lr3(lam: tuple, mu: tuple, eta: tuple, nu: tuple) -> int:
+    lam, mu, eta, nu = (Partition(p).parts for p in (lam, mu, eta, nu))
     if sum(lam) + sum(mu) + sum(eta) != sum(nu):
         return 0
     mu, lam, eta = sorted((lam, mu, eta), key=sum)
     return sum(c * _skew(xi, lam).get(mu, 0) for xi, c in _skew(nu, eta).items())
-
-
-def _lr(lam: tuple, mu: tuple, nu: tuple) -> int:
-    if sum(lam) + sum(mu) != sum(nu):
-        return 0
-    return _skew(nu, lam).get(mu, 0)
 
 
 @lru_cache(maxsize=None)

@@ -12,13 +12,17 @@ cycle types of its class enumeration.  The induction multiplicity here sums
 character products over pairs of classes, where the library counts LR
 tableaux.  The diagram composition here runs a union-find on the vertices of
 the stacked picture, given as blocks, where the library joins block labels.
+The reduced Kronecker coefficient here is the source paper's positive sum of
+LR products and Kronecker coefficients, term by term, where the library
+contracts it to one sum over classes of character values.
 """
 
 from functools import lru_cache
 from math import factorial
 
-from kroncoef.partitions import Partition, _classes
-from kroncoef.sym_characters import _chars, _class_index
+from kroncoef.lr import lr_coeff3
+from kroncoef.partitions import Partition, _classes, partitions_of
+from kroncoef.sym_characters import _chars, _class_index, kron_oracle
 
 
 def lr_lattice(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -143,6 +147,37 @@ def induction_mult(lam: Partition, mu: Partition, nu: Partition) -> int:
     if rem:
         raise ArithmeticError("non-integral induction sum")
     return q
+
+
+def reduced_kron_lr_sum(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """The reduced Kronecker coefficient as the sum of
+    c^nu_{alpha beta pi} c^lam_{alpha rho gamma} c^mu_{gamma sigma beta} g_{rho sigma pi}
+    over |lam| + |mu| - |nu| = l1 + 2 l2, alpha |- |lam| - l1 - l2,
+    beta |- |mu| - l1 - l2, gamma |- l2 and rho, sigma, pi |- l1."""
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    excess = lam.size + mu.size - nu.size
+    total = 0
+    for l2 in range(excess // 2 + 1):
+        l1 = excess - 2 * l2
+        a, b = lam.size - l1 - l2, mu.size - l1 - l2
+        if a < 0 or b < 0:
+            continue
+        for alpha in partitions_of(a):
+            for beta in partitions_of(b):
+                for pi in partitions_of(l1):
+                    c_nu = lr_coeff3(alpha, beta, pi, nu)
+                    if not c_nu:
+                        continue
+                    for gamma in partitions_of(l2):
+                        for rho in partitions_of(l1):
+                            c_lam = lr_coeff3(alpha, rho, gamma, lam)
+                            if not c_lam:
+                                continue
+                            for sigma in partitions_of(l1):
+                                c_mu = lr_coeff3(gamma, sigma, beta, mu)
+                                if c_mu:
+                                    total += c_nu * c_lam * c_mu * kron_oracle(rho, sigma, pi)
+    return total
 
 
 def compose_union_find(x_blocks, y_blocks, r: int, k: int, m: int) -> tuple[int, str, int]:

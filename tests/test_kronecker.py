@@ -19,8 +19,9 @@ from kroncoef.kronecker import (
     valid_n_range,
 )
 from kroncoef.lr import lr_coeff
-from kroncoef.partitions import Partition, dagger, pad, partitions_of, partitions_up_to
+from kroncoef.partitions import Partition, block_chain, dagger, pad, partitions_of, partitions_up_to
 from kroncoef.sym_characters import kron_oracle
+from oracles import reduced_kron_lr_sum
 
 P = Partition
 
@@ -114,34 +115,39 @@ class TestRoutes:
             assert not isinstance(exc.value, FormulaRangeError)
 
     def test_blocks_and_dagger_do_not_use_the_oracle(self, monkeypatch):
-        # The LR sum needs characters only of S_l1 with l1 <= min(|lam|, |mu|),
-        # and no Kronecker coefficient; the stable-limit oracle would be
-        # evaluated at the stability bound.
+        # The class sum reads the characters of the reduced lam and mu and of
+        # the third factors the routes sum over, and calls no Kronecker
+        # coefficient.  A padded label is read only where it equals one of
+        # those, e.g. pad((1), 3) = (2, 1) = dagger(pad((1, 1), 3), 1).
         kroncoef.clear_caches()
-        oracle, degrees = [], []
+        oracle, chars = [], []
 
         def spy(real, seen):
             def call(lam, *rest):
-                seen.append(sum(lam))
+                seen.append(lam)
                 return real(lam, *rest)
 
             return call
 
         monkeypatch.setattr(kronecker, "_kron", spy(kronecker._kron, oracle))
-        monkeypatch.setattr(kronecker, "_chars", spy(kronecker._chars, degrees))
-        monkeypatch.setattr(kronecker, "_weighted", spy(kronecker._weighted, degrees))
+        monkeypatch.setattr(kronecker, "_chars", spy(kronecker._chars, chars))
         for lam, mu, nu, n in route_agreement_cases(2, 3):
-            start = len(degrees)
+            start = len(chars)
             kron_via_blocks(lam, mu, nu, n)
             kron_via_dagger(lam, mu, nu, n)
-            bound = min(reduce_mod_n(lam, n).size, reduce_mod_n(mu, n).size)
-            assert all(d <= bound for d in degrees[start:]), (lam, mu, nu, n, degrees[start:])
+            lam_r, mu_r, nu_r = (reduce_mod_n(p, n) for p in (lam, mu, nu))
+            padded = pad(nu_r, n)
+            allowed = {lam_r, mu_r, *block_chain(nu_r, n, lam_r.size + mu_r.size)}
+            allowed |= {dagger(padded, i) for i in range(len(pad(lam_r, n)) * len(pad(mu_r, n)))}
+            seen = set(map(P, chars[start:]))
+            assert seen <= allowed, (lam, mu, nu, n, seen - allowed)
         assert oracle == []
-        assert degrees
+        assert chars
 
     def test_non_integral_class_sum_raises(self, monkeypatch):
-        real = kronecker._weighted
-        monkeypatch.setattr(kronecker, "_weighted", lambda lam: (real(lam)[0] + 1,) + real(lam)[1:])
+        # chi^(2) becomes (2, 1), and the split l1 = 2 of (2)^3 sums to 9/2
+        real = kronecker._chars
+        monkeypatch.setattr(kronecker, "_chars", lambda lam: (real(lam)[0] + 1,) + real(lam)[1:])
         kroncoef.clear_caches()
         try:
             with pytest.raises(ArithmeticError, match="non-integral"):
@@ -206,6 +212,18 @@ class TestReducedViaLR:
     def test_staircase(self):
         stair = P([5, 4, 3, 2, 1])
         assert reduced_kron_via_lr(stair, stair, P([6, 5, 4, 3, 2, 1])) == 1719128856
+
+    def test_staircase_weight_28(self):
+        stair = P([6, 5, 4, 3, 2, 1])
+        assert reduced_kron_via_lr(stair, stair, P([7, 6, 5, 4, 3, 2, 1])) == 212078195940280
+
+    def test_paper_lr_sum_up_to_4(self):
+        # the source paper's positive sum of LR products, term by term
+        for lam in partitions_up_to(4):
+            for mu in partitions_up_to(4):
+                for w in range(lam.size + mu.size + 1):
+                    for nu in partitions_of(w):
+                        assert reduced_kron_via_lr(lam, mu, nu) == reduced_kron_lr_sum(lam, mu, nu), (lam, mu, nu)
 
     def test_agreement_small(self):
         for lam in partitions_up_to(3):
