@@ -12,16 +12,14 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
-from . import diagram_algebra as da
-from . import kronecker as kr
-from .lr import lr_coeff, lr_coeff3
+# each command imports the modules it calls, so that a process loads only those
 from .partitions import Partition, _partition_count, block_chain, dagger, pad, partitions_up_to
-from .sym_characters import character_table
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -73,6 +71,8 @@ def _emit_agreed(args, command: str, inputs: dict, routes: dict, start: float) -
 
 
 def cmd_kron(args) -> int:
+    from . import kronecker as kr
+
     lam, mu, nu = map(Partition.parse, (args.lam, args.mu, args.nu))
     start = time.perf_counter()
     routes = {}
@@ -93,6 +93,8 @@ def cmd_kron(args) -> int:
 
 
 def _closed_formula(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
+    from . import kronecker as kr
+
     nu = kr.reduce_mod_n(nu, n)
     if len(nu) <= 1:
         return kr.kron_two_row(lam, mu, nu.size, n)
@@ -102,6 +104,8 @@ def _closed_formula(lam: Partition, mu: Partition, nu: Partition, n: int) -> int
 
 
 def cmd_rkron(args) -> int:
+    from . import kronecker as kr
+
     lam, mu, nu = map(Partition.parse, (args.lam, args.mu, args.nu))
     start = time.perf_counter()
     routes = {}
@@ -117,6 +121,8 @@ def cmd_rkron(args) -> int:
 
 
 def cmd_lr(args) -> int:
+    from .lr import lr_coeff, lr_coeff3
+
     lam, mu, nu = map(Partition.parse, (args.lam, args.mu, args.nu))
     start = time.perf_counter()
     inputs = {"lambda": str(lam), "mu": str(mu), "nu": str(nu)}
@@ -165,11 +171,13 @@ def cmd_chain(args) -> int:
 
 
 def cmd_dagger(args) -> int:
+    from .kronecker import reduce_mod_n
+
     nu = Partition.parse(args.nu)
     # the i-th dagger partition has at least i parts
     if args.i > OUTPUT_BUDGET:
         raise ValueError(f"the dagger partition at --i {args.i} has more than {OUTPUT_BUDGET} parts")
-    padded = pad(kr.reduce_mod_n(nu, args.n), args.n)
+    padded = pad(reduce_mod_n(nu, args.n), args.n)
     start = time.perf_counter()
     result = dagger(padded, args.i)
     ms = (time.perf_counter() - start) * 1000
@@ -186,6 +194,8 @@ RESTRICT_MAX_PAIRS = 10**4
 
 
 def cmd_restrict(args) -> int:
+    from . import diagram_algebra as da
+
     nu = Partition.parse(args.nu)
     # (p(0) + ... + p(r)) * (p(0) + ... + p(s)) label pairs
     k = _first_past(max(args.r, args.s), RESTRICT_MAX_PAIRS, lambda c: sum(c[: args.r + 1]) * sum(c[: args.s + 1]))
@@ -201,6 +211,8 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    from . import diagram_algebra as da
+
     delta = _parse_rational(args.delta) if args.delta is not None else None
     t, z = da.compose(da.SetPartitionDiagram.parse(args.x), da.SetPartitionDiagram.parse(args.y))
     scalar = str(delta**t) if delta is not None else None
@@ -216,6 +228,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from . import diagram_algebra as da
+
     p_r, p_s, p_c, n_c = da.crossing_profile(da.SetPartitionDiagram.parse(args.d), args.r, args.s)
     if args.format == "json":
         print(json.dumps({"command": "profile", "p_r": p_r, "p_s": p_s, "p_c": p_c, "n_c": n_c}))
@@ -225,6 +239,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    from . import diagram_algebra as da
+
     # one row per partition of size <= r
     k = _first_past(args.r, OUTPUT_BUDGET, sum)
     if k is not None:
@@ -237,6 +253,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .sym_characters import character_table
+
     k = _first_past(args.n, OUTPUT_BUDGET, lambda c: c[-1] ** 2)
     if k is not None:
         raise ValueError(
@@ -253,6 +271,9 @@ def sweep_rows(max_weight: int, extra_n: int, dim_max: int, stab_max_n: int):
     extra_n past the stability bound), reduced routes, tensor-square
     stabilization for n = 2..stab_max_n and the standard-module dimension
     identity up to degree dim_max."""
+    from . import diagram_algebra as da
+    from . import kronecker as kr
+
     route_cases = list(kr.route_agreement_cases(max_weight, extra_n))
     for lam, mu, nu, n in route_cases:
         o, b, d = (route(lam, mu, nu, n) for route in (kr.kron_via_oracle, kr.kron_via_blocks, kr.kron_via_dagger))

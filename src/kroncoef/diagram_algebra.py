@@ -18,10 +18,10 @@ plain integers and bottom vertices primed, e.g.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from . import _memo
 from .kronecker import _reduced_kron
 from .partitions import Partition, partitions_up_to
 from .sym_characters import SpechtModel, _mat_mul, specht_dim, specht_model
@@ -279,7 +279,7 @@ def _label_tuples(k: int) -> list[tuple[int, ...]]:
     return tuples
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _stirling2(n: int, b: int) -> int:
     if n == 0:
         return 1 if b == 0 else 0

@@ -28,10 +28,10 @@ and its _restricted character tables, sym_characters._kron).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 from operator import mul
 
+from . import _memo
 from .partitions import Partition, _classes, _pad, block_chain, dagger, pad, partitions_of
 from .sym_characters import _chars, _class_index, _kron, kron_oracle
 
@@ -143,7 +143,7 @@ def reduced_kron_via_lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _reduced_kron(*(Partition(p).parts for p in (lam, mu, nu)))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
     """The sum of c^nu_{alpha beta pi} c^lam_{alpha rho gamma}
     c^mu_{gamma sigma beta} g_{rho sigma pi} over the splits (l1, l2, a, b)
@@ -181,7 +181,7 @@ def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _restricted(outer: tuple, x: int, y: int, c: int) -> tuple:
     """chi^outer restricted to S_x x S_y x S_c as nested tuples [C][sigma][omega]
     over the classes C of S_c, sigma of S_x and omega of S_y, each in the

@@ -16,8 +16,7 @@ smallest skew shapes by taking eta largest and lam the larger of the rest.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from . import _memo
 from .partitions import Partition
 
 
@@ -39,7 +38,7 @@ def lr_coeff3(lam: Partition, mu: Partition, eta: Partition, nu: Partition) -> i
     return sum(c * _skew(xi, lam).get(mu, 0) for xi, c in _skew(nu, eta).items())
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _skew(outer: tuple, inner: tuple) -> dict[tuple, int]:
     """{mu: c^outer_{inner,mu}} over the mu with a nonzero coefficient: the
     expansion of the skew Schur function s_{outer/inner}.  The cached dict

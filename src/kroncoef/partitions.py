@@ -12,10 +12,11 @@ symmetric group; partitions_of reads its cycle types.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import takewhile
 from math import factorial
 from typing import Iterable, Iterator
+
+from . import _memo
 
 
 class Partition:
@@ -229,7 +230,7 @@ def dagger(padded: Partition, i: int) -> Partition:
     return Partition(head + list(rows[i + 1:]))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _partition_count(m: int, t: int) -> int:
     """Number of partitions of m with every part <= t; p(m) is
     _partition_count(m, m)."""
@@ -241,7 +242,7 @@ def _partition_count(m: int, t: int) -> int:
     return _partition_count(m, t - 1) + _partition_count(m - t, t)
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _classes(n: int) -> tuple[tuple[tuple, int], ...]:
     """(cycle type, class size) of every class of S_n, the cycle types as
     parts tuples in ascending lexicographic order; empty for n < 0.
@@ -262,14 +263,14 @@ def _classes(n: int) -> tuple[tuple[tuple, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@_memo
 def partitions_of(k: int) -> tuple[Partition, ...]:
     """All partitions of k, sorted: the cycle types of _classes(k), whose
     lexicographic order is the (size, parts) order of Partition."""
     return tuple(Partition(rho) for rho, _size in _classes(k))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def partitions_up_to(r: int) -> tuple[Partition, ...]:
     """All partitions of size <= r (the label set of degree-r standard
     modules), sorted by (size, parts)."""

@@ -11,11 +11,11 @@ straightening in dominance order.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, product
 from math import factorial
 from operator import add, mul, sub
 
+from . import _memo
 from .partitions import Partition, _classes, _partition_count, partitions_of
 
 SPECHT_CAP = 7
@@ -55,7 +55,7 @@ def class_size(rho: Partition) -> int:
     return factorial(rho.size) // z
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _class_index(n: int) -> dict[tuple, int]:
     """Position of each cycle type of S_n in _classes(n)."""
     return {rho: i for i, (rho, _size) in enumerate(_classes(n))}
@@ -126,7 +126,7 @@ def _kron(lam: tuple, mu: tuple, nu: tuple) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _chars(lam: tuple) -> tuple[int, ...]:
     """chi^lam on every class of S_|lam|, in the order of _classes."""
     n = sum(lam)
@@ -136,7 +136,7 @@ def _chars(lam: tuple) -> tuple[int, ...]:
     return values
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _upto(lam: tuple, t: int) -> tuple[int, ...]:
     """chi^lam on the classes whose parts are all <= t, in the order of
     _classes: the blocks of first part 1, 2, ..., min(t, |lam|) in turn.
@@ -150,7 +150,7 @@ def _upto(lam: tuple, t: int) -> tuple[int, ...]:
     return tuple(chain.from_iterable(_block(lam, u) for u in range(1, min(t, sum(lam)) + 1)))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _block(lam: tuple, t: int) -> tuple[int, ...]:
     """chi^lam on the classes of first part t <= |lam|, by the
     Murnaghan-Nakayama rule: the sum over the border strips of length t,
@@ -179,7 +179,7 @@ def _block(lam: tuple, t: int) -> tuple[int, ...]:
     return tuple(total)
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _weighted(lam: tuple) -> tuple[int, ...]:
     """|C_rho| chi^lam(rho) on every class, in the order of _classes."""
     return tuple(size * c for (_rho, size), c in zip(_classes(sum(lam)), _chars(lam)))
@@ -336,7 +336,7 @@ def _mat_mul(a, b):
     )
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _specht_model_cached(parts: tuple) -> SpechtModel:
     return SpechtModel(Partition(parts))
 

@@ -2,7 +2,11 @@
 kroncoef.cache_stats reports on every one of them."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import kroncoef
 from kroncoef import Partition as P
@@ -69,3 +73,20 @@ def test_cache_stats_reports_every_cache():
         assert info.currsize, name
     kroncoef.clear_caches()
     assert all(entry == {"hits": 0, "misses": 0, "currsize": 0} for entry in kroncoef.cache_stats().values())
+
+
+def test_registry_holds_a_cache_that_was_patched_before_first_use():
+    # a fresh process, so that nothing has read the registry before the patch
+    code = (
+        "import json, kroncoef\n"
+        "from kroncoef import sym_characters\n"
+        "sym_characters._chars = lambda lam: ()\n"
+        "kroncoef.clear_caches()\n"
+        "print(json.dumps(kroncoef.cache_stats()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(proc.stdout)
+    assert {"partitions._classes", "sym_characters._chars", "sym_characters._weighted"} <= set(stats)
+    assert "kronecker._reduced_kron" not in stats, "only the loaded modules report"

@@ -380,6 +380,38 @@ def test_import_loads_no_dataclasses():
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
+# an import or the argv of one command, run in a fresh process, and the
+# package modules and watched standard modules it leaves loaded
+CLI = {"cli", "partitions"}
+KRON = CLI | {"sym_characters", "kronecker"}
+DIAGRAM = KRON | {"diagram_algebra", "fractions"}
+FOOTPRINTS = [
+    ("import kroncoef", set()),
+    ("import kroncoef.cli", CLI),
+    (["kron", "[1]", "[1]", "[2]", "--n", "4"], KRON),
+    (["rkron", "[1]", "[1]", "[2]"], KRON),
+    (["dagger", "[1]", "--n", "4", "--i", "2"], KRON),
+    (["lr", "[1]", "[1]", "[2]"], CLI | {"lr"}),
+    (["table", "--n", "3"], CLI | {"sym_characters"}),
+    (["chain", "[1]", "--n", "4", "--r", "3"], CLI),
+    (["restrict", "[1]", "--r", "1", "--s", "1"], DIAGRAM),
+    (["diagram", "dims", "--r", "2"], DIAGRAM),
+]
+WATCHED = ("dataclasses", "inspect", "fractions")
+
+
+@pytest.mark.parametrize(
+    "run, loaded", FOOTPRINTS, ids=[run if isinstance(run, str) else " ".join(run) for run, _ in FOOTPRINTS]
+)
+def test_import_footprint(run, loaded):
+    statement = run if isinstance(run, str) else f"from kroncoef.cli import main; main({run!r})"
+    listing = f"sorted(m.removeprefix('kroncoef.') for m in sys.modules if m.startswith('kroncoef.') or m in {WATCHED})"
+    code = f"import sys\n{statement}\nprint({listing})"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(sorted(loaded))
+
+
 def readme_commands() -> list[list[str]]:
     """The arguments of every kroncoef line in the README's CLI block."""
     with open(os.path.join(ROOT, "README.md")) as fh:

@@ -1,20 +1,22 @@
-"""Every name a module imports is used in it.
-
-The package's __init__.py is exempt: its imports are the public API.
-"""
+"""Every name a module imports is used in it, and every public name of the
+package resolves to the object its module defines: the package's
+__init__.py names its public API in a table and imports a module on first
+use of one of its names."""
 
 import ast
 import glob
+import importlib
 import os
 
 import pytest
+
+import kroncoef
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 FILES = sorted(
     path
     for pattern in ("src/kroncoef/*.py", "tests/*.py")
     for path in glob.glob(os.path.join(ROOT, pattern))
-    if os.path.basename(path) != "__init__.py"
 )
 
 
@@ -44,3 +46,29 @@ def test_the_scan_sees_an_unused_import():
 def test_no_unused_import(path):
     with open(path, encoding="utf-8") as handle:
         assert unused_imports(handle.read()) == []
+
+
+
+def test_public_names_resolve_to_their_modules():
+    """Each name of the table is the attribute of the module named for it."""
+    wrong = [
+        f"{module}.{name}"
+        for module, names in kroncoef._PUBLIC.items()
+        for name in names
+        if getattr(kroncoef, name) is not getattr(importlib.import_module(f"kroncoef.{module}"), name)
+    ]
+    assert wrong == []
+    for module in kroncoef._PUBLIC:
+        assert getattr(kroncoef, module) is importlib.import_module(f"kroncoef.{module}")
+
+
+def test_public_names_are_listed():
+    names = [*kroncoef._PUBLIC, *kroncoef._MODULE_OF, "cache_stats", "clear_caches"]
+    assert sorted(kroncoef.__all__) == sorted(set(names))
+    assert set(names) <= set(dir(kroncoef))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'kron_via_nothing'"):
+        kroncoef.kron_via_nothing
+    assert not hasattr(kroncoef, "_chars")
