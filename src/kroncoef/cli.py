@@ -14,7 +14,7 @@ import sys
 import time
 
 # each command imports the modules it calls, so that a process loads only those
-from .partitions import Partition, _partition_count, block_chain, dagger, pad, partitions_up_to
+from .partitions import Partition, _partition_count, block_chain, dagger, pad, partitions_of, partitions_up_to
 
 
 def _parse_rational(text: str):
@@ -265,27 +265,47 @@ def cmd_table(args) -> int:
     return 0
 
 
+def route_cases(max_weight: int, extra_n: int):
+    """The (lam, mu, nu, n) of the route rows: |lam|, |mu| <= max_weight (none
+    when it is negative), |nu| <= |lam| + |mu|, and every n of
+    kronecker.valid_n_range(lam, mu, nu, extra_n)."""
+    from .kronecker import valid_n_range
+
+    small = partitions_up_to(max_weight)
+    for lam in small:
+        for mu in small:
+            for nu in partitions_up_to(lam.size + mu.size):
+                for n in valid_n_range(lam, mu, nu, extra_n):
+                    yield lam, mu, nu, n
+
+
 def sweep_rows(max_weight: int, extra_n: int, dim_max: int, stab_max_n: int):
     """Deterministically ordered (check, case, values, ok) rows of the
-    verification sweep: route agreement (|lam|, |mu| <= max_weight, n up to
-    extra_n past the stability bound), reduced routes, tensor-square
-    stabilization for n = 2..stab_max_n and the standard-module dimension
-    identity up to degree dim_max."""
+    verification sweep: route agreement on route_cases(max_weight, extra_n),
+    reduced routes on their triples, tensor-square stabilization for
+    n = 2..stab_max_n and the standard-module dimension identity up to
+    degree dim_max."""
     from . import diagram_algebra as da
     from . import kronecker as kr
+    from .sym_characters import kron_oracle
 
-    route_cases = list(kr.route_agreement_cases(max_weight, extra_n))
-    for lam, mu, nu, n in route_cases:
+    cases = list(route_cases(max_weight, extra_n))
+    for lam, mu, nu, n in cases:
         o, b, d = (route(lam, mu, nu, n) for route in (kr.kron_via_oracle, kr.kron_via_blocks, kr.kron_via_dagger))
         yield "kron_routes", f"{lam} {mu} {nu} n={n}", f"oracle={o} blocks={b} dagger={d}", o == b == d
 
-    for lam, mu, nu in dict.fromkeys(case[:3] for case in route_cases):
+    for lam, mu, nu in dict.fromkeys(case[:3] for case in cases):
         stable, lr = kr.reduced_kron(lam, mu, nu), kr.reduced_kron_via_lr(lam, mu, nu)
         yield "reduced_routes", f"{lam} {mu} {nu}", f"stable={stable} lr={lr}", stable == lr
 
+    # the tensor square of the Specht module [n-1,1] from the character
+    # oracle, against its stable decomposition: [n], [n-1,1], [n-2,2] and
+    # [n-2,1,1], each once, with the shorter lists at n = 2 and n = 3
     for n in range(2, stab_max_n + 1):
-        got = kr.tensor_square_decomposition(n)
-        want = kr.expected_tensor_square(n)
+        hook = Partition([n - 1, 1])
+        got = {nu: g for nu in partitions_of(n) if (g := kron_oracle(hook, hook, nu))}
+        shapes = {2: [[2]], 3: [[3], [2, 1], [1, 1, 1]]}.get(n, [[n], [n - 1, 1], [n - 2, 2], [n - 2, 1, 1]])
+        want = dict.fromkeys(map(Partition, shapes), 1)
         yield (
             "stabilization",
             f"n={n}",
@@ -295,11 +315,14 @@ def sweep_rows(max_weight: int, extra_n: int, dim_max: int, stab_max_n: int):
 
     # dim Delta_{r+s}(nu) against the restriction-weighted sum of products
     # of the dimensions of the degree r and degree s standard modules
-    for nu, r, s in da.dimension_identity_cases(dim_max):
-        dim = da.dim_standard(r + s, nu)
-        table = da.restriction_table(nu, r, s)
-        filtration = sum(c * da.dim_standard(r, lam) * da.dim_standard(s, mu) for (lam, mu), c in table.items())
-        yield "dim_identity", f"{nu} r={r} s={s}", f"dim={dim} filtration={filtration}", dim == filtration
+    for m in range(2, dim_max + 1):
+        for r in range(1, m):
+            s = m - r
+            for nu in partitions_up_to(m):
+                dim = da.dim_standard(m, nu)
+                table = da.restriction_table(nu, r, s)
+                filtration = sum(c * da.dim_standard(r, lam) * da.dim_standard(s, mu) for (lam, mu), c in table.items())
+                yield "dim_identity", f"{nu} r={r} s={s}", f"dim={dim} filtration={filtration}", dim == filtration
 
 
 def cmd_sweep(args) -> int:

@@ -132,7 +132,7 @@ class SetPartitionDiagram:
 
 
 def identity_diagram(r: int) -> SetPartitionDiagram:
-    return SetPartitionDiagram(r, r, [[i, -i] for i in range(1, r + 1)])
+    return permutation_diagram(tuple(range(1, r + 1)))
 
 
 def permutation_diagram(sigma: tuple[int, ...]) -> SetPartitionDiagram:
@@ -249,9 +249,9 @@ def generator_s(i: int, j: int, r: int, delta) -> AlgebraElement:
     """The transposition diagram swapping strands i and j."""
     if not 1 <= i < j <= r:
         raise ValueError(f"need 1 <= i < j <= r, got ({i},{j},{r})")
-    blocks = [[k, -k] for k in range(1, r + 1) if k not in (i, j)]
-    blocks += [[i, -j], [j, -i]]
-    return AlgebraElement.from_diagram(SetPartitionDiagram(r, r, blocks), delta)
+    sigma = list(range(1, r + 1))
+    sigma[i - 1], sigma[j - 1] = j, i
+    return AlgebraElement.from_diagram(permutation_diagram(tuple(sigma)), delta)
 
 
 def generator_e(l: int, r: int, delta) -> AlgebraElement:
@@ -475,12 +475,3 @@ def restriction_table(nu: Partition, r: int, s: int) -> dict[tuple[Partition, Pa
                 out[(lam, mu)] = c
     return out
 
-
-def dimension_identity_cases(max_m: int):
-    """Yield (nu, r, s) for the filtration dimension certificate up to
-    degree max_m."""
-    for m in range(2, max_m + 1):
-        for r in range(1, m):
-            s = m - r
-            for nu in partitions_up_to(m):
-                yield nu, r, s

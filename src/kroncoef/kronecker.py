@@ -1,4 +1,4 @@
-"""Kronecker and reduced Kronecker coefficients by several independent routes.
+"""Kronecker and reduced Kronecker coefficients by several routes.
 
 Routes implemented side by side so they can be cross-checked:
 
@@ -13,9 +13,14 @@ The block chain and dagger routes and the closed formulas take their reduced
 coefficients from one cached kernel, _reduced_kron, the positive quadruple sum
 of Littlewood-Richardson products of the source paper contracted in class
 space: one sum of products of character values of lam, mu and nu, with no LR
-coefficient and no Kronecker coefficient.
-reduced_kron, the character oracle at the stability bound, is kept as its
-comparator; it and kron_via_oracle are the callers of sym_characters._kron.
+coefficient and no Kronecker coefficient.  The chain and dagger sums run over
+the same partitions, so they are two readings of one kernel sum; only the
+character oracle is independent of it.
+reduced_kron, the character oracle at the stability bound, is kept as the
+kernel's comparator; it and kron_via_oracle are the callers of
+sym_characters._kron.  valid_n_range is the range of n of a triple, from its
+first padding to past the stability bound; which triples the verification
+sweep checks is decided by kroncoef.cli.sweep_rows.
 
 Arguments may be given either as reduced partitions (padded internally with a
 first row of n - |.|) or as partitions of n; a partition whose size equals n
@@ -32,8 +37,8 @@ from math import factorial
 from operator import mul
 
 from . import _memo
-from .partitions import Partition, _classes, _pad, block_chain, dagger, pad, partitions_of
-from .sym_characters import _chars, _class_index, _kron, kron_oracle
+from .partitions import Partition, _classes, _pad, block_chain, dagger, pad
+from .sym_characters import _chars, _class_index, _kron
 
 
 class FormulaRangeError(ValueError):
@@ -59,6 +64,12 @@ def _first_n(lam: tuple, mu: tuple, nu: tuple) -> int:
 
 def _first(parts: tuple) -> int:
     return parts[0] if parts else 0
+
+
+def valid_n_range(lam: Partition, mu: Partition, nu: Partition, extra_n: int) -> range:
+    """All n from the first padding-valid value to stability_bound + extra_n."""
+    lam, mu, nu = (Partition(p).parts for p in (lam, mu, nu))
+    return range(_first_n(lam, mu, nu), _stability_bound(lam, mu, nu) + extra_n + 1)
 
 
 def reduce_mod_n(p: Partition, n: int) -> Partition:
@@ -250,55 +261,3 @@ def _l_splits(l: int, r: int, s: int):
         if a >= 0 and b >= 0:
             yield l1, l2, a, b
 
-
-# ---------------------------------------------------------------------------
-# Route-agreement sweep machinery (shared by the CLI and the acceptance suite)
-# ---------------------------------------------------------------------------
-
-
-def valid_n_range(lam: Partition, mu: Partition, nu: Partition, extra_n: int) -> range:
-    """All n from the first padding-valid value to stability_bound + extra_n."""
-    lam, mu, nu = (Partition(p).parts for p in (lam, mu, nu))
-    return range(_first_n(lam, mu, nu), _stability_bound(lam, mu, nu) + extra_n + 1)
-
-
-def route_agreement_cases(max_weight: int, extra_n: int):
-    """Yield (lam, mu, nu, n) quadruples for the triple-route comparison:
-    |lam|, |mu| <= max_weight (none when it is negative), |nu| <= |lam| + |mu|,
-    and every n of valid_n_range(lam, mu, nu, extra_n)."""
-    small = [p for w in range(max_weight + 1) for p in partitions_of(w)]
-    for lam in small:
-        for mu in small:
-            for w in range(lam.size + mu.size + 1):
-                for nu in partitions_of(w):
-                    for n in valid_n_range(lam, mu, nu, extra_n):
-                        yield lam, mu, nu, n
-
-
-def tensor_square_decomposition(n: int) -> dict[Partition, int]:
-    """Nonzero multiplicities in the tensor square of the Specht module
-    labelled (n-1, 1), straight from the character oracle."""
-    if n < 2:
-        raise ValueError("tensor square of (n-1,1) needs n >= 2")
-    hook = Partition([n - 1, 1])
-    out = {}
-    for nu in partitions_of(n):
-        g = kron_oracle(hook, hook, nu)
-        if g:
-            out[nu] = g
-    return out
-
-
-def expected_tensor_square(n: int) -> dict[Partition, int]:
-    """The stabilized decomposition: four constituents once n reaches 4, with
-    the shorter lists at n = 2 and n = 3."""
-    if n == 2:
-        return {Partition([2]): 1}
-    if n == 3:
-        return {Partition([3]): 1, Partition([2, 1]): 1, Partition([1, 1, 1]): 1}
-    return {
-        Partition([n]): 1,
-        Partition([n - 1, 1]): 1,
-        Partition([n - 2, 1, 1]): 1,
-        Partition([n - 2, 2]): 1,
-    }

@@ -132,14 +132,7 @@ def _pad(parts: tuple, n: int) -> tuple:
 def is_n_pair(mu: Partition, lam: Partition, n: int) -> bool:
     """True iff lam/mu is a one-row horizontal strip whose rightmost box has
     content n - |mu|."""
-    mu, lam = Partition(mu), Partition(lam)
-    if mu == lam or not lam.contains(mu):
-        return False
-    changed = [i for i in range(1, len(lam) + 1) if lam.row(i) != mu.row(i)]
-    if len(changed) != 1:
-        return False
-    i = changed[0]
-    return lam.row(i) - i == n - mu.size
+    return _successor(Partition(mu).parts, n) == Partition(lam).parts
 
 
 def n_pair_successor(nu: Partition, n: int) -> Partition | None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -8,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from kroncoef import kronecker
+from kroncoef import cli, kronecker
 from kroncoef.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -274,6 +275,13 @@ class TestTable:
 
 SMALL_SWEEP = ("--max-weight", "1", "--extra-n", "1", "--dim-max", "3", "--stab-max-n", "4")
 SWEEP_CHECKS = ("kron_routes", "reduced_routes", "stabilization", "dim_identity")
+# the default sweep, sweep_rows(4, 3, 6, 8): the SHA-256 of its stdout in each
+# format, and the summary's row counts
+DEFAULT_SWEEP_SHA256 = {
+    "tsv": "c9f5b9b85aa542daf239834daa7fa65a34c85257816e92bd8c94dbc7efb0d5e4",
+    "json": "01aea4b77042af2f8079ba26271851a14ae9a115efc5f4d5f7b43162cd898738",
+}
+DEFAULT_SWEEP_ROWS = {"kron_routes": 20673, "reduced_routes": 4638, "stabilization": 7, "dim_identity": 280}
 
 
 class TestSweep:
@@ -312,6 +320,22 @@ class TestSweep:
         assert list(summary["rows"]) == list(SWEEP_CHECKS)
         assert summary["rows"] == Counter(checks) and all(summary["rows"].values())
         assert summary["failed"] == 0 and summary["seconds"] >= 0 and summary["rows_per_s"] > 0
+
+    def test_default_sweep_is_pinned(self, capsys, monkeypatch):
+        # the rows are computed once and replayed to both formats
+        rows = list(cli.sweep_rows(4, 3, 6, 8))
+
+        def replay(*bounds):
+            assert bounds == (4, 3, 6, 8)
+            return iter(rows)
+
+        monkeypatch.setattr(cli, "sweep_rows", replay)
+        for fmt, digest in DEFAULT_SWEEP_SHA256.items():
+            code, out, err = run(capsys, "--format", fmt, "sweep")
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+            summary = json.loads(err)
+            assert summary["rows"] == DEFAULT_SWEEP_ROWS and summary["failed"] == 0
 
     def test_failing_row(self, capsys, monkeypatch):
         real = kronecker.kron_via_dagger

@@ -2,27 +2,36 @@
 the route-agreement sweep is a cross-check only if the routes do not share
 their answer."""
 
+from contextlib import contextmanager
+
 import pytest
+import test_lr
 
 import kroncoef
-from kroncoef import Partition, kronecker, sym_characters
+from kroncoef import Partition, diagram_algebra, kronecker, lr, sym_characters
 from kroncoef.cli import sweep_rows
 from kroncoef.partitions import block_chain, dagger
 
 
-def flagged(monkeypatch, patches) -> dict[str, int]:
-    """The failed rows of each check of the 3/2/4/6 sweep with every
-    (module, name, value) of patches set, caches cleared around it."""
+@contextmanager
+def seeded(monkeypatch, patches):
+    """Every (module, name, value) of patches set, caches cleared around it."""
     for module, name, value in patches:
         monkeypatch.setattr(module, name, value)
     kroncoef.clear_caches()
-    rows = dict.fromkeys(("kron_routes", "reduced_routes", "stabilization", "dim_identity"), 0)
     try:
-        for check, _case, _values, ok in sweep_rows(3, 2, 4, 6):
-            rows[check] += not ok
+        yield
     finally:
         monkeypatch.undo()
         kroncoef.clear_caches()
+
+
+def flagged(monkeypatch, patches) -> dict[str, int]:
+    """The failed rows of each check of the 3/2/4/6 sweep under patches."""
+    rows = dict.fromkeys(("kron_routes", "reduced_routes", "stabilization", "dim_identity"), 0)
+    with seeded(monkeypatch, patches):
+        for check, _case, _values, ok in sweep_rows(3, 2, 4, 6):
+            rows[check] += not ok
     return rows
 
 
@@ -65,3 +74,55 @@ def test_route_fault_is_flagged(monkeypatch, name, fault):
     # flags 219 and 234 kron_routes rows
     rows = flagged(monkeypatch, [(kronecker, name, fault)])
     assert rows["kron_routes"], rows
+
+
+REAL_CHARS, REAL_REDUCED_KRON, REAL_SKEW = sym_characters._chars, kronecker._reduced_kron, lr._skew
+
+
+def chars_sign_flipped(lam):
+    # chi^(2) on the class (2) negated: chi^(2) reads as chi^(1,1)
+    values = REAL_CHARS(lam)
+    return (values[0], -values[1]) if lam == (2,) else values
+
+
+def reduced_kron_raised(lam, mu, nu):
+    # gbar((1),(1),(2)) = 1 read as 2; every other order of the triple
+    # recurses into this one
+    return REAL_REDUCED_KRON(lam, mu, nu) + ((lam, mu, nu) == ((1,), (1,), (2,)))
+
+
+def skew_raised(outer, inner):
+    # c^(2,1)_{(1),(2)} = 1 read as 2, on a copy of the shared cached dict
+    expansion = REAL_SKEW(outer, inner)
+    if (outer, inner) == ((2, 1), (1,)):
+        expansion = {**expansion, (2,): expansion[(2,)] + 1}
+    return expansion
+
+
+@pytest.mark.parametrize(
+    "patches, caught_by",
+    [
+        # 215 kron_routes, 63 reduced_routes, 1 stabilization and 26 dim_identity rows
+        (
+            [(sym_characters, "_chars", chars_sign_flipped), (kronecker, "_chars", chars_sign_flipped)],
+            ("kron_routes", "reduced_routes", "stabilization", "dim_identity"),
+        ),
+        # 10 kron_routes, 3 reduced_routes and 11 dim_identity rows
+        (
+            [(kronecker, "_reduced_kron", reduced_kron_raised), (diagram_algebra, "_reduced_kron", reduced_kron_raised)],
+            ("kron_routes", "reduced_routes", "dim_identity"),
+        ),
+        # the sweep reads no LR coefficient and flags no row: a direct test must fail
+        ([(lr, "_skew", skew_raised)], test_lr.test_matches_lattice_word_count_up_to_8),
+    ],
+    ids=["_chars one sign flip", "_reduced_kron + 1 on one triple", "_skew + 1 on one coefficient"],
+)
+def test_layer_fault_is_caught(monkeypatch, patches, caught_by):
+    """Each fault names what must catch it: the sweep checks that must flag
+    rows, or a direct test, run as a function, that must fail."""
+    if callable(caught_by):
+        with seeded(monkeypatch, patches), pytest.raises(AssertionError):
+            caught_by()
+    else:
+        rows = flagged(monkeypatch, patches)
+        assert all(rows[check] for check in caught_by), rows

@@ -7,6 +7,7 @@ import ast
 import glob
 import importlib
 import os
+from collections import Counter
 
 import pytest
 
@@ -46,6 +47,51 @@ def test_the_scan_sees_an_unused_import():
 def test_no_unused_import(path):
     with open(path, encoding="utf-8") as handle:
         assert unused_imports(handle.read()) == []
+
+
+def _referenced(tree) -> list[str]:
+    """Every name read in tree, as a Name or as an Attribute."""
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
+def dead_private_functions(sources: dict[str, str]) -> list[str]:
+    """The private functions and methods (one leading underscore) of sources,
+    by file name, that nothing in sources references outside their own
+    definition: a recursive call does not count."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    references = Counter(ref for tree in trees.values() for ref in _referenced(tree))
+    return [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and references[node.name] == _referenced(node).count(node.name)
+    ]
+
+
+def test_the_scan_sees_a_dead_helper():
+    sources = {
+        "a.py": "def _dead(n):\n    return _dead(n - 1)\n\ndef _used():\n    pass\n\nclass C:\n    def _m(self):\n        pass\n",
+        "b.py": "from a import _used\n_used()\n",
+    }
+    assert dead_private_functions(sources) == ["a.py:1 _dead", "a.py:8 _m"]
+    sources["b.py"] += "C()._m()\n"
+    assert dead_private_functions(sources) == ["a.py:1 _dead"]
+
+
+def test_no_dead_private_function():
+    sources = {}
+    for path in FILES:
+        if path.startswith(os.path.join(ROOT, "src")):
+            with open(path, encoding="utf-8") as handle:
+                sources[os.path.relpath(path, ROOT)] = handle.read()
+    assert dead_private_functions(sources) == []
 
 
 

@@ -4,7 +4,6 @@ import kroncoef
 from kroncoef import kronecker
 from kroncoef.kronecker import (
     FormulaRangeError,
-    expected_tensor_square,
     kron_hook,
     kron_two_row,
     kron_via_blocks,
@@ -13,11 +12,10 @@ from kroncoef.kronecker import (
     reduce_mod_n,
     reduced_kron,
     reduced_kron_via_lr,
-    route_agreement_cases,
     stability_bound,
-    tensor_square_decomposition,
     valid_n_range,
 )
+from kroncoef.cli import route_cases, sweep_rows
 from kroncoef.lr import lr_coeff
 from kroncoef.partitions import Partition, block_chain, dagger, pad, partitions_of, partitions_up_to
 from kroncoef.sym_characters import kron_oracle
@@ -131,7 +129,7 @@ class TestRoutes:
 
         monkeypatch.setattr(kronecker, "_kron", spy(kronecker._kron, oracle))
         monkeypatch.setattr(kronecker, "_chars", spy(kronecker._chars, chars))
-        for lam, mu, nu, n in route_agreement_cases(2, 3):
+        for lam, mu, nu, n in route_cases(2, 3):
             start = len(chars)
             kron_via_blocks(lam, mu, nu, n)
             kron_via_dagger(lam, mu, nu, n)
@@ -156,13 +154,13 @@ class TestRoutes:
             kroncoef.clear_caches()
 
     def test_route_agreement_small(self):
-        for lam, mu, nu, n in route_agreement_cases(2, 2):
+        for lam, mu, nu, n in route_cases(2, 2):
             oracle = kron_via_oracle(lam, mu, nu, n)
             assert kron_via_blocks(lam, mu, nu, n) == kron_via_dagger(lam, mu, nu, n) == oracle, (lam, mu, nu, n)
 
     def test_dagger_truncation_is_exact(self):
         # the untruncated sum over all len(pad(lam)) * len(pad(mu)) terms
-        for lam, mu, nu, n in route_agreement_cases(3, 3):
+        for lam, mu, nu, n in route_cases(3, 3):
             lam_r, mu_r, nu_r = (reduce_mod_n(p, n) for p in (lam, mu, nu))
             nu_padded = pad(nu_r, n)
             count = len(pad(lam_r, n)) * len(pad(mu_r, n))
@@ -302,5 +300,11 @@ class TestClosedFormulas:
 
 class TestTensorSquare:
     def test_stabilization_sequence(self):
-        for n in range(2, 9):
-            assert tensor_square_decomposition(n) == expected_tensor_square(n), n
+        rows = list(sweep_rows(-1, 0, 0, 8))
+        assert [(check, case, ok) for check, case, _values, ok in rows] == [
+            ("stabilization", f"n={n}", True) for n in range(2, 9)
+        ]
+        assert rows[0][2] == "decomposition=[2]:1"
+        assert rows[1][2] == "decomposition=[1,1,1]:1;[2,1]:1;[3]:1"
+        for n, (_check, _case, values, _ok) in enumerate(rows[2:], 4):
+            assert values == f"decomposition=[{n - 2},1,1]:1;[{n - 2},2]:1;[{n - 1},1]:1;[{n}]:1", n
