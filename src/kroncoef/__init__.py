@@ -28,9 +28,8 @@ _PUBLIC = {
     ),
     "kronecker": (
         "FormulaRangeError",
-        "kron_hook",
-        "kron_two_row",
         "kron_via_blocks",
+        "kron_via_closed",
         "kron_via_dagger",
         "kron_via_oracle",
         "reduced_kron",

@@ -14,7 +14,7 @@ import sys
 import time
 
 # each command imports the modules it calls, so that a process loads only those
-from .partitions import Partition, _partition_count, block_chain, dagger, pad, partitions_of, partitions_up_to
+from .partitions import Partition, _partition_count, _reduce, block_chain, dagger, pad, partitions_of, partitions_up_to
 
 
 def _parse_rational(text: str):
@@ -70,37 +70,25 @@ def _emit_agreed(args, command: str, inputs: dict, routes: dict, start: float) -
     return 0
 
 
+# kron --route R runs kronecker.kron_via_R; all runs every route but closed
+KRON_ROUTES = ("oracle", "blocks", "dagger", "closed")
+
+
 def cmd_kron(args) -> int:
     from . import kronecker as kr
 
     lam, mu, nu = map(Partition.parse, (args.lam, args.mu, args.nu))
     start = time.perf_counter()
     routes = {}
-    if args.route in ("all", "oracle"):
-        _refuse_past_oracle_cap(args.n, f"the oracle route at --n {args.n}", "--route blocks or --route dagger")
-        routes["oracle"] = kr.kron_via_oracle(lam, mu, nu, args.n)
-    if args.route in ("all", "blocks"):
-        routes["blocks"] = kr.kron_via_blocks(lam, mu, nu, args.n)
-    if args.route in ("all", "dagger"):
-        routes["dagger"] = kr.kron_via_dagger(lam, mu, nu, args.n)
-    if args.route == "closed":
+    for route in KRON_ROUTES[:3] if args.route == "all" else (args.route,):
+        if route == "oracle":
+            _refuse_past_oracle_cap(args.n, f"the oracle route at --n {args.n}", "--route blocks or --route dagger")
         try:
-            routes["closed"] = _closed_formula(lam, mu, nu, args.n)
+            routes[route] = getattr(kr, f"kron_via_{route}")(lam, mu, nu, args.n)
         except kr.FormulaRangeError as exc:
             raise ValueError(f"{exc} (--route dagger sums every term)")
     inputs = {"lambda": str(lam), "mu": str(mu), "nu": str(nu), "n": args.n}
     return _emit_agreed(args, "kron", inputs, routes, start)
-
-
-def _closed_formula(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
-    from . import kronecker as kr
-
-    nu = kr.reduce_mod_n(nu, n)
-    if len(nu) <= 1:
-        return kr.kron_two_row(lam, mu, nu.size, n)
-    if nu.row(1) == 1:
-        return kr.kron_hook(lam, mu, nu.size, n)
-    raise kr.FormulaRangeError(f"no closed formula: {nu} padded is neither two-row nor hook")
 
 
 def cmd_rkron(args) -> int:
@@ -171,20 +159,15 @@ def cmd_chain(args) -> int:
 
 
 def cmd_dagger(args) -> int:
-    from .kronecker import reduce_mod_n
-
     nu = Partition.parse(args.nu)
     # the i-th dagger partition has at least i parts
     if args.i > OUTPUT_BUDGET:
         raise ValueError(f"the dagger partition at --i {args.i} has more than {OUTPUT_BUDGET} parts")
-    padded = pad(reduce_mod_n(nu, args.n), args.n)
+    padded = pad(_reduce(nu, args.n), args.n)
     start = time.perf_counter()
     result = dagger(padded, args.i)
     ms = (time.perf_counter() - start) * 1000
-    if args.format == "human":
-        print(result)
-    else:
-        _emit_value(args.format, "dagger", {"nu": str(nu), "n": args.n, "i": args.i}, "dagger", str(result), ms)
+    _emit_value(args.format, "dagger", {"nu": str(nu), "n": args.n, "i": args.i}, "dagger", str(result), ms)
     return 0
 
 
@@ -279,6 +262,16 @@ def route_cases(max_weight: int, extra_n: int):
                     yield lam, mu, nu, n
 
 
+def _row(check: str, case: str, compute, *args) -> tuple:
+    """The sweep row (check, case, values, ok), (values, ok) = compute(*args).
+    An ArithmeticError, such as a non-integral class sum, fails the row with
+    its message as the values, and the sweep goes on."""
+    try:
+        return (check, case, *compute(*args))
+    except ArithmeticError as exc:
+        return check, case, f"error={exc}", False
+
+
 def sweep_rows(max_weight: int, extra_n: int, dim_max: int, stab_max_n: int):
     """Deterministically ordered (check, case, values, ok) rows of the
     verification sweep: route agreement on route_cases(max_weight, extra_n),
@@ -289,40 +282,43 @@ def sweep_rows(max_weight: int, extra_n: int, dim_max: int, stab_max_n: int):
     from . import kronecker as kr
     from .sym_characters import kron_oracle
 
-    cases = list(route_cases(max_weight, extra_n))
-    for lam, mu, nu, n in cases:
+    def routes(lam, mu, nu, n):
         o, b, d = (route(lam, mu, nu, n) for route in (kr.kron_via_oracle, kr.kron_via_blocks, kr.kron_via_dagger))
-        yield "kron_routes", f"{lam} {mu} {nu} n={n}", f"oracle={o} blocks={b} dagger={d}", o == b == d
+        return f"oracle={o} blocks={b} dagger={d}", o == b == d
 
-    for lam, mu, nu in dict.fromkeys(case[:3] for case in cases):
+    def reduced(lam, mu, nu):
         stable, lr = kr.reduced_kron(lam, mu, nu), kr.reduced_kron_via_lr(lam, mu, nu)
-        yield "reduced_routes", f"{lam} {mu} {nu}", f"stable={stable} lr={lr}", stable == lr
+        return f"stable={stable} lr={lr}", stable == lr
 
     # the tensor square of the Specht module [n-1,1] from the character
     # oracle, against its stable decomposition: [n], [n-1,1], [n-2,2] and
     # [n-2,1,1], each once, with the shorter lists at n = 2 and n = 3
-    for n in range(2, stab_max_n + 1):
+    def tensor_square(n):
         hook = Partition([n - 1, 1])
         got = {nu: g for nu in partitions_of(n) if (g := kron_oracle(hook, hook, nu))}
         shapes = {2: [[2]], 3: [[3], [2, 1], [1, 1, 1]]}.get(n, [[n], [n - 1, 1], [n - 2, 2], [n - 2, 1, 1]])
         want = dict.fromkeys(map(Partition, shapes), 1)
-        yield (
-            "stabilization",
-            f"n={n}",
-            "decomposition=" + ";".join(f"{p}:{c}" for p, c in sorted(got.items())),
-            got == want,
-        )
+        return "decomposition=" + ";".join(f"{p}:{c}" for p, c in sorted(got.items())), got == want
 
     # dim Delta_{r+s}(nu) against the restriction-weighted sum of products
     # of the dimensions of the degree r and degree s standard modules
+    def dimension_identity(nu, r, s):
+        dim = da.dim_standard(r + s, nu)
+        table = da.restriction_table(nu, r, s)
+        filtration = sum(c * da.dim_standard(r, lam) * da.dim_standard(s, mu) for (lam, mu), c in table.items())
+        return f"dim={dim} filtration={filtration}", dim == filtration
+
+    cases = list(route_cases(max_weight, extra_n))
+    for lam, mu, nu, n in cases:
+        yield _row("kron_routes", f"{lam} {mu} {nu} n={n}", routes, lam, mu, nu, n)
+    for lam, mu, nu in dict.fromkeys(case[:3] for case in cases):
+        yield _row("reduced_routes", f"{lam} {mu} {nu}", reduced, lam, mu, nu)
+    for n in range(2, stab_max_n + 1):
+        yield _row("stabilization", f"n={n}", tensor_square, n)
     for m in range(2, dim_max + 1):
         for r in range(1, m):
-            s = m - r
             for nu in partitions_up_to(m):
-                dim = da.dim_standard(m, nu)
-                table = da.restriction_table(nu, r, s)
-                filtration = sum(c * da.dim_standard(r, lam) * da.dim_standard(s, mu) for (lam, mu), c in table.items())
-                yield "dim_identity", f"{nu} r={r} s={s}", f"dim={dim} filtration={filtration}", dim == filtration
+                yield _row("dim_identity", f"{nu} r={r} s={m - r}", dimension_identity, nu, r, m - r)
 
 
 def cmd_sweep(args) -> int:
@@ -376,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_cmd("kron", "Kronecker coefficient of a padded triple at degree n")
     p.add_argument("lam"), p.add_argument("mu"), p.add_argument("nu")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--route", choices=("all", "oracle", "blocks", "dagger", "closed"), default="all")
+    p.add_argument("--route", choices=("all", *KRON_ROUTES), default="all")
     p.set_defaults(func=cmd_kron)
 
     p = add_cmd("rkron", "reduced Kronecker coefficient")

@@ -1,18 +1,18 @@
 """Kronecker and reduced Kronecker coefficients by several routes.
 
-Routes implemented side by side so they can be cross-checked:
+Routes implemented side by side so they can be cross-checked, each as
+kron_via_<route>(lam, mu, nu, n):
 
-* the character oracle on first-row-padded triples,
-* an alternating sum of reduced coefficients over the n-pair block chain,
-* an alternating sum over the dagger partitions of the padded third factor,
-* closed formulas for two-row and hook third factors (n-k, k) and
-  (n-k, 1^k): the dagger sum cut after its first two terms, on the one
-  range rule of _two_dagger_terms.
+* oracle: the character oracle on first-row-padded triples,
+* blocks: an alternating sum of reduced coefficients over the n-pair chain,
+* dagger: an alternating sum over the dagger partitions of the padded nu,
+* closed: for a two-row or hook nu, (n-k, k) or (n-k, 1^k), the dagger sum
+  cut after its first two terms, on the one range rule of _two_dagger_terms.
 
-The block chain and dagger routes and the closed formulas take their reduced
-coefficients from one cached kernel, _reduced_kron, the positive quadruple sum
-of Littlewood-Richardson products of the source paper contracted in class
-space: one sum of products of character values of lam, mu and nu, with no LR
+The block chain, dagger and closed routes take their reduced coefficients
+from one cached kernel, _reduced_kron, the positive quadruple sum of
+Littlewood-Richardson products of the source paper contracted in class space:
+one sum of products of character values of lam, mu and nu, with no LR
 coefficient and no Kronecker coefficient.  The chain and dagger sums run over
 the same partitions, so they are two readings of one kernel sum; only the
 character oracle is independent of it.
@@ -24,7 +24,8 @@ sweep checks is decided by kroncoef.cli.sweep_rows.
 
 Arguments may be given either as reduced partitions (padded internally with a
 first row of n - |.|) or as partitions of n; a partition whose size equals n
-is taken to be already padded, and the two readings never overlap.
+is taken to be already padded, and the two readings never overlap.  Every
+route reads its three labels with partitions._reduce.
 
 Each public function validates its arguments as Partition once; from there
 on the routes pass plain parts tuples to the cached kernels (_reduced_kron
@@ -37,7 +38,7 @@ from math import factorial
 from operator import mul
 
 from . import _memo
-from .partitions import Partition, _classes, _pad, block_chain, dagger, pad
+from .partitions import Partition, _classes, _pad, _reduce, block_chain, dagger, pad
 from .sym_characters import _chars, _class_index, _kron
 
 
@@ -70,22 +71,6 @@ def valid_n_range(lam: Partition, mu: Partition, nu: Partition, extra_n: int) ->
     """All n from the first padding-valid value to stability_bound + extra_n."""
     lam, mu, nu = (Partition(p).parts for p in (lam, mu, nu))
     return range(_first_n(lam, mu, nu), _stability_bound(lam, mu, nu) + extra_n + 1)
-
-
-def reduce_mod_n(p: Partition, n: int) -> Partition:
-    """Interpret p as either a partition of n (first row stripped) or an
-    already reduced partition (padding must exist); return the reduced form."""
-    return Partition(_reduce(p, n))
-
-
-def _reduce(p: Partition, n: int) -> tuple:
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    parts = Partition(p).parts
-    if sum(parts) == n:
-        return parts[1:]
-    _pad(parts, n)
-    return parts
 
 
 def reduced_kron(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -207,26 +192,14 @@ def _restricted(outer: tuple, x: int, y: int, c: int) -> tuple:
     )
 
 
-def kron_two_row(lam: Partition, mu: Partition, k: int, n: int) -> int:
-    """g(lam, mu, (n-k, k)) = gbar(lam, mu, (k)) - gbar(lam, mu, (n-k+1)) for
-    n >= min(stability bound, |lam| + |mu| - 1), by _two_dagger_terms."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    lam, mu = _reduce(lam, n), _reduce(mu, n)
-    if n - k < k:
-        raise FormulaRangeError(f"(n-k,k) needs n >= 2k, got n={n}, k={k}")
-    return _two_dagger_terms(lam, mu, (k,) if k else (), n)
-
-
-def kron_hook(lam: Partition, mu: Partition, k: int, n: int) -> int:
-    """g(lam, mu, (n-k, 1^k)) = gbar(lam, mu, (1^k)) - gbar(lam, mu, (n-k+1, 1^(k-1)))
-    for n >= min(stability bound, |lam| + |mu|), by _two_dagger_terms."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    lam, mu = _reduce(lam, n), _reduce(mu, n)
-    if n - k < 1:
-        raise FormulaRangeError(f"(n-k,1^k) needs n >= k+1, got n={n}, k={k}")
-    return _two_dagger_terms(lam, mu, (1,) * k, n)
+def kron_via_closed(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
+    """Kronecker coefficient of the padded triple for a two-row or hook nu,
+    (n-k, k) or (n-k, 1^k), by _two_dagger_terms; FormulaRangeError below its
+    range and for any other nu, where kron_via_dagger sums every term."""
+    lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
+    if len(nu) > 1 and nu[0] > 1:
+        raise FormulaRangeError(f"no closed formula: {Partition(nu)} padded is neither two-row nor hook")
+    return _two_dagger_terms(lam, mu, nu, n)
 
 
 def _two_dagger_terms(lam: tuple, mu: tuple, nu: tuple, n: int) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from itertools import takewhile
 from math import factorial
+from operator import index
 from typing import Iterable, Iterator
 
 from . import _memo
@@ -33,7 +34,8 @@ class Partition:
             self.parts = parts.parts
             self.size = parts.size
             return
-        p = tuple(int(x) for x in parts)
+        # index, not int: a float or a string is refused, not truncated
+        p = tuple(map(index, parts))
         while p and p[-1] == 0:
             p = p[:-1]
         if p and p[-1] < 0:
@@ -127,6 +129,16 @@ def _pad(parts: tuple, n: int) -> tuple:
     if head < (parts[0] if parts else 0):
         raise ValueError(f"{Partition(parts)} is not a partition for this n={n}")
     return (head,) + parts
+
+
+def _reduce(label: Partition, n: int) -> tuple:
+    """The reduced parts of a label at n: a partition of n loses its first
+    (padding) row, and any other label must have a padding at n and is kept."""
+    parts = Partition(label).parts
+    if sum(parts) == n > 0:
+        return parts[1:]
+    _pad(parts, n)  # the padding ValueError, n < 1 included
+    return parts
 
 
 def is_n_pair(mu: Partition, lam: Partition, n: int) -> bool:

@@ -89,6 +89,13 @@ class TestKron:
         message = refused(capsys, "kron", "[2,1]", "[2,1]", "[2,1]", "--n", "9", "--route", "closed")
         assert message.endswith("(--route dagger sums every term)")
 
+    def test_closed_route_reads_the_labels_like_all(self, capsys):
+        # every route reads lam, mu and nu in that order and names the first
+        # label with no padding at n
+        message = refused(capsys, "kron", "[4]", "[1]", "[3]", "--n", "5")
+        assert message == "error: [4] is not a partition for this n=5"
+        assert refused(capsys, "kron", "[4]", "[1]", "[3]", "--n", "5", "--route", "closed") == message
+
     def test_dagger_route_where_no_closed_formula_applies(self, capsys):
         code, out, _ = run(capsys, "kron", "[2,1]", "[2,1]", "[2,1]", "--n", "9", "--route", "dagger")
         assert code == 0 and out == "9\n"
@@ -414,7 +421,7 @@ FOOTPRINTS = [
     ("import kroncoef.cli", CLI),
     (["kron", "[1]", "[1]", "[2]", "--n", "4"], KRON),
     (["rkron", "[1]", "[1]", "[2]"], KRON),
-    (["dagger", "[1]", "--n", "4", "--i", "2"], KRON),
+    (["dagger", "[1]", "--n", "4", "--i", "2"], CLI),
     (["lr", "[1]", "[1]", "[2]"], CLI | {"lr"}),
     (["table", "--n", "3"], CLI | {"sym_characters"}),
     (["chain", "[1]", "--n", "4", "--r", "3"], CLI),

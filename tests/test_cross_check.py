@@ -2,6 +2,7 @@
 the route-agreement sweep is a cross-check only if the routes do not share
 their answer."""
 
+import json
 from contextlib import contextmanager
 
 import pytest
@@ -9,7 +10,7 @@ import test_lr
 
 import kroncoef
 from kroncoef import Partition, diagram_algebra, kronecker, lr, sym_characters
-from kroncoef.cli import sweep_rows
+from kroncoef.cli import main, sweep_rows
 from kroncoef.partitions import block_chain, dagger
 
 
@@ -85,6 +86,19 @@ def chars_sign_flipped(lam):
     return (values[0], -values[1]) if lam == (2,) else values
 
 
+def chars_first_value_negated(lam):
+    # the first nonzero value of chi^(2,1) negated: class sums that read it
+    # are no longer integral and raise ArithmeticError
+    values = REAL_CHARS(lam)
+    if lam != (2, 1):
+        return values
+    i = next(i for i, value in enumerate(values) if value)
+    return values[:i] + (-values[i],) + values[i + 1 :]
+
+
+NON_INTEGRAL = [(sym_characters, "_chars", chars_first_value_negated), (kronecker, "_chars", chars_first_value_negated)]
+
+
 def reduced_kron_raised(lam, mu, nu):
     # gbar((1),(1),(2)) = 1 read as 2; every other order of the triple
     # recurses into this one
@@ -107,6 +121,9 @@ def skew_raised(outer, inner):
             [(sym_characters, "_chars", chars_sign_flipped), (kronecker, "_chars", chars_sign_flipped)],
             ("kron_routes", "reduced_routes", "stabilization", "dim_identity"),
         ),
+        # 805 kron_routes, 225 reduced_routes, 1 stabilization and 23
+        # dim_identity rows, 364 of them by an ArithmeticError
+        (NON_INTEGRAL, ("kron_routes", "reduced_routes", "stabilization", "dim_identity")),
         # 10 kron_routes, 3 reduced_routes and 11 dim_identity rows
         (
             [(kronecker, "_reduced_kron", reduced_kron_raised), (diagram_algebra, "_reduced_kron", reduced_kron_raised)],
@@ -115,7 +132,12 @@ def skew_raised(outer, inner):
         # the sweep reads no LR coefficient and flags no row: a direct test must fail
         ([(lr, "_skew", skew_raised)], test_lr.test_matches_lattice_word_count_up_to_8),
     ],
-    ids=["_chars one sign flip", "_reduced_kron + 1 on one triple", "_skew + 1 on one coefficient"],
+    ids=[
+        "_chars one sign flip",
+        "_chars non-integral sums",
+        "_reduced_kron + 1 on one triple",
+        "_skew + 1 on one coefficient",
+    ],
 )
 def test_layer_fault_is_caught(monkeypatch, patches, caught_by):
     """Each fault names what must catch it: the sweep checks that must flag
@@ -126,3 +148,20 @@ def test_layer_fault_is_caught(monkeypatch, patches, caught_by):
     else:
         rows = flagged(monkeypatch, patches)
         assert all(rows[check] for check in caught_by), rows
+
+
+def test_non_integral_sum_fails_its_row_and_the_sweep_goes_on(monkeypatch, capsys):
+    # every row is printed, an ArithmeticError as a failed row with its
+    # message, and the summary and the error line follow
+    with seeded(monkeypatch, NON_INTEGRAL):
+        code = main(["sweep", "--max-weight", "3", "--extra-n", "2", "--dim-max", "4", "--stab-max-n", "6"])
+    out, err = capsys.readouterr()
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    summary, last = err.splitlines()
+    summary = json.loads(summary)
+    assert code == 1 and last == f"error: {summary['failed']} sweep mismatches"
+    assert len(rows) == sum(summary["rows"].values())
+    assert summary["failed"] == [ok for *_, ok in rows].count("False")
+    errors = [values for _check, _case, values, _ok in rows if values.startswith("error=")]
+    assert errors and all("non-integral" in values for values in errors)
+    assert ["kron_routes", "[] [1] [] n=3", "error=non-integral character sum for ([3],[2,1],[3])", "False"] in rows

@@ -4,12 +4,10 @@ import kroncoef
 from kroncoef import kronecker
 from kroncoef.kronecker import (
     FormulaRangeError,
-    kron_hook,
-    kron_two_row,
     kron_via_blocks,
+    kron_via_closed,
     kron_via_dagger,
     kron_via_oracle,
-    reduce_mod_n,
     reduced_kron,
     reduced_kron_via_lr,
     stability_bound,
@@ -17,7 +15,7 @@ from kroncoef.kronecker import (
 )
 from kroncoef.cli import route_cases, sweep_rows
 from kroncoef.lr import lr_coeff
-from kroncoef.partitions import Partition, block_chain, dagger, pad, partitions_of, partitions_up_to
+from kroncoef.partitions import Partition, _reduce, block_chain, dagger, pad, partitions_of, partitions_up_to
 from kroncoef.sym_characters import kron_oracle
 from oracles import reduced_kron_lr_sum
 
@@ -39,16 +37,16 @@ class TestStabilityBound:
 
 class TestReduceModN:
     def test_partition_of_n_is_stripped(self):
-        assert reduce_mod_n(P([1, 1]), 2) == P([1])
-        assert reduce_mod_n(P([2]), 2) == P()
-        assert reduce_mod_n(P([4, 1]), 5) == P([1])
+        assert _reduce(P([1, 1]), 2) == (1,)
+        assert _reduce(P([2]), 2) == ()
+        assert _reduce(P([4, 1]), 5) == (1,)
 
     def test_small_partition_passes_through(self):
-        assert reduce_mod_n(P([1]), 4) == P([1])
+        assert _reduce(P([1]), 4) == (1,)
 
     def test_invalid_padding_rejected(self):
         with pytest.raises(ValueError):
-            reduce_mod_n(P([2, 1]), 4)
+            _reduce(P([2, 1]), 4)
 
 
 class TestReducedKron:
@@ -103,13 +101,11 @@ class TestRoutes:
             kron_via_blocks(P([2, 1]), P([1]), P([1]), 4)
 
     def test_zero_n_refused(self):
-        for route in (kron_via_oracle, kron_via_blocks, kron_via_dagger):
-            with pytest.raises(ValueError, match="positive integer"):
-                route(P(), P(), P(), 0)
-        # a plain ValueError: no n makes the formula valid, so no fallback helps
-        for formula in (kron_two_row, kron_hook):
+        # a plain ValueError on the closed route too: no n makes the formula
+        # valid, so no other route helps
+        for route in (kron_via_oracle, kron_via_blocks, kron_via_dagger, kron_via_closed):
             with pytest.raises(ValueError, match="positive integer") as exc:
-                formula(P(), P(), 0, 0)
+                route(P(), P(), P(), 0)
             assert not isinstance(exc.value, FormulaRangeError)
 
     def test_blocks_and_dagger_do_not_use_the_oracle(self, monkeypatch):
@@ -133,7 +129,7 @@ class TestRoutes:
             start = len(chars)
             kron_via_blocks(lam, mu, nu, n)
             kron_via_dagger(lam, mu, nu, n)
-            lam_r, mu_r, nu_r = (reduce_mod_n(p, n) for p in (lam, mu, nu))
+            lam_r, mu_r, nu_r = (P(_reduce(p, n)) for p in (lam, mu, nu))
             padded = pad(nu_r, n)
             allowed = {lam_r, mu_r, *block_chain(nu_r, n, lam_r.size + mu_r.size)}
             allowed |= {dagger(padded, i) for i in range(len(pad(lam_r, n)) * len(pad(mu_r, n)))}
@@ -161,7 +157,7 @@ class TestRoutes:
     def test_dagger_truncation_is_exact(self):
         # the untruncated sum over all len(pad(lam)) * len(pad(mu)) terms
         for lam, mu, nu, n in route_cases(3, 3):
-            lam_r, mu_r, nu_r = (reduce_mod_n(p, n) for p in (lam, mu, nu))
+            lam_r, mu_r, nu_r = (P(_reduce(p, n)) for p in (lam, mu, nu))
             nu_padded = pad(nu_r, n)
             count = len(pad(lam_r, n)) * len(pad(mu_r, n))
             daggers = [dagger(nu_padded, i) for i in range(count)]
@@ -233,32 +229,49 @@ class TestReducedViaLR:
 
 class TestClosedFormulas:
     def test_two_row_examples(self):
-        assert kron_two_row(P([1]), P([1]), 2, 4) == 1
-        assert kron_two_row(P([1]), P([1]), 0, 4) == 1
-        assert kron_two_row(P([2]), P([2]), 2, 8) == kron_oracle(
+        assert kron_via_closed(P([1]), P([1]), P([2]), 4) == 1
+        assert kron_via_closed(P([1]), P([1]), P(), 4) == 1
+        assert kron_via_closed(P([2]), P([2]), P([2]), 8) == kron_oracle(
             P([6, 2]), P([6, 2]), P([6, 2])
         )
 
     def test_hook_examples(self):
-        assert kron_hook(P([1]), P([1]), 2, 4) == 1
-        assert kron_hook(P([1]), P([1]), 1, 4) == 1
-        assert kron_hook(P([2, 1]), P([2, 1]), 3, 9) == kron_via_oracle(
+        assert kron_via_closed(P([1]), P([1]), P([1, 1]), 4) == 1
+        assert kron_via_closed(P([1]), P([1]), P([1]), 4) == 1
+        assert kron_via_closed(P([2, 1]), P([2, 1]), P([1, 1, 1]), 9) == kron_via_oracle(
             P([2, 1]), P([2, 1]), P([1, 1, 1]), 9
         )
 
     def test_out_of_range(self):
         with pytest.raises(FormulaRangeError):
-            kron_two_row(P([1, 1, 1]), P([1, 1, 1]), 1, 4)
+            kron_via_closed(P([1, 1, 1]), P([1, 1, 1]), P([1]), 4)
         with pytest.raises(FormulaRangeError):
-            kron_two_row(P([1]), P([1]), 3, 5)
-        with pytest.raises(FormulaRangeError):
-            kron_hook(P([1, 1]), P([1, 1]), 2, 3)
+            kron_via_closed(P([1, 1]), P([1, 1]), P([1, 1]), 3)
+        # (n-k, k) with n < 2k has no padding: the routes' ValueError
+        with pytest.raises(ValueError) as exc:
+            kron_via_closed(P([1]), P([1]), P([3]), 5)
+        assert type(exc.value) is ValueError
 
-    def test_negative_k_refused(self):
-        for formula in (kron_two_row, kron_hook):
-            with pytest.raises(ValueError) as exc:
-                formula(P([1]), P([1]), -1, 4)
-            assert type(exc.value) is ValueError, formula.__name__
+    def test_other_shapes_refused(self):
+        for nu in ([2, 2], [2, 1], [3, 1, 1]):
+            with pytest.raises(FormulaRangeError, match="neither two-row nor hook"):
+                kron_via_closed(P([2, 1]), P([2, 1]), P(nu), 12)
+
+    def test_padded_and_reduced_nu_agree(self):
+        # nu and pad(nu, n) are one label at n: one value, or one refusal
+        for lam in partitions_up_to(3):
+            for mu in partitions_up_to(3):
+                for k in range(4):
+                    for nu in (P([k] if k else []), P([1] * k)):
+                        for n in range(max(lam.size + lam.row(1), mu.size + mu.row(1), 2 * k, 1), 10):
+                            try:
+                                want = kron_via_closed(lam, mu, nu, n)
+                            except FormulaRangeError as exc:
+                                with pytest.raises(FormulaRangeError) as got:
+                                    kron_via_closed(lam, mu, pad(nu, n), n)
+                                assert str(got.value) == str(exc), (lam, mu, nu, n)
+                                continue
+                            assert kron_via_closed(lam, mu, pad(nu, n), n) == want, (lam, mu, nu, n)
 
     def test_arguments_are_read_like_the_routes(self):
         # a partition of size n is already padded, and one that cannot be
@@ -266,15 +279,15 @@ class TestClosedFormulas:
         for lam, mu, n in [([3], [], 3), ([2], [1], 3), ([3], [2, 1], 3), ([2, 1], [2, 1], 3), ([2, 2], [1], 4)]:
             lam, mu = P(lam), P(mu)
             for k in (0, 1):
-                for formula, nu in ((kron_two_row, P([k] if k else [])), (kron_hook, P([1] * k))):
+                for nu in (P([k] if k else []), P([1] * k)):
                     try:
                         want = kron_via_oracle(lam, mu, nu, n)
                     except ValueError as exc:
                         with pytest.raises(ValueError) as got:
-                            formula(lam, mu, k, n)
-                        assert str(got.value) == str(exc), (formula.__name__, lam, mu, k, n)
+                            kron_via_closed(lam, mu, nu, n)
+                        assert str(got.value) == str(exc), (lam, mu, nu, n)
                         continue
-                    assert formula(lam, mu, k, n) == want, (formula.__name__, lam, mu, k, n)
+                    assert kron_via_closed(lam, mu, nu, n) == want, (lam, mu, nu, n)
 
     def test_agreement_with_oracle_small(self):
         # from the padding and shape floor up: below min(stability bound,
@@ -283,19 +296,16 @@ class TestClosedFormulas:
             for mu in partitions_up_to(3):
                 pad_floor = max(lam.size + lam.row(1), mu.size + mu.row(1), 1)
                 for k in range(5):
-                    for formula, nu, shape_floor in (
-                        (kron_two_row, P([k] if k else []), 2 * k),
-                        (kron_hook, P([1] * k), k + 1),
-                    ):
+                    for nu, shape_floor in ((P([k] if k else []), 2 * k), (P([1] * k), k + 1)):
                         n0 = min(stability_bound(lam, mu, nu), lam.size + mu.size + nu.row(2) - 1)
                         floor = max(pad_floor, shape_floor)
                         for n in range(floor, max(floor, lam.size + mu.size + k + 1) + 2):
                             if n < n0:
                                 with pytest.raises(FormulaRangeError, match=f"needs n >= {n0},"):
-                                    formula(lam, mu, k, n)
+                                    kron_via_closed(lam, mu, nu, n)
                             else:
                                 want = kron_via_oracle(lam, mu, nu, n)
-                                assert formula(lam, mu, k, n) == want, (formula.__name__, lam, mu, k, n)
+                                assert kron_via_closed(lam, mu, nu, n) == want, (lam, mu, nu, n)
 
 
 class TestTensorSquare:

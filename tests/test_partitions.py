@@ -40,6 +40,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             P([2, -1])
 
+    def test_rejects_non_integral_parts(self):
+        # refused, not truncated: P([1.5]) is not P([1])
+        for parts in ([1.5], [2.0, 1], ["3", 2]):
+            with pytest.raises(TypeError):
+                P(parts)
+
     def test_serialization_roundtrip(self):
         for p in partitions_up_to(6):
             assert Partition.parse(str(p)) == p
