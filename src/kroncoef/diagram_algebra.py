@@ -6,9 +6,9 @@ label per vertex.  Composition joins the blocks of the two diagrams that meet
 at the middle vertices; the power of the parameter is returned separately, so
 that diagram-level reasoning stays parameter-free.  On top of the diagrams:
 the algebra elements with rational coefficients, the standard modules with
-their explicit action, crossing-block profiles of half-diagrams, and the
-restriction multiplicities of a standard module to a left/right pair of
-smaller partition algebras.
+their action and Gram matrices (int wherever the scales are), crossing-block
+profiles of half-diagrams, and the restriction multiplicities of a standard
+module to a left/right pair of smaller partition algebras.
 
 Text format for a diagram: blocks as sorted vertex lists, top vertices as
 plain integers and bottom vertices primed, e.g.
@@ -23,8 +23,8 @@ from math import comb
 
 from . import _memo
 from .kronecker import _reduced_kron
-from .partitions import Partition, partitions_up_to
-from .sym_characters import SpechtModel, _mat_mul, specht_dim, specht_model
+from .partitions import Partition, _is_numeral, partitions_up_to
+from .sym_characters import specht_dim, specht_model
 
 
 def _relabel(labels) -> tuple[int, ...]:
@@ -98,7 +98,7 @@ class SetPartitionDiagram:
             block = []
             for item in chunk.split(","):
                 digits = item.removesuffix("'")
-                if not (digits.isascii() and digits.isdigit()) or (len(digits) > 1 and digits[0] == "0"):
+                if not _is_numeral(digits):
                     raise ValueError(f"bad vertex {item!r} in {text!r}")
                 block.append(-int(digits) if item.endswith("'") else int(digits))
             blocks.append(block)
@@ -350,7 +350,7 @@ class StandardModule:
     the Specht factor.
     """
 
-    def __init__(self, r: int, nu: Partition, delta, specht: SpechtModel):
+    def __init__(self, r: int, nu: Partition, delta):
         self.r = r
         self.nu = Partition(nu)
         self.m = self.nu.size
@@ -359,11 +359,11 @@ class StandardModule:
             raise ValueError("the diagram algebra parameter must be nonzero")
         if self.m > r:
             raise ValueError(f"|{nu}| exceeds the degree {r}")
-        self.specht = specht
+        self.specht = specht_model(self.nu)
         self.halves = half_diagrams(r, self.m)
         self.half_index = {h: i for i, h in enumerate(self.halves)}
         # basis vector (h, t) has index h * specht.dim + t
-        self.dim = len(self.halves) * specht.dim
+        self.dim = len(self.halves) * self.specht.dim
 
     def _factor(self, x: SetPartitionDiagram, half: SetPartitionDiagram):
         """Compose x above half and write the result as delta^t times a
@@ -374,56 +374,56 @@ class StandardModule:
             return None
         return (t, *factor_half_diagram(z))
 
-    def action_matrix(self, x) -> list[list[Fraction]]:
+    def _place(self, entries, block_of) -> list[list]:
+        """The matrix that adds scale * block_of(sigma) at block (i, j) for each
+        entry (i, j, scale, sigma), each sigma's block computed once; integral
+        scales and blocks give int entries."""
+        sd = self.specht.dim
+        mat = [[0] * self.dim for _ in range(self.dim)]
+        blocks = {sigma: block_of(sigma) for *_, sigma in entries}
+        for i, j, scale, sigma in entries:
+            scale = scale.numerator if scale.denominator == 1 else scale
+            for a, row in enumerate(blocks[sigma]):
+                for b, c in enumerate(row):
+                    if c:
+                        mat[i * sd + a][j * sd + b] += scale * c
+        return mat
+
+    def action_matrix(self, x) -> list[list]:
         """Matrix of a diagram or algebra element on the basis (columns are
         images of basis vectors), placed one Specht block per half-diagram."""
         if isinstance(x, SetPartitionDiagram):
             x = AlgebraElement.from_diagram(x, self.delta)
+        if x.r != self.r:
+            raise ValueError(f"an element of degree {x.r} does not act in degree {self.r}")
         if x.delta != self.delta:
             raise ValueError("parameter mismatch")
-        mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        sd = self.specht.dim
+        entries = []
         for d, coeff in x.terms.items():
-            if d.r != self.r or d.m != self.r:
-                raise ValueError(f"diagram profile ({d.r},{d.m}) does not match degree {self.r}")
-            for hi, half in enumerate(self.halves):
+            for j, half in enumerate(self.halves):
                 step = self._factor(d, half)
-                if step is None:
-                    continue
-                t, sigma, canonical = step
-                hj = self.half_index[canonical]
-                scale = coeff * self.delta**t
-                for a, row in enumerate(self.specht.matrix_of(sigma)):
-                    for b, c in enumerate(row):
-                        if c:
-                            mat[hj * sd + a][hi * sd + b] += scale * c
-        return mat
+                if step is not None:
+                    t, sigma, canonical = step
+                    entries.append((self.half_index[canonical], j, coeff * self.delta**t, sigma))
+        return self._place(entries, self.specht.matrix_of)
 
-    def gram_matrix(self) -> list[list[Fraction]]:
-        """Matrix of the natural bilinear form on the basis."""
-        form0 = self.specht.invariant_form()
-        gram = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        sd = self.specht.dim
+    def gram_matrix(self) -> list[list]:
+        """Matrix of the natural bilinear form on the basis: half-diagrams i, j
+        pair to delta^t sigma, whose block is the Specht form against sigma."""
+        entries = []
         for i, vi in enumerate(self.halves):
             flipped = vi.flip()
             for j, vj in enumerate(self.halves):
                 step = self._factor(flipped, vj)
-                if step is None:
-                    continue
-                t, sigma, _ = step
-                block = _mat_mul(form0, self.specht.matrix_of(sigma))
-                scale = self.delta**t
-                for a in range(sd):
-                    for b in range(sd):
-                        if block[a][b]:
-                            gram[i * sd + a][j * sd + b] = scale * block[a][b]
-        return gram
+                if step is not None:
+                    t, sigma, _ = step
+                    entries.append((i, j, self.delta**t, sigma))
+        return self._place(entries, self.specht.form_of)
 
 
 def standard_module(r: int, nu: Partition, delta) -> StandardModule:
     """Build the standard module with its Specht factor."""
-    nu = Partition(nu)
-    return StandardModule(r, nu, delta, specht_model(nu))
+    return StandardModule(r, nu, delta)
 
 
 def crossing_profile(d: SetPartitionDiagram, r: int, s: int) -> tuple[int, int, int, int]:

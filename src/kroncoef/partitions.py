@@ -47,14 +47,17 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse the bracketed serialization, e.g. ``[4,1]`` or ``[]``."""
+        """Parse the bracketed serialization, e.g. ``[4,1]`` or ``[ ]``."""
         s = text.strip()
         if not (s.startswith("[") and s.endswith("]")):
             raise ValueError(f"expected bracketed partition, got {text!r}")
         body = s[1:-1].strip()
         if not body:
             return cls()
-        return cls(int(x) for x in body.split(","))
+        parts = [item.strip() for item in body.split(",")]
+        if bad := [item for item in parts if not _is_numeral(item)]:
+            raise ValueError(f"bad part {bad[0]!r} in {text!r}")
+        return cls(map(int, parts))
 
     def row(self, i: int) -> int:
         """The i-th part, 1-indexed; 0 for rows below the diagram."""
@@ -98,6 +101,11 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
+
+
+def _is_numeral(text: str) -> bool:
+    """True iff text is 0 or unsigned ASCII digits with no leading zero."""
+    return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -178,8 +186,6 @@ def _predecessor(nu: tuple, n: int) -> tuple | None:
     for i in range(1, len(nu) + 1):
         v = n - size + i
         if v < 0 or v >= nu[i - 1] or (i < len(nu) and v < nu[i]):
-            continue
-        if v == 0 and i != len(nu):
             continue
         if out is not None:
             raise ArithmeticError("n-pair predecessor is not unique")

@@ -5,8 +5,8 @@ Murnaghan-Nakayama kernel that computes chi^lam on every class of S_|lam| at
 once, block by block of the classes with the same largest part, in the
 order of partitions._classes, which enumerates the classes and their sizes;
 Kronecker coefficients as class-weighted triple products; and explicit
-Specht module matrices on the standard polytabloid basis, obtained by
-straightening in dominance order.
+Specht modules on the standard polytabloid basis: permutation matrices by
+straightening in dominance order, and forms read off the polytabloids.
 """
 
 from __future__ import annotations
@@ -257,8 +257,9 @@ class SpechtModel:
     """Specht module with explicit matrices for the permutations.
 
     The basis is the set of standard polytabloids.  Every matrix is exact and
-    integral: a column is the expansion of a permuted polytabloid, found by
-    straightening it against the standard polytabloids in dominance order.
+    integral: column t of matrix_of(sigma) expands sigma . e_t by
+    straightening in dominance order, and form_of(sigma) pairs the basis with
+    the sigma . e_t by the tabloid inner product.  Keeps no cache.
     Validated through the Coxeter relations and trace identities rather than
     any particular basis convention.
     """
@@ -272,7 +273,6 @@ class SpechtModel:
         # each e_t, dominance-largest first
         self._keyed = [_polytabloid(t, self.k) for t in self.tableaux]
         self._tops = sorted((_row_key(t, self.k), j) for j, t in enumerate(self.tableaux))
-        self._matrix_cache: dict[tuple, tuple] = {}
         self.generators = [
             self.matrix_of(tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, self.k + 1)))
             for i in range(1, self.k)
@@ -300,40 +300,29 @@ class SpechtModel:
             raise ArithmeticError("tabloid vector outside the polytabloid span")
         return tuple(coeffs)
 
-    def matrix_of(self, sigma: tuple[int, ...]) -> tuple:
-        """Matrix of the permutation given in one-line notation (sigma[j-1] is
-        the image of j)."""
+    def _permuted(self, sigma: tuple[int, ...]) -> list[dict[tuple, int]]:
+        """The polytabloids sigma . e_t, keyed by row indices, for the
+        permutation given in one-line notation (sigma[j-1] is the image of j)."""
         sigma = tuple(sigma)
         if len(sigma) != self.k or sorted(sigma) != list(range(1, self.k + 1)):
             raise ValueError(f"not a permutation of 1..{self.k}: {sigma}")
-        cached = self._matrix_cache.get(sigma)
-        if cached is not None:
-            return cached
         # sigma moves entry v to sigma(v), so entry w sits in the row of sigma^-1(w)
         inverse = sorted(range(self.k), key=sigma.__getitem__)
-        cols = [
-            self._straighten({tuple(key[v] for v in inverse): c for key, c in vec.items()})
-            for vec in self._keyed
-        ]
-        mat = tuple(zip(*cols))
-        self._matrix_cache[sigma] = mat
-        return mat
+        return [{tuple(key[v] for v in inverse): c for key, c in vec.items()} for vec in self._keyed]
+
+    def matrix_of(self, sigma: tuple[int, ...]) -> tuple:
+        """Matrix of the permutation: column t expands sigma . e_t."""
+        return tuple(zip(*map(self._straighten, self._permuted(sigma))))
+
+    def form_of(self, sigma: tuple[int, ...]) -> tuple:
+        """The matrix <e_a, sigma . e_b> of the tabloid inner product."""
+        permuted = self._permuted(sigma)
+        # a row key names one tabloid, so keys pair up as tabloids do
+        return tuple(tuple(sum(c * v.get(key, 0) for key, c in u.items()) for v in permuted) for u in self._keyed)
 
     def invariant_form(self) -> tuple:
         """Gram matrix of the basis under the tabloid inner product."""
-        # a row key names one tabloid, so keys pair up as tabloids do
-        return tuple(
-            tuple(sum(c * v.get(key, 0) for key, c in u.items()) for v in self._keyed) for u in self._keyed
-        )
-
-
-def _mat_mul(a, b):
-    n, m = len(a), len(b[0]) if b else 0
-    inner = len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(m))
-        for i in range(n)
-    )
+        return self.form_of(tuple(range(1, self.k + 1)))
 
 
 @_memo

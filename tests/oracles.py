@@ -14,12 +14,20 @@ tableaux.  The diagram composition here runs a union-find on the vertices of
 the stacked picture, given as blocks, where the library joins block labels.
 The reduced Kronecker coefficient here is the source paper's positive sum of
 LR products and Kronecker coefficients, term by term, where the library
-contracts it to one sum over classes of character values.
+contracts it to one sum over classes of character values.  The Gram matrix
+here multiplies the Specht form by a permutation matrix for each pair of
+half-diagrams, in Fractions, where the library reads each block off the
+permuted polytabloids.
+
+The tests' exact linear algebra lives here too, since the library holds no
+matrix helper: the matrix product, the transpose and a fraction-free rank.
 """
 
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
+from kroncoef.diagram_algebra import compose, factor_half_diagram, propagating_count
 from kroncoef.lr import lr_coeff3
 from kroncoef.partitions import Partition, _classes, partitions_of
 from kroncoef.sym_characters import _chars, _class_index, kron_oracle
@@ -212,3 +220,61 @@ def compose_union_find(x_blocks, y_blocks, r: int, k: int, m: int) -> tuple[int,
     text = "".join("{" + ",".join(f"{i}'" if below else str(i) for below, i in b) + "}" for b in blocks)
     propagating = sum(1 for b in blocks if not b[0][0] and b[-1][0])
     return len(outer) - len(blocks), text, propagating
+
+
+def gram_by_products(mod) -> list[list[Fraction]]:
+    """The Gram matrix of a standard module with Fraction entries: the pair
+    of half-diagrams (i, j) gives delta^t times the Specht form times the
+    matrix of sigma, where flip(i) over j is delta^t, a canonical
+    half-diagram and sigma."""
+    specht, sd = mod.specht, mod.specht.dim
+    form = [[sum(c * v.get(key, 0) for key, c in u.items()) for v in specht._keyed] for u in specht._keyed]
+    gram = [[Fraction(0)] * mod.dim for _ in range(mod.dim)]
+    for i, vi in enumerate(mod.halves):
+        for j, vj in enumerate(mod.halves):
+            t, z = compose(vi.flip(), vj)
+            if propagating_count(z) < mod.m:
+                continue
+            sigma, _ = factor_half_diagram(z)
+            block = mat_mul(form, specht.matrix_of(sigma))
+            for a in range(sd):
+                for b in range(sd):
+                    gram[i * sd + a][j * sd + b] = mod.delta**t * block[a][b]
+    return gram
+
+
+def mat_mul(a, b) -> tuple[tuple, ...]:
+    """The matrix product, as a tuple of row tuples."""
+    inner, cols = len(b), len(b[0]) if b else 0
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)) for i in range(len(a)))
+
+
+def transpose(mat) -> tuple[tuple, ...]:
+    return tuple(zip(*mat))
+
+
+def rank(mat) -> int:
+    """Rank of a rational matrix: clear each row's denominators, then run
+    fraction-free (Bareiss) elimination on the integers."""
+    m = []
+    for row in mat:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        m.append([int(x * scale) for x in row])
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    found, prev = 0, 1
+    for c in range(cols):
+        pivot = next((i for i in range(found, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[found], m[pivot] = m[pivot], m[found]
+        p = m[found][c]
+        # every entry below is a minor of the rows and columns pivoted so far,
+        # so the division by the previous pivot is exact (Sylvester)
+        for i in range(found + 1, rows):
+            f = m[i][c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[found])]
+        prev = p
+        found += 1
+    return found

@@ -76,6 +76,12 @@ class TestKron:
     def test_bad_partition_syntax(self, capsys):
         refused(capsys, "kron", "2,1", "[1]", "[1]", "--n", "4")
 
+    def test_bad_part_is_named(self, capsys):
+        # [1_0] is not read as [10]
+        message = refused(capsys, "kron", "[1_0]", "[]", "[1_0]", "--n", "20")
+        assert message == "error: bad part '1_0' in '[1_0]'"
+        assert refused(capsys, "lr", "[1]", "[1]", "[2,1]", "--eta", "[x]") == "error: bad part 'x' in '[x]'"
+
     def test_invalid_padding(self, capsys):
         refused(capsys, "kron", "[2,1]", "[1]", "[1]", "--n", "4")
 

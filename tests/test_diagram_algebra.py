@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kroncoef.diagram_algebra import (
     AlgebraElement,
     SetPartitionDiagram,
+    StandardModule,
     bell,
     compose,
     crossing_profile,
@@ -28,8 +29,8 @@ from kroncoef.diagram_algebra import (
 )
 from kroncoef.kronecker import reduced_kron
 from kroncoef.partitions import Partition, _classes, _pad, block_chain, partitions_up_to
-from kroncoef.sym_characters import _mat_mul, _weighted, character, cycle_type, specht_dim
-from oracles import compose_union_find
+from kroncoef.sym_characters import _weighted, character, cycle_type, specht_dim
+from oracles import compose_union_find, gram_by_products, mat_mul, rank, transpose
 
 P = Partition
 D = SetPartitionDiagram.parse
@@ -290,7 +291,7 @@ class TestStandardModules:
                     ax = AlgebraElement.from_diagram(x, DELTA)
                     ay = AlgebraElement.from_diagram(y, DELTA)
                     lhs = mod.action_matrix(ax * ay)
-                    rhs = _mat_mul(mod.action_matrix(ax), mod.action_matrix(ay))
+                    rhs = mat_mul(mod.action_matrix(ax), mod.action_matrix(ay))
                     assert lhs == [list(row) for row in rhs], (r, nu, str(x), str(y))
 
     def test_permutation_diagrams_multiply_as_permutations(self):
@@ -310,7 +311,7 @@ class TestStandardModules:
                 for x in perms:
                     for y in perms:
                         _, xy = compose(x, y)
-                        assert [list(row) for row in _mat_mul(mats[x], mats[y])] == mats[xy], (r, nu, str(x), str(y))
+                        assert [list(row) for row in mat_mul(mats[x], mats[y])] == mats[xy], (r, nu, str(x), str(y))
 
     @pytest.mark.parametrize("nu", [(2, 1), (3, 1)])
     def test_generators_act_as_homomorphism_in_degree_four(self, nu):
@@ -321,14 +322,14 @@ class TestStandardModules:
             s_i = permutation_diagram(tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, 5)))
             for x in mats:
                 _, sx = compose(s_i, x)
-                assert [list(row) for row in _mat_mul(mats[s_i], mats[x])] == mats[sx], (nu, i, str(x))
+                assert [list(row) for row in mat_mul(mats[s_i], mats[x])] == mats[sx], (nu, i, str(x))
 
     def test_gram_rank_at_the_symmetric_group_size(self):
         # at delta = n the radical is cut out by the block chain: the rank is
         # the alternating sum of standard dimensions along the n-pair chain
         mod = standard_module(4, P([2, 1]), Fraction(5))
         chain = sum((-1) ** i * dim_standard(4, entry) for i, entry in enumerate(block_chain(P([2, 1]), 5, 4)))
-        assert _rank(mod.gram_matrix()) == chain == 17
+        assert rank(mod.gram_matrix()) == chain == 17
 
     def test_gram_rank_is_the_chain_sum_and_the_schur_weyl_multiplicity(self):
         # three independent values of dim L_r(nu) at delta = n: the rank of the
@@ -339,12 +340,12 @@ class TestStandardModules:
         for r in range(5):
             for nu in partitions_up_to(r):
                 for n in range(max(1, nu.size + nu.row(1)), 2 * r + 2):
-                    rank = _rank(standard_module(r, nu, Fraction(n)).gram_matrix())
+                    gram_rank = rank(standard_module(r, nu, Fraction(n)).gram_matrix())
                     chain = sum((-1) ** i * dim_standard(r, entry) for i, entry in enumerate(block_chain(nu, n, r)))
                     weighted = _weighted(_pad(nu.parts, n))
                     total = sum(w * rho.count(1) ** r for (rho, _size), w in zip(_classes(n), weighted))
                     tensor, rem = divmod(total, factorial(n))
-                    assert rem == 0 and rank == chain == tensor, (r, nu, n, rank, chain, tensor)
+                    assert rem == 0 and gram_rank == chain == tensor, (r, nu, n, gram_rank, chain, tensor)
                     cases += 1
         assert cases == 114
 
@@ -361,8 +362,8 @@ class TestStandardModules:
             gram = _integral(mod.gram_matrix())
             mats = {y: _integral(mod.action_matrix(y)) for y in {*diagrams, *(x.flip() for x in diagrams)}}
             for x in diagrams:
-                lhs = _mat_mul(tuple(zip(*mats[x])), gram)
-                assert lhs == _mat_mul(gram, mats[x.flip()]), (r, nu, str(x))
+                lhs = mat_mul(transpose(mats[x]), gram)
+                assert lhs == mat_mul(gram, mats[x.flip()]), (r, nu, str(x))
 
     def test_permutation_traces_on_top_layer(self):
         mod = standard_module(3, P([2, 1]), DELTA)
@@ -381,13 +382,50 @@ class TestStandardModules:
             for r in (1, 2, 3):
                 for nu in partitions_up_to(r):
                     mod = standard_module(r, nu, delta)
-                    assert _rank(mod.gram_matrix()) == mod.dim
+                    assert rank(mod.gram_matrix()) == mod.dim
+
+    def test_gram_matches_the_product_reference(self):
+        # the Gram built as (Specht form) x (matrix of sigma) per pair of
+        # half-diagrams: every nu at r <= 3, two seeded nu at r = 4
+        cases = [(r, nu) for r in range(4) for nu in partitions_up_to(r)]
+        cases += [(4, nu) for nu in random.Random(4).sample(partitions_up_to(4), 2)]
+        for delta in (Fraction(5), Fraction(7, 2), Fraction(-3, 2)):
+            for r, nu in cases:
+                mod = standard_module(r, nu, delta)
+                assert mod.gram_matrix() == gram_by_products(mod), (r, nu, delta)
+
+    @pytest.mark.parametrize("delta", [5, -2])
+    def test_integral_parameter_gives_int_entries(self, delta):
+        for r in (1, 2, 3):
+            for nu in partitions_up_to(r):
+                mod = standard_module(r, nu, delta)
+                _integral(mod.gram_matrix())
+                for sigma in permutations(range(1, r + 1)):
+                    _integral(mod.action_matrix(permutation_diagram(sigma)))
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            StandardModule(2, P([1]), 0)
+        with pytest.raises(ValueError, match="exceeds the degree 2"):
+            StandardModule(2, P([2, 1]), DELTA)
+        mod = StandardModule(2, P([1]), DELTA)
+        with pytest.raises(ValueError, match="parameter mismatch"):
+            mod.action_matrix(AlgebraElement.one(2, Fraction(7, 2)))
+        with pytest.raises(ValueError, match="degree 3 does not act in degree 2"):
+            mod.action_matrix(identity_diagram(3))
+        with pytest.raises(ValueError, match="degree 3 does not act in degree 2"):
+            mod.action_matrix(AlgebraElement.one(3, DELTA))
+        with pytest.raises(ValueError, match="profile"):
+            mod.action_matrix(D("{1,2,1'}"))
+        # an empty element is refused too: it has a degree, and it is not 2
+        with pytest.raises(ValueError, match="degree 3 does not act in degree 2"):
+            mod.action_matrix(AlgebraElement(3, DELTA))
 
     def test_gram_drops_rank_at_degenerate_parameter(self):
         # the three-dimensional degree-2 module is the one with a radical at
         # parameter 2
         mod = standard_module(2, P([1]), Fraction(2))
-        assert _rank(mod.gram_matrix()) < mod.dim
+        assert rank(mod.gram_matrix()) < mod.dim
 
 
 class TestCrossingProfile:
@@ -468,32 +506,5 @@ class TestRestriction:
 
 
 def _integral(mat):
-    assert all(v.denominator == 1 for row in mat for v in row)
-    return [[int(v) for v in row] for row in mat]
-
-
-def _rank(mat):
-    """Rank of a rational matrix: clear each row's denominators, then run
-    fraction-free (Bareiss) elimination on the integers."""
-    m = []
-    for row in mat:
-        row = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        m.append([int(x * scale) for x in row])
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    rank, prev = 0, 1
-    for c in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][c]
-        # every entry below is a minor of the rows and columns pivoted so far,
-        # so the division by the previous pivot is exact (Sylvester)
-        for i in range(rank + 1, rows):
-            f = m[i][c]
-            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[rank])]
-        prev = p
-        rank += 1
-    return rank
+    assert all(type(v) is int for row in mat for v in row)
+    return mat

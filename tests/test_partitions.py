@@ -52,6 +52,28 @@ class TestPartition:
         assert str(P()) == "[]"
         assert Partition.parse("[4,1]") == P([4, 1])
 
+    def test_parse_refuses_what_str_never_writes(self):
+        # a part is 0 or unsigned ASCII digits with no leading zero
+        for text, item in [
+            ("[1_0]", "1_0"),
+            ("[+1]", "+1"),
+            ("[01]", "01"),
+            ("[\u0663]", "\u0663"),
+            ("[2,-0]", "-0"),
+            ("[x]", "x"),
+            ("[2,,1]", ""),
+            ("[1,]", ""),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                Partition.parse(text)
+            assert str(exc.value) == f"bad part {item!r} in {text!r}"
+
+    def test_parse_allows_whitespace_and_zero_parts(self):
+        assert Partition.parse(" [ 3 , 1 ] ") == P([3, 1])
+        assert Partition.parse("[2,0]") == P([2])
+        assert Partition.parse("[0]") == P() == Partition.parse("[ ]")
+        assert Partition.parse("[10]") == P([10])
+
     def test_row_access(self):
         lam = P([4, 2, 1])
         assert [lam.row(i) for i in (1, 2, 3, 4)] == [4, 2, 1, 0]

@@ -20,9 +20,8 @@ from kroncoef.sym_characters import (
     specht_model,
     standard_tableaux,
     _chars,
-    _mat_mul,
 )
-from oracles import char_beta, induction_mult
+from oracles import char_beta, induction_mult, mat_mul, transpose
 
 P = Partition
 
@@ -217,13 +216,13 @@ class TestSpechtModel:
         k = m.nu.size
         ident = tuple(tuple(int(i == j) for j in range(m.dim)) for i in range(m.dim))
         for i in range(k - 1):
-            assert _mat_mul(m.generators[i], m.generators[i]) == ident
+            assert mat_mul(m.generators[i], m.generators[i]) == ident
         for i in range(k - 2):
-            ab = _mat_mul(m.generators[i], m.generators[i + 1])
-            assert _mat_mul(_mat_mul(ab, ab), ab) == ident
+            ab = mat_mul(m.generators[i], m.generators[i + 1])
+            assert mat_mul(mat_mul(ab, ab), ab) == ident
         for i in range(k - 1):
             for j in range(i + 2, k - 1):
-                assert _mat_mul(m.generators[i], m.generators[j]) == _mat_mul(
+                assert mat_mul(m.generators[i], m.generators[j]) == mat_mul(
                     m.generators[j], m.generators[i]
                 )
 
@@ -246,7 +245,7 @@ class TestSpechtModel:
         m = specht_model(P([3, 2]))
         s1, s2 = tuple(s1), tuple(s2)
         composed = tuple(s1[s2[j] - 1] for j in range(5))
-        assert _mat_mul(m.matrix_of(s1), m.matrix_of(s2)) == m.matrix_of(composed)
+        assert mat_mul(m.matrix_of(s1), m.matrix_of(s2)) == m.matrix_of(composed)
 
     def test_invariant_form_is_sigma_invariant(self):
         for shape in ((2, 1), (3, 2), (2, 2, 1), (3, 2, 1)):
@@ -254,8 +253,24 @@ class TestSpechtModel:
             form = m.invariant_form()
             for sigma in permutations(range(1, m.k + 1)):
                 mat = m.matrix_of(sigma)
-                lhs = _mat_mul(_transpose(mat), _mat_mul(form, mat))
+                lhs = mat_mul(transpose(mat), mat_mul(form, mat))
                 assert tuple(tuple(row) for row in lhs) == form, (shape, sigma)
+
+    def test_form_of_is_the_form_times_the_matrix(self):
+        # <e_a, sigma e_b> read off the polytabloids is the product of the
+        # tabloid form with the matrix of sigma
+        for shape in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 2, 1)):
+            m = specht_model(P(shape))
+            form = m.invariant_form()
+            for sigma in permutations(range(1, m.k + 1)):
+                assert m.form_of(sigma) == mat_mul(form, m.matrix_of(sigma)), (shape, sigma)
+
+    def test_matrix_and_form_refuse_a_non_permutation(self):
+        m = specht_model(P([2, 1]))
+        for sigma in ((1, 1, 2), (1, 2), (1, 2, 4)):
+            for method in (m.matrix_of, m.form_of):
+                with pytest.raises(ValueError, match="not a permutation of 1..3"):
+                    method(sigma)
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_matrix_of_is_the_generator_word_product(self, k):
@@ -270,10 +285,6 @@ class TestSpechtModel:
         with pytest.raises(ArithmeticError, match="outside the polytabloid span"):
             m.expand({((2,), (1,)): 1})
         assert m.expand({((1,), (2,)): 1, ((2,), (1,)): -1}) == (1,)
-
-
-def _transpose(mat):
-    return tuple(tuple(mat[i][j] for i in range(len(mat))) for j in range(len(mat[0])))
 
 
 def _bubble_sort_products(generators, k):
