@@ -40,8 +40,6 @@ _PUBLIC = {
     "partitions": (
         "Partition",
         "block_chain",
-        "conjugate",
-        "content_last",
         "dagger",
         "is_n_pair",
         "pad",
@@ -52,8 +50,6 @@ _PUBLIC = {
         "CharacterTable",
         "SpechtModel",
         "character",
-        "character_table",
-        "class_size",
         "kron_oracle",
         "specht_dim",
         "specht_model",

@@ -236,7 +236,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from .sym_characters import character_table
+    from .sym_characters import CharacterTable
 
     k = _first_past(args.n, OUTPUT_BUDGET, lambda c: c[-1] ** 2)
     if k is not None:
@@ -244,7 +244,7 @@ def cmd_table(args) -> int:
             f"the character table of S_{args.n} has at least p({k})^2 = {_partition_count(k, k) ** 2} cells, "
             f"more than {OUTPUT_BUDGET}; use --n <= {k - 1}"
         )
-    sys.stdout.write(character_table(args.n).to_tsv())
+    sys.stdout.write(CharacterTable(args.n).to_tsv())
     return 0
 
 

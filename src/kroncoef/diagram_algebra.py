@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import index
 
 from . import _memo
 from .kronecker import _reduced_kron
@@ -131,8 +132,17 @@ class SetPartitionDiagram:
         )
 
 
+def _degree(r: int) -> int:
+    """r read as a degree with operator.index, as Partition reads a part (a
+    float is refused, not truncated); ValueError when r is negative."""
+    r = index(r)
+    if r < 0:
+        raise ValueError(f"negative degree {r}")
+    return r
+
+
 def identity_diagram(r: int) -> SetPartitionDiagram:
-    return permutation_diagram(tuple(range(1, r + 1)))
+    return permutation_diagram(tuple(range(1, _degree(r) + 1)))
 
 
 def permutation_diagram(sigma: tuple[int, ...]) -> SetPartitionDiagram:
@@ -171,7 +181,7 @@ class AlgebraElement:
     __slots__ = ("r", "delta", "terms")
 
     def __init__(self, r: int, delta, terms=None):
-        self.r = r
+        self.r = r = _degree(r)
         self.delta = Fraction(delta)
         if self.delta == 0:
             raise ValueError("the diagram algebra parameter must be nonzero")
@@ -296,11 +306,6 @@ def bell(k: int) -> int:
     return sum(_stirling2(k, b) for b in range(k + 1))
 
 
-def enumerate_diagrams(r: int, m: int) -> list[SetPartitionDiagram]:
-    """All (r, m)-partition diagrams."""
-    return [SetPartitionDiagram._of(r, m, labels) for labels in _label_tuples(r + m)]
-
-
 def dim_standard(r: int, nu: Partition) -> int:
     """Dimension of the degree-r standard module labelled by nu: half-diagram
     count times the number of standard tableaux."""
@@ -351,7 +356,7 @@ class StandardModule:
     """
 
     def __init__(self, r: int, nu: Partition, delta):
-        self.r = r
+        self.r = r = _degree(r)
         self.nu = Partition(nu)
         self.m = self.nu.size
         self.delta = Fraction(delta)

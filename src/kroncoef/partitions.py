@@ -7,7 +7,8 @@ trailing zeros) and serialize as bracketed part lists, e.g. ``[4,1]``; the
 empty partition is ``[]``.  A padded label is itself a Partition of n (pad),
 and a block chain is a tuple of Partitions (block_chain).  Partitions are
 enumerated once, by _classes, which also sizes the conjugacy classes of the
-symmetric group; partitions_of reads its cycle types.
+symmetric group; partitions_of reads its cycle types.  Young diagram
+containment, which only the tests read, is contains in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ class Partition:
             raise ValueError("row index must be >= 1")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
-    def contains(self, other: "Partition") -> bool:
-        """True if other's Young diagram fits inside this one."""
-        return all(self.row(i) >= p for i, p in enumerate(other.parts, 1))
-
     def conjugate(self) -> "Partition":
         if not self.parts:
             return Partition()
@@ -108,19 +105,6 @@ def _is_numeral(text: str) -> bool:
     return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
 
 
-def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram."""
-    return Partition(lam).conjugate()
-
-
-def content_last(lam: Partition, i: int) -> int:
-    """Content of the last node in row i (1-indexed): lam_i - i."""
-    lam = Partition(lam)
-    if not 1 <= i <= len(lam):
-        raise ValueError(f"row {i} out of range for {lam}")
-    return lam.row(i) - i
-
-
 def pad(lam: Partition, n: int) -> Partition:
     """The partition (n - |lam|, lam_1, lam_2, ...) of n, whose first row is
     the padding row; valid only when n - |lam| >= lam_1."""
@@ -155,19 +139,8 @@ def is_n_pair(mu: Partition, lam: Partition, n: int) -> bool:
     return _successor(Partition(mu).parts, n) == Partition(lam).parts
 
 
-def n_pair_successor(nu: Partition, n: int) -> Partition | None:
-    """The unique lam with nu -> lam an n-pair, or None."""
-    out = _successor(Partition(nu).parts, n)
-    return None if out is None else Partition(out)
-
-
-def n_pair_predecessor(nu: Partition, n: int) -> Partition | None:
-    """The unique mu with mu -> nu an n-pair, or None."""
-    out = _predecessor(Partition(nu).parts, n)
-    return None if out is None else Partition(out)
-
-
 def _successor(nu: tuple, n: int) -> tuple | None:
+    """The parts of the unique lam with nu -> lam an n-pair, or None."""
     # The strip added in row i must end at content n - |nu|, which forces the
     # new row value n - |nu| + i; at most one row admits it.
     size, out = sum(nu), None
@@ -182,6 +155,7 @@ def _successor(nu: tuple, n: int) -> tuple | None:
 
 
 def _predecessor(nu: tuple, n: int) -> tuple | None:
+    """The parts of the unique mu with mu -> nu an n-pair, or None."""
     size, out = sum(nu), None
     for i in range(1, len(nu) + 1):
         v = n - size + i
@@ -202,13 +176,6 @@ def _walk(nu: tuple, n: int) -> Iterator[tuple]:
     yield nu
     while (nu := _successor(nu, n)) is not None:
         yield nu
-
-
-def n_pair_chain(nu: Partition, n: int) -> Iterator[Partition]:
-    """Unbounded chain of n-pairs through nu, yielded from its minimal
-    element onward.  The forward walk never terminates once the padding row
-    exists, so consume with a bound."""
-    return map(Partition, _walk(Partition(nu).parts, n))
 
 
 def block_chain(nu: Partition, n: int, r: int) -> tuple[Partition, ...]:

@@ -7,6 +7,9 @@ order of partitions._classes, which enumerates the classes and their sizes;
 Kronecker coefficients as class-weighted triple products; and explicit
 Specht modules on the standard polytabloid basis: permutation matrices by
 straightening in dominance order, and forms read off the polytabloids.
+The class sizes are those of _classes alone; the closed size formula and
+the cycle type of a permutation, which only the tests read, are class_size
+and cycle_type in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -43,18 +46,6 @@ def character(lam: Partition, rho: Partition) -> int:
     return _chars(lam.parts)[_class_index(lam.size)[rho.parts]]
 
 
-def class_size(rho: Partition) -> int:
-    """Number of permutations of cycle type rho: |rho|! / prod k^{m_k} m_k!."""
-    rho = Partition(rho)
-    z = 1
-    mult: dict[int, int] = {}
-    for part in rho.parts:
-        mult[part] = mult.get(part, 0) + 1
-    for k, m in mult.items():
-        z *= k**m * factorial(m)
-    return factorial(rho.size) // z
-
-
 @_memo
 def _class_index(n: int) -> dict[tuple, int]:
     """Position of each cycle type of S_n in _classes(n)."""
@@ -71,12 +62,6 @@ class CharacterTable:
     def __init__(self, n: int):
         self.n = n
         self.partitions = partitions_of(n)
-
-    def value(self, lam: Partition, rho: Partition) -> int:
-        lam, rho = Partition(lam), Partition(rho)
-        if lam.size != self.n or rho.size != self.n:
-            raise ValueError(f"{lam} and {rho} are not both partitions of {self.n}")
-        return character(lam, rho)
 
     def check_orthogonality(self) -> None:
         """Raise if either orthogonality relation fails."""
@@ -99,11 +84,6 @@ class CharacterTable:
         for lam in self.partitions:
             lines.append("\t".join([str(lam)] + [str(c) for c in _chars(lam.parts)]))
         return "\n".join(lines) + "\n"
-
-
-def character_table(n: int) -> CharacterTable:
-    """The character table for degree n."""
-    return CharacterTable(n)
 
 
 def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -278,10 +258,6 @@ class SpechtModel:
             for i in range(1, self.k)
         ]
 
-    def expand(self, vec: dict[tuple, int]) -> tuple[int, ...]:
-        """Coefficients of a tabloid vector in the standard polytabloid basis."""
-        return self._straighten({_row_key(tab, self.k): c for tab, c in vec.items() if c})
-
     def _straighten(self, vec: dict[tuple, int]) -> tuple[int, ...]:
         # {t} has coefficient 1 in e_t, and every other tabloid of e_t lies
         # below it, so no later e_t' can change the coefficient of {t}
@@ -320,10 +296,6 @@ class SpechtModel:
         # a row key names one tabloid, so keys pair up as tabloids do
         return tuple(tuple(sum(c * v.get(key, 0) for key, c in u.items()) for v in permuted) for u in self._keyed)
 
-    def invariant_form(self) -> tuple:
-        """Gram matrix of the basis under the tabloid inner product."""
-        return self.form_of(tuple(range(1, self.k + 1)))
-
 
 @_memo
 def _specht_model_cached(parts: tuple) -> SpechtModel:
@@ -336,21 +308,3 @@ def specht_model(nu: Partition) -> SpechtModel:
     if nu.size > SPECHT_CAP:
         raise ValueError(f"|{nu}| exceeds the Specht model cap {SPECHT_CAP}")
     return _specht_model_cached(nu.parts)
-
-
-def cycle_type(sigma: tuple[int, ...]) -> Partition:
-    """Cycle type of a permutation in one-line notation."""
-    k = len(sigma)
-    seen = [False] * (k + 1)
-    parts = []
-    for start in range(1, k + 1):
-        if seen[start]:
-            continue
-        length = 0
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            v = sigma[v - 1]
-            length += 1
-        parts.append(length)
-    return Partition(sorted(parts, reverse=True))

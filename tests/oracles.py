@@ -19,6 +19,13 @@ here multiplies the Specht form by a permutation matrix for each pair of
 half-diagrams, in Fractions, where the library reads each block off the
 permuted polytabloids.
 
+The references that the library does without live here too: Young diagram
+containment, the size of a conjugacy class by the formula
+|rho|! / prod k^{m_k} m_k! (the library sizes its classes by a recursion
+over the first part), the cycle type of a permutation, and the list of all
+(r, m) diagrams, built vertex by vertex through the public constructor,
+where the library builds the canonical label tuples of its half-diagrams.
+
 The tests' exact linear algebra lives here too, since the library holds no
 matrix helper: the matrix product, the transpose and a fraction-free rank.
 """
@@ -27,17 +34,67 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from kroncoef.diagram_algebra import compose, factor_half_diagram, propagating_count
+from kroncoef.diagram_algebra import SetPartitionDiagram, compose, factor_half_diagram, propagating_count
 from kroncoef.lr import lr_coeff3
 from kroncoef.partitions import Partition, _classes, partitions_of
 from kroncoef.sym_characters import _chars, _class_index, kron_oracle
+
+
+def contains(outer: Partition, inner: Partition) -> bool:
+    """True if the Young diagram of inner fits inside that of outer."""
+    return all(outer.row(i) >= p for i, p in enumerate(inner.parts, 1))
+
+
+def class_size(rho: Partition) -> int:
+    """Number of permutations of cycle type rho: |rho|! / prod k^{m_k} m_k!."""
+    rho = Partition(rho)
+    z = 1
+    mult: dict[int, int] = {}
+    for part in rho.parts:
+        mult[part] = mult.get(part, 0) + 1
+    for k, m in mult.items():
+        z *= k**m * factorial(m)
+    return factorial(rho.size) // z
+
+
+def cycle_type(sigma: tuple[int, ...]) -> Partition:
+    """Cycle type of a permutation in one-line notation."""
+    k = len(sigma)
+    seen = [False] * (k + 1)
+    parts = []
+    for start in range(1, k + 1):
+        if seen[start]:
+            continue
+        length = 0
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            v = sigma[v - 1]
+            length += 1
+        parts.append(length)
+    return Partition(sorted(parts, reverse=True))
+
+
+def enumerate_diagrams(r: int, m: int) -> list[SetPartitionDiagram]:
+    """All (r, m)-partition diagrams: each vertex in turn joins one of the
+    blocks so far or opens a new one, and every set of blocks goes through
+    the public constructor.  The diagrams come in the order of their
+    canonical label tuples."""
+    partitions = [[]]
+    for v in [*range(1, r + 1), *range(-1, -m - 1, -1)]:
+        partitions = [
+            [*blocks[:i], [*blocks[i], v], *blocks[i + 1:]] if i < len(blocks) else [*blocks, [v]]
+            for blocks in partitions
+            for i in range(len(blocks) + 1)
+        ]
+    return [SetPartitionDiagram(r, m, blocks) for blocks in partitions]
 
 
 def lr_lattice(lam: Partition, mu: Partition, nu: Partition) -> int:
     """LR coefficient as the number of semistandard fillings of nu/lam with
     content mu whose reverse reading word is a lattice word."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if lam.size + mu.size != nu.size or not nu.contains(lam):
+    if lam.size + mu.size != nu.size or not contains(nu, lam):
         return 0
     cells = []
     for r in range(1, len(nu) + 1):

@@ -13,7 +13,7 @@ from kroncoef import Partition as P
 from kroncoef.diagram_algebra import bell, dim_standard, restriction_table
 from kroncoef.kronecker import kron_via_blocks, kron_via_dagger, kron_via_oracle, reduced_kron, reduced_kron_via_lr
 from kroncoef.lr import lr_coeff3
-from kroncoef.sym_characters import character, character_table, specht_model
+from kroncoef.sym_characters import CharacterTable, character, specht_model
 
 
 def package_caches() -> dict:
@@ -39,7 +39,7 @@ def values():
         reduced_kron_via_lr(P([2, 1]), P([2, 1]), P([2, 1])),
         reduced_kron_via_lr(P([3, 1]), P([2, 2]), P([3, 2])),
         lr_coeff3(P([2, 1]), P([1]), P([1]), P([3, 2])),
-        character_table(5).to_tsv(),
+        CharacterTable(5).to_tsv(),
         character(P([3, 1]), P([2, 2])),
         specht_model(P([3, 2])).generators,
         restriction_table(P([2, 1]), 2, 2),

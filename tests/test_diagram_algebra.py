@@ -15,7 +15,6 @@ from kroncoef.diagram_algebra import (
     compose,
     crossing_profile,
     dim_standard,
-    enumerate_diagrams,
     factor_half_diagram,
     generator_e,
     generator_s,
@@ -29,8 +28,8 @@ from kroncoef.diagram_algebra import (
 )
 from kroncoef.kronecker import reduced_kron
 from kroncoef.partitions import Partition, _classes, _pad, block_chain, partitions_up_to
-from kroncoef.sym_characters import _weighted, character, cycle_type, specht_dim
-from oracles import compose_union_find, gram_by_products, mat_mul, rank, transpose
+from kroncoef.sym_characters import _weighted, character, specht_dim
+from oracles import compose_union_find, cycle_type, enumerate_diagrams, gram_by_products, mat_mul, rank, transpose
 
 P = Partition
 D = SetPartitionDiagram.parse
@@ -193,6 +192,27 @@ class TestGenerators:
             generator_e(1, 2, 0)
         with pytest.raises(ValueError):
             AlgebraElement(2, 0, {})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda r: AlgebraElement(r, DELTA),
+            lambda r: AlgebraElement.one(r, DELTA),
+            identity_diagram,
+            lambda r: StandardModule(r, P(), DELTA),
+        ],
+        ids=["element", "one", "identity", "module"],
+    )
+    def test_degree_is_a_nonnegative_integer(self, build):
+        # read with operator.index, as a part of a Partition is: 2.5 is
+        # refused, not truncated, and a negative degree is named
+        for r in (-1, -2):
+            with pytest.raises(ValueError, match=f"negative degree {r}$"):
+                build(r)
+        for r in (2.5, 2.0, "2"):
+            with pytest.raises(TypeError):
+                build(r)
+        build(0)
 
 
 class TestDimensions:

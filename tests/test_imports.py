@@ -1,12 +1,14 @@
-"""Every name a module imports is used in it, and every public name of the
-package resolves to the object its module defines: the package's
-__init__.py names its public API in a table and imports a module on first
-use of one of its names."""
+"""Every name a module imports is used in it, every function of the library
+has a reader (a private one in the library, a public one in the library or
+the README), and every public name of the package resolves to the object
+its module defines: the package's __init__.py names its public API in a
+table and imports a module on first use of one of its names."""
 
 import ast
 import glob
 import importlib
 import os
+import re
 from collections import Counter
 
 import pytest
@@ -85,14 +87,68 @@ def test_the_scan_sees_a_dead_helper():
     assert dead_private_functions(sources) == ["a.py:1 _dead"]
 
 
-def test_no_dead_private_function():
+def library_sources() -> dict[str, str]:
     sources = {}
     for path in FILES:
         if path.startswith(os.path.join(ROOT, "src")):
             with open(path, encoding="utf-8") as handle:
                 sources[os.path.relpath(path, ROOT)] = handle.read()
-    assert dead_private_functions(sources) == []
+    return sources
 
+
+def test_no_dead_private_function():
+    assert dead_private_functions(library_sources()) == []
+
+
+def readme_names(readme: str) -> set[str]:
+    """The name each inline code span of readme starts with: its leading
+    dotted identifier, less a "kroncoef." prefix; fenced blocks are skipped."""
+    text = re.sub(r"```.*?```", "", readme, flags=re.S)
+    spans = re.findall(r"`([^`]+)`", text)
+    return {m[1] for span in spans if (m := re.match(r"(?:kroncoef\.)?([A-Za-z_][\w.]*)", span.strip()))}
+
+
+def unread_public_names(sources: dict[str, str], readme: str) -> list[str]:
+    """The public module-level functions and classes of sources, and the
+    public methods of those classes, that nothing in sources references
+    outside their own definition and that no code span of readme names, as
+    name or Class.name."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    references = Counter(ref for tree in trees.values() for ref in _referenced(tree))
+    named = readme_names(readme)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            items = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                items += [(m, f"{node.name}.{m.name}") for m in node.body if isinstance(m, ast.FunctionDef)]
+            for item, label in items:
+                if item.name.startswith("_") or label in named:
+                    continue
+                if references[item.name] == _referenced(item).count(item.name):
+                    found.append(f"{name}:{item.lineno} {label}")
+    return found
+
+
+def test_the_scan_sees_an_unread_public_name():
+    sources = {
+        "a.py": "def dead(n):\n    return dead(n - 1)\n\ndef used():\n    pass\n\nclass C:\n    def m(self):\n        pass\n\n    def __eq__(self, other):\n        pass\n\n    def _p(self):\n        pass\n",
+        "b.py": "from a import used\nused()\n",
+    }
+    assert unread_public_names(sources, "") == ["a.py:1 dead", "a.py:7 C", "a.py:8 C.m"]
+    readme = "Use `dead(n)` and `kroncoef.C`.\n```\n`C.m`\n```\nNot `m` nor `x.C.m`.\n"
+    assert unread_public_names(sources, readme) == ["a.py:8 C.m"]
+    sources["b.py"] += "C().m()\n"
+    assert unread_public_names(sources, "") == ["a.py:1 dead"]
+
+
+def test_every_public_name_has_a_reader():
+    """A public function, class or method is read by the library or named in
+    the README; what only its own tests read is not part of the library."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        assert unread_public_names(library_sources(), handle.read()) == []
 
 
 def test_public_names_resolve_to_their_modules():

@@ -1,19 +1,14 @@
-from itertools import islice
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kroncoef.partitions import (
     Partition,
+    _predecessor,
+    _successor,
     block_chain,
-    conjugate,
-    content_last,
     dagger,
     is_n_pair,
-    n_pair_chain,
-    n_pair_predecessor,
-    n_pair_successor,
     pad,
     partitions_of,
     partitions_up_to,
@@ -83,25 +78,14 @@ class TestPartition:
 
 class TestConjugate:
     def test_examples(self):
-        assert conjugate(P()) == P()
-        assert conjugate(P([2, 1])) == P([2, 1])
-        assert conjugate(P([3, 1])) == P([2, 1, 1])
+        assert P().conjugate() == P()
+        assert P([2, 1]).conjugate() == P([2, 1])
+        assert P([3, 1]).conjugate() == P([2, 1, 1])
 
     def test_involution_exhaustive(self):
         for k in range(13):
             for lam in partitions_of(k):
-                assert conjugate(conjugate(lam)) == lam
-
-
-class TestContentLast:
-    def test_examples(self):
-        assert content_last(P([2, 1]), 1) == 1
-        assert content_last(P([4, 1]), 1) == 3
-        assert content_last(P([2, 1]), 2) == -1
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            content_last(P([2, 1]), 3)
+                assert lam.conjugate().conjugate() == lam
 
 
 class TestPad:
@@ -147,14 +131,14 @@ class TestNPairs:
     def test_successor_predecessor_inverse(self):
         for nu in partitions_up_to(6):
             for n in range(1, 12):
-                nxt = n_pair_successor(nu, n)
+                nxt = _successor(nu.parts, n)
                 if nxt is not None:
                     assert is_n_pair(nu, nxt, n)
-                    assert n_pair_predecessor(nxt, n) == nu
-                prev = n_pair_predecessor(nu, n)
+                    assert _predecessor(nxt, n) == nu.parts
+                prev = _predecessor(nu.parts, n)
                 if prev is not None:
                     assert is_n_pair(prev, nu, n)
-                    assert n_pair_successor(prev, n) == nu
+                    assert _successor(prev, n) == nu.parts
 
     def test_first_step_size(self):
         # the first strip ends at content n - |nu|, so |nu^(1)| = n + 1 - nu_1
@@ -164,8 +148,8 @@ class TestNPairs:
                     pad(nu, n)
                 except ValueError:
                     continue
-                nxt = n_pair_successor(nu, n)
-                assert nxt is not None and nxt.size == n + 1 - nu.row(1)
+                nxt = _successor(nu.parts, n)
+                assert nxt is not None and sum(nxt) == n + 1 - nu.row(1)
 
 
 class TestBlockChain:
@@ -197,14 +181,17 @@ class TestBlockChain:
                     assert (len(block_chain(nu, n, r)) == 1) == (n + 1 - nu.row(1) > r)
 
     def test_strip_in_row_i(self):
-        # counting from the minimal element, step i adds boxes in row i only
+        # counting from the minimal element, step i adds boxes in row i only;
+        # entry i has n + i - pad(nu, n)_i boxes, so the cap n + 7 admits the
+        # first 8 entries
         for nu in partitions_up_to(5):
             for n in range(1, 12):
                 try:
                     pad(nu, n)
                 except ValueError:
                     continue
-                chain = list(islice(n_pair_chain(nu, n), 8))
+                chain = block_chain(nu, n, n + 7)
+                assert len(chain) == 8
                 for i in range(1, len(chain)):
                     prev, cur = chain[i - 1], chain[i]
                     changed = [
@@ -238,7 +225,10 @@ class TestDagger:
                     padded = pad(nu, n)
                 except ValueError:
                     continue
-                for i, entry in enumerate(islice(n_pair_chain(nu, n), 11)):
+                # entry i has n + i - padded_i boxes: the cap n + 10 admits 11
+                chain = block_chain(nu, n, n + 10)
+                assert len(chain) == 11
+                for i, entry in enumerate(chain):
                     assert dagger(padded, i) == entry
 
     @given(partition_st, st.integers(1, 25), st.integers(0, 12))

@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 
 import kroncoef
 from kroncoef import sym_characters
-from kroncoef.partitions import Partition, _classes, _partition_count, conjugate, partitions_of
+from kroncoef.partitions import Partition, _classes, _partition_count, partitions_of
 from kroncoef.sym_characters import (
+    CharacterTable,
     character,
-    character_table,
-    class_size,
-    cycle_type,
     kron_oracle,
     specht_dim,
     specht_model,
     standard_tableaux,
     _chars,
 )
-from oracles import char_beta, induction_mult, mat_mul, transpose
+from oracles import char_beta, class_size, cycle_type, induction_mult, mat_mul, transpose
 
 P = Partition
 
@@ -73,25 +71,30 @@ class TestCharacter:
 
 
 class TestClassSize:
+    """The sizes that _classes computes by its recursion over the first part."""
+
     def test_examples(self):
-        assert class_size(P([1, 1, 1])) == 1
-        assert class_size(P([5])) == 24
-        assert class_size(P([2, 1])) == 3
+        assert dict(_classes(3))[(1, 1, 1)] == 1
+        assert dict(_classes(5))[(5,)] == 24
+        assert dict(_classes(3))[(2, 1)] == 3
+
+    def test_matches_the_formula_up_to_14(self):
+        for n in range(15):
+            for rho, size in _classes(n):
+                assert size == class_size(P(rho)), (n, rho)
 
     def test_sums_to_factorial(self):
-        import math
-
-        for n in range(1, 10):
-            assert sum(class_size(rho) for rho in partitions_of(n)) == math.factorial(n)
+        for n in range(15):
+            assert sum(size for _rho, size in _classes(n)) == factorial(n)
 
 
 class TestCharacterTable:
     def test_orthogonality_up_to_8(self):
         for n in range(1, 9):
-            character_table(n).check_orthogonality()
+            CharacterTable(n).check_orthogonality()
 
     def test_tsv_shape(self):
-        tsv = character_table(4).to_tsv()
+        tsv = CharacterTable(4).to_tsv()
         lines = tsv.strip().split("\n")
         assert len(lines) == 6
         assert lines[0].startswith("lambda\\rho")
@@ -100,7 +103,7 @@ class TestCharacterTable:
         # each cell is looked up by its row and column labels, so a row or
         # column out of order fails even when the set of values is right
         for n in range(8):
-            header, *lines = character_table(n).to_tsv().splitlines()
+            header, *lines = CharacterTable(n).to_tsv().splitlines()
             columns = [P.parse(text) for text in header.split("\t")[1:]]
             assert sorted(columns) == list(partitions_of(n))
             assert len(lines) == len(columns)
@@ -111,16 +114,9 @@ class TestCharacterTable:
                     assert int(cell) == character(P.parse(label), rho), (n, label, rho)
             assert sorted(P.parse(line.split("\t")[0]) for line in lines) == list(partitions_of(n))
 
-    def test_value_refuses_a_label_of_another_size(self):
-        table = character_table(4)
-        assert table.value(P([3, 1]), P([2, 2])) == -1
-        for lam, rho in [(P([3]), P([2, 2])), (P([2, 2]), P([5])), (P([3]), P([2, 1]))]:
-            with pytest.raises(ValueError, match="not both partitions of 4$"):
-                table.value(lam, rho)
-
     def test_idempotent_under_threads(self):
         with ThreadPoolExecutor(max_workers=8) as pool:
-            tables = list(pool.map(character_table, [6] * 16))
+            tables = list(pool.map(CharacterTable, [6] * 16))
         assert len({t.to_tsv() for t in tables}) == 1
 
 
@@ -145,15 +141,14 @@ class TestKronOracle:
                             assert kron_oracle(a, b, c) == ref
 
     def test_matches_the_character_table_n_up_to_6(self):
-        # the class sum taken straight from the table's values
+        # the class sum over the table's classes, with the formula's class sizes
         for n in range(7):
-            table = character_table(n)
-            ps, chi = table.partitions, table.value
+            ps = CharacterTable(n).partitions
             for lam in ps:
                 for mu in ps:
                     for nu in ps:
                         total = sum(
-                            class_size(rho) * chi(lam, rho) * chi(mu, rho) * chi(nu, rho)
+                            class_size(rho) * character(lam, rho) * character(mu, rho) * character(nu, rho)
                             for rho in ps
                         )
                         assert total % factorial(n) == 0
@@ -165,7 +160,7 @@ class TestKronOracle:
                 for nu in partitions_of(n):
                     assert kron_oracle(lam, P([n]), nu) == (1 if lam == nu else 0)
                     assert kron_oracle(lam, P([1] * n), nu) == (
-                        1 if nu == conjugate(lam) else 0
+                        1 if nu == lam.conjugate() else 0
                     )
 
     def test_dimension_identity(self):
@@ -250,7 +245,7 @@ class TestSpechtModel:
     def test_invariant_form_is_sigma_invariant(self):
         for shape in ((2, 1), (3, 2), (2, 2, 1), (3, 2, 1)):
             m = specht_model(P(shape))
-            form = m.invariant_form()
+            form = m.form_of(tuple(range(1, m.k + 1)))
             for sigma in permutations(range(1, m.k + 1)):
                 mat = m.matrix_of(sigma)
                 lhs = mat_mul(transpose(mat), mat_mul(form, mat))
@@ -261,7 +256,7 @@ class TestSpechtModel:
         # tabloid form with the matrix of sigma
         for shape in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 2, 1)):
             m = specht_model(P(shape))
-            form = m.invariant_form()
+            form = m.form_of(tuple(range(1, m.k + 1)))
             for sigma in permutations(range(1, m.k + 1)):
                 assert m.form_of(sigma) == mat_mul(form, m.matrix_of(sigma)), (shape, sigma)
 
@@ -281,10 +276,11 @@ class TestSpechtModel:
                 assert m.matrix_of(sigma) == ref(sigma)
 
     def test_straightening_outside_the_span_raises(self):
+        # a row-index key: (1, 0) is the tabloid with 2 in the first row
         m = specht_model(P([1, 1]))
         with pytest.raises(ArithmeticError, match="outside the polytabloid span"):
-            m.expand({((2,), (1,)): 1})
-        assert m.expand({((1,), (2,)): 1, ((2,), (1,)): -1}) == (1,)
+            m._straighten({(1, 0): 1})
+        assert m._straighten({(0, 1): 1, (1, 0): -1}) == (1,)
 
 
 def _bubble_sort_products(generators, k):
