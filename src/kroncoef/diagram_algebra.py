@@ -20,11 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import index
 
 from . import _memo
 from .kronecker import _reduced_kron
-from .partitions import Partition, _is_numeral, partitions_up_to
+from .partitions import Partition, _degree, _is_numeral, partitions_up_to
 from .sym_characters import specht_dim, specht_model
 
 
@@ -132,15 +131,6 @@ class SetPartitionDiagram:
         )
 
 
-def _degree(r: int) -> int:
-    """r read as a degree with operator.index, as Partition reads a part (a
-    float is refused, not truncated); ValueError when r is negative."""
-    r = index(r)
-    if r < 0:
-        raise ValueError(f"negative degree {r}")
-    return r
-
-
 def identity_diagram(r: int) -> SetPartitionDiagram:
     return permutation_diagram(tuple(range(1, _degree(r) + 1)))
 
@@ -174,6 +164,15 @@ def compose(x: SetPartitionDiagram, y: SetPartitionDiagram) -> tuple[int, SetPar
     return len(set(comp)) - len(set(outer)), SetPartitionDiagram._of(r, y.m, _relabel(outer))
 
 
+def _parameter(delta) -> Fraction:
+    """delta read as the algebra's parameter, an exact Fraction; ValueError
+    when it is zero."""
+    delta = Fraction(delta)
+    if delta == 0:
+        raise ValueError("the diagram algebra parameter must be nonzero")
+    return delta
+
+
 class AlgebraElement:
     """Finite rational linear combination of (r, r) diagrams at a fixed
     nonzero rational parameter."""
@@ -182,9 +181,7 @@ class AlgebraElement:
 
     def __init__(self, r: int, delta, terms=None):
         self.r = r = _degree(r)
-        self.delta = Fraction(delta)
-        if self.delta == 0:
-            raise ValueError("the diagram algebra parameter must be nonzero")
+        self.delta = _parameter(delta)
         clean: dict[SetPartitionDiagram, Fraction] = {}
         for d, c in (terms or {}).items():
             c = Fraction(c)
@@ -269,9 +266,7 @@ def generator_e(l: int, r: int, delta) -> AlgebraElement:
     bottom vertices l'..r' merged, and coefficient 1/delta."""
     if not 1 <= l <= r:
         raise ValueError(f"need 1 <= l <= r, got ({l},{r})")
-    delta = Fraction(delta)
-    if delta == 0:
-        raise ValueError("the diagram algebra parameter must be nonzero")
+    delta = _parameter(delta)
     blocks = [[k, -k] for k in range(1, l)]
     blocks.append(list(range(l, r + 1)))
     blocks.append([-k for k in range(l, r + 1)])
@@ -309,7 +304,7 @@ def bell(k: int) -> int:
 def dim_standard(r: int, nu: Partition) -> int:
     """Dimension of the degree-r standard module labelled by nu: half-diagram
     count times the number of standard tableaux."""
-    nu = Partition(nu)
+    r, nu = _degree(r), Partition(nu)
     m = nu.size
     if m > r:
         return 0
@@ -359,9 +354,7 @@ class StandardModule:
         self.r = r = _degree(r)
         self.nu = Partition(nu)
         self.m = self.nu.size
-        self.delta = Fraction(delta)
-        if self.delta == 0:
-            raise ValueError("the diagram algebra parameter must be nonzero")
+        self.delta = _parameter(delta)
         if self.m > r:
             raise ValueError(f"|{nu}| exceeds the degree {r}")
         self.specht = specht_model(self.nu)

@@ -29,7 +29,9 @@ route reads its three labels with partitions._reduce.
 
 Each public function validates its arguments as Partition once; from there
 on the routes pass plain parts tuples to the cached kernels (_reduced_kron
-and its _restricted character tables, sym_characters._kron).
+and its _restricted character tables, sym_characters._kron).  _restricted
+finds a joined cycle type by adding the class keys of partitions._class_key
+of its pieces.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from math import factorial
 from operator import mul
 
 from . import _memo
-from .partitions import Partition, _classes, _pad, _reduce, block_chain, dagger, pad
-from .sym_characters import _chars, _class_index, _kron
+from .partitions import Partition, _class_index, _class_key, _classes, _pad, _reduce, block_chain, dagger, pad
+from .sym_characters import _chars, _kron
 
 
 class FormulaRangeError(ValueError):
@@ -181,14 +183,17 @@ def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
 def _restricted(outer: tuple, x: int, y: int, c: int) -> tuple:
     """chi^outer restricted to S_x x S_y x S_c as nested tuples [C][sigma][omega]
     over the classes C of S_c, sigma of S_x and omega of S_y, each in the
-    order of _classes: entry chi^outer(sigma omega C) of the joined cycle type."""
-    chars, index = _chars(outer), _class_index(x + y + c)
+    order of _classes: entry chi^outer(sigma omega C) of the joined cycle type,
+    whose class key is the sum of the keys of sigma, omega and C."""
+    n = x + y + c
+    chars, index = _chars(outer), _class_index(n)
+    keys_sigma, keys_omega, keys_c = ([_class_key(rho, n) for rho, _size in _classes(k)] for k in (x, y, c))
     return tuple(
         tuple(
-            tuple(chars[index[tuple(sorted(sigma + omega + C, reverse=True))]] for omega, _ in _classes(y))
-            for sigma, _ in _classes(x)
+            tuple(chars[index[key_c + key_sigma + key_omega]] for key_omega in keys_omega)
+            for key_sigma in keys_sigma
         )
-        for C, _ in _classes(c)
+        for key_c in keys_c
     )
 
 

@@ -7,8 +7,11 @@ trailing zeros) and serialize as bracketed part lists, e.g. ``[4,1]``; the
 empty partition is ``[]``.  A padded label is itself a Partition of n (pad),
 and a block chain is a tuple of Partitions (block_chain).  Partitions are
 enumerated once, by _classes, which also sizes the conjugacy classes of the
-symmetric group; partitions_of reads its cycle types.  Young diagram
-containment, which only the tests read, is contains in tests/oracles.py.
+symmetric group; partitions_of reads its cycle types.  A cycle type is
+located by its one additive class key, _class_key: the keys of cycle types
+that are joined add, and _class_index maps a key to its position in
+_classes.  A degree is read once, by _degree.  Young diagram containment,
+which only the tests read, is contains in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -208,6 +211,15 @@ def dagger(padded: Partition, i: int) -> Partition:
     return Partition(head + list(rows[i + 1:]))
 
 
+def _degree(r: int) -> int:
+    """r read as a degree with operator.index, as Partition reads a part (a
+    float is refused, not truncated); ValueError when r is negative."""
+    r = index(r)
+    if r < 0:
+        raise ValueError(f"negative degree {r}")
+    return r
+
+
 @_memo
 def _partition_count(m: int, t: int) -> int:
     """Number of partitions of m with every part <= t; p(m) is
@@ -239,6 +251,21 @@ def _classes(n: int) -> tuple[tuple[tuple, int], ...]:
         for rho, size in _classes(n - u)[: _partition_count(n - u, u)]:
             out.append(((u,) + rho, size * ways // (rho.count(u) + 1)))
     return tuple(out)
+
+
+def _class_key(rho: tuple, n: int) -> int:
+    """The additive key of the cycle type rho, |rho| <= n, for target n: the
+    sum over its parts of (n+1)^(part-1).  A cycle type of size <= n has no
+    part of multiplicity above n, so no base-(n+1) digit carries: keys are
+    distinct, and the key of a juxtaposition of cycle types is the sum of
+    their keys."""
+    return sum((n + 1) ** (part - 1) for part in rho)
+
+
+@_memo
+def _class_index(n: int) -> dict[int, int]:
+    """Position in _classes(n) of each cycle type of S_n, by _class_key."""
+    return {_class_key(rho, n): i for i, (rho, _size) in enumerate(_classes(n))}
 
 
 @_memo

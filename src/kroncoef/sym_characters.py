@@ -7,9 +7,10 @@ order of partitions._classes, which enumerates the classes and their sizes;
 Kronecker coefficients as class-weighted triple products; and explicit
 Specht modules on the standard polytabloid basis: permutation matrices by
 straightening in dominance order, and forms read off the polytabloids.
-The class sizes are those of _classes alone; the closed size formula and
-the cycle type of a permutation, which only the tests read, are class_size
-and cycle_type in tests/oracles.py.
+The class sizes are those of _classes alone, and a class is located by
+partitions._class_key alone; the closed size formula and the cycle type of a
+permutation, which only the tests read, are class_size and cycle_type in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import factorial
 from operator import add, mul, sub
 
 from . import _memo
-from .partitions import Partition, _classes, _partition_count, partitions_of
+from .partitions import Partition, _class_index, _class_key, _classes, _degree, _partition_count, partitions_of
 
 SPECHT_CAP = 7
 
@@ -43,13 +44,7 @@ def character(lam: Partition, rho: Partition) -> int:
     lam, rho = Partition(lam), Partition(rho)
     if lam.size != rho.size:
         raise ValueError(f"size mismatch: |{lam}| != |{rho}|")
-    return _chars(lam.parts)[_class_index(lam.size)[rho.parts]]
-
-
-@_memo
-def _class_index(n: int) -> dict[tuple, int]:
-    """Position of each cycle type of S_n in _classes(n)."""
-    return {rho: i for i, (rho, _size) in enumerate(_classes(n))}
+    return _chars(lam.parts)[_class_index(lam.size)[_class_key(rho.parts, lam.size)]]
 
 
 class CharacterTable:
@@ -60,7 +55,7 @@ class CharacterTable:
     """
 
     def __init__(self, n: int):
-        self.n = n
+        self.n = n = _degree(n)
         self.partitions = partitions_of(n)
 
     def check_orthogonality(self) -> None:

@@ -8,9 +8,11 @@ value chi^lam(rho) at a time by moving beads on a beta-set, where the library
 removes border strips by row arithmetic and computes chi^lam on whole blocks
 of classes at once; the n-pair check compares raw cell sets; the partition
 list here is generated part by part and sorted, where the library reads the
-cycle types of its class enumeration.  The induction multiplicity here sums
-character products over pairs of classes, where the library counts LR
-tableaux.  The diagram composition here runs a union-find on the vertices of
+cycle types of its class enumeration.  A joined cycle type is located here by
+sorting its parts into a tuple key, where the library adds additive class
+keys; restricted_by_sorting is the restricted character table gathered that
+way.  The induction multiplicity here sums character products over pairs of
+classes, where the library counts LR tableaux.  The diagram composition here runs a union-find on the vertices of
 the stacked picture, given as blocks, where the library joins block labels.
 The reduced Kronecker coefficient here is the source paper's positive sum of
 LR products and Kronecker coefficients, term by term, where the library
@@ -37,7 +39,7 @@ from math import factorial, lcm
 from kroncoef.diagram_algebra import SetPartitionDiagram, compose, factor_half_diagram, propagating_count
 from kroncoef.lr import lr_coeff3
 from kroncoef.partitions import Partition, _classes, partitions_of
-from kroncoef.sym_characters import _chars, _class_index, kron_oracle
+from kroncoef.sym_characters import _chars, kron_oracle
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
@@ -191,6 +193,29 @@ def partitions_of_generated(k: int) -> tuple[Partition, ...]:
     return tuple(sorted(gen(k, k, ())))
 
 
+@lru_cache(maxsize=None)
+def sorted_positions(n: int) -> dict[tuple, int]:
+    """Position of each cycle type of S_n in _classes(n), keyed by its parts
+    tuple."""
+    return {rho: i for i, (rho, _size) in enumerate(_classes(n))}
+
+
+def joined_position(n: int, *pieces: tuple) -> int:
+    """Position in _classes(n) of the juxtaposition of the cycle types in
+    pieces, found by sorting their parts."""
+    return sorted_positions(n)[tuple(sorted(sum(pieces, ()), reverse=True))]
+
+
+def restricted_by_sorting(outer: tuple, x: int, y: int, c: int) -> tuple:
+    """chi^outer restricted to S_x x S_y x S_c as nested tuples [C][sigma][omega],
+    each joined cycle type sigma omega C located by joined_position."""
+    chars, n = _chars(outer), x + y + c
+    return tuple(
+        tuple(tuple(chars[joined_position(n, sigma, omega, C)] for omega, _ in _classes(y)) for sigma, _ in _classes(x))
+        for C, _ in _classes(c)
+    )
+
+
 def induction_mult(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Multiplicity of the outer product piece S(lam) x S(mu) in the
     restriction of S(nu) to the corresponding Young subgroup."""
@@ -198,7 +223,7 @@ def induction_mult(lam: Partition, mu: Partition, nu: Partition) -> int:
     r1, r2 = lam.size, mu.size
     if nu.size != r1 + r2:
         raise ValueError("induction_mult needs |nu| = |lam| + |mu|")
-    nu_chars, index = _chars(nu.parts), _class_index(r1 + r2)
+    nu_chars = _chars(nu.parts)
     total = 0
     for (rho1, s1), c1 in zip(_classes(r1), _chars(lam.parts)):
         if not c1:
@@ -206,8 +231,7 @@ def induction_mult(lam: Partition, mu: Partition, nu: Partition) -> int:
         for (rho2, s2), c2 in zip(_classes(r2), _chars(mu.parts)):
             if not c2:
                 continue
-            joint = tuple(sorted(rho1 + rho2, reverse=True))
-            total += s1 * s2 * c1 * c2 * nu_chars[index[joint]]
+            total += s1 * s2 * c1 * c2 * nu_chars[joined_position(r1 + r2, rho1, rho2)]
     q, rem = divmod(total, factorial(r1) * factorial(r2))
     if rem:
         raise ArithmeticError("non-integral induction sum")

@@ -67,6 +67,9 @@ def test_cache_stats_reports_every_cache():
     values()
     stats = kroncoef.cache_stats()
     assert set(stats) == set(package_caches())
+    # one class index, beside the class enumeration
+    assert "partitions._class_index" in stats
+    assert "sym_characters._class_index" not in stats
     for name, cache in package_caches().items():
         info = cache.cache_info()
         assert stats[name] == {"hits": info.hits, "misses": info.misses, "currsize": info.currsize}

@@ -28,7 +28,7 @@ from kroncoef.diagram_algebra import (
 )
 from kroncoef.kronecker import reduced_kron
 from kroncoef.partitions import Partition, _classes, _pad, block_chain, partitions_up_to
-from kroncoef.sym_characters import _weighted, character, specht_dim
+from kroncoef.sym_characters import CharacterTable, _weighted, character, specht_dim
 from oracles import compose_union_find, cycle_type, enumerate_diagrams, gram_by_products, mat_mul, rank, transpose
 
 P = Partition
@@ -187,11 +187,14 @@ class TestGenerators:
         ((d, _),) = generator_e(4, 4, DELTA).terms.items()
         assert d == D("{1,1'}{2,2'}{3,3'}{4}{4'}")
 
-    def test_zero_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            generator_e(1, 2, 0)
-        with pytest.raises(ValueError):
-            AlgebraElement(2, 0, {})
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: AlgebraElement(2, 0), lambda: generator_e(1, 2, 0), lambda: StandardModule(2, P([1]), 0)],
+        ids=["element", "generator_e", "module"],
+    )
+    def test_zero_parameter_rejected(self, build):
+        with pytest.raises(ValueError, match="parameter must be nonzero$"):
+            build()
 
     @pytest.mark.parametrize(
         "build",
@@ -200,8 +203,10 @@ class TestGenerators:
             lambda r: AlgebraElement.one(r, DELTA),
             identity_diagram,
             lambda r: StandardModule(r, P(), DELTA),
+            CharacterTable,
+            lambda r: dim_standard(r, P()),
         ],
-        ids=["element", "one", "identity", "module"],
+        ids=["element", "one", "identity", "module", "table", "dim"],
     )
     def test_degree_is_a_nonnegative_integer(self, build):
         # read with operator.index, as a part of a Partition is: 2.5 is
@@ -424,8 +429,6 @@ class TestStandardModules:
                     _integral(mod.action_matrix(permutation_diagram(sigma)))
 
     def test_refusals(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            StandardModule(2, P([1]), 0)
         with pytest.raises(ValueError, match="exceeds the degree 2"):
             StandardModule(2, P([2, 1]), DELTA)
         mod = StandardModule(2, P([1]), DELTA)

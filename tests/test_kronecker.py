@@ -17,7 +17,7 @@ from kroncoef.cli import route_cases, sweep_rows
 from kroncoef.lr import lr_coeff
 from kroncoef.partitions import Partition, _reduce, block_chain, dagger, pad, partitions_of, partitions_up_to
 from kroncoef.sym_characters import kron_oracle
-from oracles import reduced_kron_lr_sum
+from oracles import reduced_kron_lr_sum, restricted_by_sorting
 
 P = Partition
 
@@ -203,13 +203,24 @@ class TestReducedViaLR:
         # triples of the reduced_large benchmark sample
         assert reduced_kron_via_lr(P(lam), P(mu), P(nu)) == reduced_kron(P(lam), P(mu), P(nu)) == value
 
-    def test_staircase(self):
-        stair = P([5, 4, 3, 2, 1])
-        assert reduced_kron_via_lr(stair, stair, P([6, 5, 4, 3, 2, 1])) == 1719128856
+    @pytest.mark.parametrize(
+        "k, value",
+        [(5, 1719128856), (6, 212078195940280), (7, 390313003904649313144)],
+        ids=["stair5", "stair6", "stair7"],
+    )
+    def test_staircase(self, k, value):
+        # (k, ..., 1) twice and (k+1, ..., 1); stair7 is at weight 36
+        stair = P(range(k, 0, -1))
+        assert reduced_kron_via_lr(stair, stair, P(range(k + 1, 0, -1))) == value
 
-    def test_staircase_weight_28(self):
-        stair = P([6, 5, 4, 3, 2, 1])
-        assert reduced_kron_via_lr(stair, stair, P([7, 6, 5, 4, 3, 2, 1])) == 212078195940280
+    def test_restricted_tables_match_the_sorted_join(self):
+        for size in range(10):
+            for outer in partitions_of(size):
+                for x in range(size + 1):
+                    for y in range(size - x + 1):
+                        c = size - x - y
+                        expect = restricted_by_sorting(outer.parts, x, y, c)
+                        assert kronecker._restricted(outer.parts, x, y, c) == expect, (outer, x, y, c)
 
     def test_paper_lr_sum_up_to_4(self):
         # the source paper's positive sum of LR products, term by term

@@ -4,6 +4,9 @@ from hypothesis import strategies as st
 
 from kroncoef.partitions import (
     Partition,
+    _class_index,
+    _class_key,
+    _classes,
     _predecessor,
     _successor,
     block_chain,
@@ -257,3 +260,9 @@ class TestEnumeration:
         ps = partitions_up_to(6)
         assert len(set(ps)) == len(ps)
         assert list(ps) == sorted(ps)
+
+    def test_class_keys_are_distinct_and_index_their_classes(self):
+        for n in range(21):
+            keys = [_class_key(rho, n) for rho, _size in _classes(n)]
+            assert len(set(keys)) == len(keys), n
+            assert _class_index(n) == {key: i for i, key in enumerate(keys)}, n
