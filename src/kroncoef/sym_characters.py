@@ -3,7 +3,11 @@
 Everything here is exact integer arithmetic: characters by one
 Murnaghan-Nakayama kernel that computes chi^lam on every class of S_|lam| at
 once, block by block of the classes with the same largest part, in the
-order of partitions._classes, which enumerates the classes and their sizes;
+order of partitions._classes, which enumerates the classes and their sizes.
+The kernel works on bead sets (the abacus of James-Kerber, section 2.7): a
+partition is an int with one set bit per row, and a border strip of length t
+is a bead moved t places down to a free place, with the sign of the parity
+of the beads it passes;
 Kronecker coefficients as class-weighted triple products; and explicit
 Specht modules on the standard polytabloid basis: permutation matrices by
 straightening in dominance order, and forms read off the polytabloids.
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from itertools import chain, product
 from math import factorial
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from . import _memo
 from .partitions import Partition, _class_index, _class_key, _classes, _degree, _partition_count, partitions_of
@@ -103,54 +107,70 @@ def _kron(lam: tuple, mu: tuple, nu: tuple) -> int:
 
 @_memo
 def _chars(lam: tuple) -> tuple[int, ...]:
-    """chi^lam on every class of S_|lam|, in the order of _classes."""
+    """chi^lam on every class of S_|lam|, in the order of _classes.
+
+    The bead set of lam has bit lam[i] + len(lam) - 1 - i set for each row i;
+    lam has no zero part, so bit 0 is clear.
+    """
     n = sum(lam)
-    values = _upto(lam, n)
+    beads = 0
+    for i, p in enumerate(reversed(lam)):
+        beads |= 1 << (p + i)
+    values = _upto(beads, n, n)
     if len(values) != len(_classes(n)):
         raise ArithmeticError(f"{len(values)} character values for the {len(_classes(n))} classes of S_{n}")
     return values
 
 
 @_memo
-def _upto(lam: tuple, t: int) -> tuple[int, ...]:
-    """chi^lam on the classes whose parts are all <= t, in the order of
-    _classes: the blocks of first part 1, 2, ..., min(t, |lam|) in turn.
+def _upto(beads: int, n: int, t: int) -> tuple[int, ...]:
+    """chi on the classes whose parts are all <= t, in the order of
+    _classes, for the partition of n with bead set beads: the blocks of
+    first part 1, 2, ..., min(t, n) in turn.
 
     _classes(n) is sorted lexicographically, so its classes come grouped by
     first part in ascending order, and the tails of the group of first part u
     are the partitions of n - u with parts <= u, again in that order.
     """
-    if not lam:
+    if not beads:
         return (1,)
-    return tuple(chain.from_iterable(_block(lam, u) for u in range(1, min(t, sum(lam)) + 1)))
+    return tuple(chain.from_iterable(_block(beads, n, u) for u in range(1, min(t, n) + 1)))
 
 
 @_memo
-def _block(lam: tuple, t: int) -> tuple[int, ...]:
-    """chi^lam on the classes of first part t <= |lam|, by the
-    Murnaghan-Nakayama rule: the sum over the border strips of length t,
-    with sign (-1)^(rows - 1), of _upto(lam - strip, t).
+def _block(beads: int, n: int, t: int) -> tuple[int, ...]:
+    """chi on the classes of first part t <= n, for the partition of n with
+    bead set beads, by the Murnaghan-Nakayama rule: the sum over the border
+    strips of length t, with sign (-1)^(rows - 1), of _upto(beads', n - t, t).
 
-    Strips are removed by row arithmetic.  The strip of length t that starts
-    in row i ends in row k - 1, where k is the first row below i with
-    lam[k] - k <= lam[i] - i - t; it exists unless that is an equality or
-    lam[i] - i - t <= -len(lam).  Rows i+1..k-1 move up one row and lose a
-    box each, and row k - 1 becomes lam[i] - i - t + k - 1.
+    A border strip of length t is a bead moved from x to a free x - t >= 0,
+    and its rows - 1 is the number of beads that the move passes.  A bead
+    that lands on 0 makes an empty row, which is shifted away so that every
+    partition has one bead set.  A single strip's vector is returned as it
+    is (tuple of a tuple is that tuple), or negated.
     """
-    rest = sum(lam) - t
-    total = [0] * _partition_count(rest, t)
-    m = len(lam)
-    for i in range(m):
-        end = lam[i] - i - t
-        k = i + 1
-        while k < m and lam[k] - k > end:
-            k += 1
-        if (lam[k] - k if k < m else -m) >= end:
-            continue
-        new = lam[:i] + tuple(p - 1 for p in lam[i + 1 : k]) + (end + k - 1,) + lam[k:]
-        while new and not new[-1]:
-            new = new[:-1]
-        total = list(map(sub if (k - 1 - i) % 2 else add, total, _upto(new, min(t, rest))))
+    rest = n - t
+    sub_t = min(t, rest)
+    between = (1 << (t - 1)) - 1
+    total = None
+    # bit q of free: a bead on q + t and none on q
+    free = (beads >> t) & ~beads
+    while free:
+        low = free & -free
+        free ^= low
+        moved = beads ^ low ^ (low << t)
+        if moved & 1:
+            # the beads on 0, 1, ... are empty rows
+            moved >>= (moved ^ (moved + 1)).bit_length() - 1
+        # the t - 1 places above q, low.bit_length() = q + 1
+        odd = ((beads >> low.bit_length()) & between).bit_count() & 1
+        vec = _upto(moved, rest, sub_t)
+        if total is None:
+            total = map(neg, vec) if odd else vec
+        else:
+            total = list(map(sub if odd else add, total, vec))
+    if total is None:
+        return (0,) * _partition_count(rest, t)
     return tuple(total)
 
 

@@ -4,9 +4,11 @@ These deliberately take different routes than the library: the LR count here
 fills the skew shape one cell at a time along the reverse reading word and
 checks the lattice condition on each prefix, where the library adds whole
 letters as horizontal strips; the character recursion here computes one
-value chi^lam(rho) at a time by moving beads on a beta-set, where the library
-removes border strips by row arithmetic and computes chi^lam on whole blocks
-of classes at once; the n-pair check compares raw cell sets; the partition
+value chi^lam(rho) at a time by moving beads on a list beta-set and reading
+the rows back after each move, where the library moves the set bits of an int
+bead set and computes chi^lam on whole blocks of classes at once (the strip
+signs are checked apart from both by the conjugate twist
+chi^lam' = sgn . chi^lam in test_sym_characters); the n-pair check compares raw cell sets; the partition
 list here is generated part by part and sorted, where the library reads the
 cycle types of its class enumeration.  A joined cycle type is located here by
 sorting its parts into a tuple key, where the library adds additive class

@@ -58,9 +58,41 @@ class TestCharacter:
             lam = (n - sum(tail),) + tail
             assert _chars(lam) == tuple(char_beta(lam, rho) for rho, _size in _classes(n)), lam
 
+    def test_conjugate_is_the_sign_twist_up_to_14(self):
+        # chi^lam' = sgn . chi^lam checks every strip sign of the bead moves
+        # from cold caches, with no reference recursion
+        kroncoef.clear_caches()
+        for n in range(15):
+            signs = [(-1) ** (n - len(rho)) for rho, _size in _classes(n)]
+            for lam in partitions_of(n):
+                twisted = tuple(s * c for s, c in zip(signs, _chars(lam.parts)))
+                assert _chars(lam.conjugate().parts) == twisted, lam
+
+    def test_each_partition_has_one_bead_key(self, monkeypatch):
+        # the first _upto call of _chars(lam) gives the key of lam; every
+        # state the recursion reaches must be the key of a partition of its
+        # size, so a bead that lands on 0 is shifted away
+        kroncoef.clear_caches()
+        upto, seen = sym_characters._upto, []
+
+        def spy(beads, n, t):
+            seen.append((beads, n))
+            return upto(beads, n, t)
+
+        monkeypatch.setattr(sym_characters, "_upto", spy)
+        keys = {}
+        for n in range(17):
+            for lam in partitions_of(n):
+                seen.clear()
+                _chars(lam.parts)
+                keys[seen[0]] = lam
+                assert all(state in keys for state in seen), lam
+        assert len(keys) == sum(_partition_count(n, n) for n in range(17))
+        assert _chars(()) == (1,)
+
     def test_short_character_vector_raises(self, monkeypatch):
         kroncoef.clear_caches()
-        monkeypatch.setattr(sym_characters, "_upto", lambda lam, t: (1,))
+        monkeypatch.setattr(sym_characters, "_upto", lambda beads, n, t: (1,))
         with pytest.raises(ArithmeticError):
             _chars((2, 1))
 
