@@ -171,8 +171,8 @@ def cmd_dagger(args) -> int:
     return 0
 
 
-# restrict computes one reduced coefficient per label pair (lam, mu) with
-# |lam| <= r and |mu| <= s; this admits r = s = 9 (97^2 = 9409 pairs)
+# restrict reads at most one reduced coefficient per label pair (lam, mu)
+# with |lam| <= r and |mu| <= s; this admits r = s = 9 (97^2 = 9409 pairs)
 RESTRICT_MAX_PAIRS = 10**4
 
 

@@ -8,7 +8,12 @@ that diagram-level reasoning stays parameter-free.  On top of the diagrams:
 the algebra elements with rational coefficients, the standard modules with
 their action and Gram matrices (int wherever the scales are), crossing-block
 profiles of half-diagrams, and the restriction multiplicities of a standard
-module to a left/right pair of smaller partition algebras.
+module to a left/right pair of smaller partition algebras.  A standard module
+factors a diagram over a half-diagram with the same middle-row join as
+composition, reading the loop count, the permutation and the canonical
+half-diagram off it, with no composed diagram built.  A restriction table
+asks the reduced-coefficient kernel only about the label sizes inside the
+size triangle of nu.
 
 Text format for a diagram: blocks as sorted vertex lists, top vertices as
 plain integers and bottom vertices primed, e.g.
@@ -23,7 +28,7 @@ from math import comb
 
 from . import _memo
 from .kronecker import _reduced_kron
-from .partitions import Partition, _degree, _is_numeral, partitions_up_to
+from .partitions import Partition, _degree, _is_numeral, partitions_of
 from .sym_characters import specht_dim, specht_model
 
 
@@ -147,11 +152,10 @@ def propagating_count(d: SetPartitionDiagram) -> int:
     return len(set(d.labels[:d.r]) & set(d.labels[d.r:]))
 
 
-def compose(x: SetPartitionDiagram, y: SetPartitionDiagram) -> tuple[int, SetPartitionDiagram]:
-    """Concatenate x above y, contract the middle layer, and return
-    (t, result) where t counts the removed middle-only components."""
-    if x.m != y.r:
-        raise ValueError(f"degree mismatch: ({x.r},{x.m}) over ({y.r},{y.m})")
+def _join(x: SetPartitionDiagram, y: SetPartitionDiagram) -> tuple[int, list[int]]:
+    """x stacked above y, x.m == y.r, with the middle layer joined: (t,
+    outer), the number of middle-only components and the component of each
+    top vertex of x, then of each bottom vertex of y."""
     r, k = x.r, x.m
     # component of each block: x's blocks first, y's numbered after them
     shift = max(x.labels, default=-1) + 1
@@ -161,7 +165,16 @@ def compose(x: SetPartitionDiagram, y: SetPartitionDiagram) -> tuple[int, SetPar
         if ca != cb:
             comp = [ca if c == cb else c for c in comp]
     outer = [comp[a] for a in x.labels[:r]] + [comp[shift + b] for b in y.labels[k:]]
-    return len(set(comp)) - len(set(outer)), SetPartitionDiagram._of(r, y.m, _relabel(outer))
+    return len(set(comp)) - len(set(outer)), outer
+
+
+def compose(x: SetPartitionDiagram, y: SetPartitionDiagram) -> tuple[int, SetPartitionDiagram]:
+    """Concatenate x above y, contract the middle layer, and return
+    (t, result) where t counts the removed middle-only components."""
+    if x.m != y.r:
+        raise ValueError(f"degree mismatch: ({x.r},{x.m}) over ({y.r},{y.m})")
+    t, outer = _join(x, y)
+    return t, SetPartitionDiagram._of(x.r, y.m, _relabel(outer))
 
 
 def _parameter(delta) -> Fraction:
@@ -324,23 +337,6 @@ def half_diagrams(r: int, m: int) -> list[SetPartitionDiagram]:
     return out
 
 
-def factor_half_diagram(d: SetPartitionDiagram) -> tuple[tuple[int, ...], SetPartitionDiagram]:
-    """Write d = (canonical half-diagram) . (permutation): returns (sigma,
-    canonical) where sigma sends each bottom vertex k' of d to the 1-based
-    index, in least-top-vertex order, of the propagating block holding it;
-    this is the convention of permutation_diagram."""
-    tops, bottoms = d.labels[:d.r], d.labels[d.r:]
-    # the blocks meeting the top row are labelled first, in least-top-vertex order
-    top_count = max(tops, default=-1) + 1
-    props = sorted(b for b in bottoms if b < top_count)
-    if len(set(props)) < len(props):
-        raise ValueError("half-diagram propagating block with several bottoms")
-    if len(props) < len(bottoms):
-        raise ValueError("half-diagram with a bottom-only block")
-    index = {b: k for k, b in enumerate(props, 1)}
-    return tuple(index[b] for b in bottoms), SetPartitionDiagram._of(d.r, d.m, tops + tuple(props))
-
-
 class StandardModule:
     """Standard module of the degree-r partition algebra labelled by nu.
 
@@ -359,18 +355,30 @@ class StandardModule:
             raise ValueError(f"|{nu}| exceeds the degree {r}")
         self.specht = specht_model(self.nu)
         self.halves = half_diagrams(r, self.m)
-        self.half_index = {h: i for i, h in enumerate(self.halves)}
+        self.half_index = {h.labels: i for i, h in enumerate(self.halves)}
         # basis vector (h, t) has index h * specht.dim + t
         self.dim = len(self.halves) * self.specht.dim
 
-    def _factor(self, x: SetPartitionDiagram, half: SetPartitionDiagram):
-        """Compose x above half and write the result as delta^t times a
-        canonical half-diagram times a permutation: (t, sigma, canonical), or
-        None when propagating blocks are lost."""
-        t, z = compose(x, half)
-        if propagating_count(z) < self.m:
+    @staticmethod
+    def _factor(x: SetPartitionDiagram, half: SetPartitionDiagram):
+        """Join x, an (x.r, x.m) diagram, above the (x.m, m) half-diagram half
+        and write the result as delta^t times a canonical half-diagram times
+        a permutation: (t, sigma, canonical labels), or None when a
+        propagating block drops.  sigma sends each bottom vertex k' to the
+        1-based index, in least-top-vertex order, of the propagating block
+        holding it: the convention of permutation_diagram."""
+        t, outer = _join(x, half)
+        # the blocks of the result, numbered in least-top-vertex order
+        first: dict = {}
+        tops = [first.setdefault(c, len(first)) for c in outer[:x.r]]
+        # each bottom of half lies in its own propagating block, so none
+        # drops iff the m bottoms stay in m distinct blocks that meet the top
+        bottoms = [first.get(c, -1) for c in outer[x.r:]]
+        if -1 in bottoms or len(set(bottoms)) < len(bottoms):
             return None
-        return (t, *factor_half_diagram(z))
+        props = sorted(bottoms)
+        index = {b: k for k, b in enumerate(props, 1)}
+        return t, tuple(index[b] for b in bottoms), (*tops, *props)
 
     def _place(self, entries, block_of) -> list[list]:
         """The matrix that adds scale * block_of(sigma) at block (i, j) for each
@@ -449,7 +457,7 @@ def restrict_multiplicity(nu: Partition, r: int, s: int, lam: Partition, mu: Par
     module labelled nu.  By the restriction theorem of Bowman, De Visscher
     and Orellana this is the reduced Kronecker coefficient of (lam, mu, nu)
     whenever the labels fit their degrees."""
-    lam, mu = Partition(lam), Partition(mu)
+    r, s, lam, mu = _degree(r), _degree(s), Partition(lam), Partition(mu)
     if lam.size > r or mu.size > s:
         return 0
     return _reduced_kron(lam.parts, mu.parts, Partition(nu).parts)
@@ -459,17 +467,23 @@ def restriction_table(nu: Partition, r: int, s: int) -> dict[tuple[Partition, Pa
     """Nonzero restriction multiplicities over all label pairs.
 
     Raises ValueError when |nu| > r + s: no such standard module exists.
+    Only the label sizes p <= r and q <= s with |p - q| <= |nu| <= p + q are
+    read: the reduced coefficient is zero off that size triangle.
     """
-    nu = Partition(nu)
+    r, s, nu = _degree(r), _degree(s), Partition(nu)
     if nu.size > r + s:
         raise ValueError(f"{nu} labels no standard module of degree {r} + {s}")
+    labels = [partitions_of(k) for k in range(max(r, s) + 1)]
     out = {}
     # every label fits its degree, so each multiplicity is the reduced
     # Kronecker coefficient (restrict_multiplicity without its degree check)
-    for lam in partitions_up_to(r):
-        for mu in partitions_up_to(s):
-            c = _reduced_kron(lam.parts, mu.parts, nu.parts)
-            if c:
-                out[(lam, mu)] = c
+    for p in range(r + 1):
+        sizes = [q for q in range(s + 1) if abs(p - q) <= nu.size <= p + q]
+        for lam in labels[p]:
+            for q in sizes:
+                for mu in labels[q]:
+                    c = _reduced_kron(lam.parts, mu.parts, nu.parts)
+                    if c:
+                        out[(lam, mu)] = c
     return out
 

@@ -153,11 +153,20 @@ def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
     classes tau |- a, theta |- b, kappa |- l2, C |- l1 of |tau||theta||kappa||C|
     chi^lam(tau kappa C) chi^mu(kappa theta C) chi^nu(tau theta C) / (a! b! l2! l1!),
     juxtaposition joining cycle types.  The coefficient is symmetric, so every
-    order of a triple is computed as the one sorted by (size, parts)."""
+    order of a triple is computed as the one sorted by (size, parts).
+
+    It is 0, before any class sum, when a first-row bound of
+    _two_dagger_terms fails: rho_1 <= |X| + Y_1 for each order (rho, X, Y)
+    of the three labels.  A bound holds when |rho| <= |X|, so on the sorted
+    triple only three of the six can fail.  A sorted triple off the size
+    triangle, |nu| > |lam| + |mu|, leaves _l_splits empty."""
     triple = sorted((lam, mu, nu), key=lambda p: (sum(p), p))
     if triple != [lam, mu, nu]:
         return _reduced_kron(*triple)
     r, s = sum(lam), sum(mu)
+    lam_1, mu_1, nu_1 = _first(lam), _first(mu), _first(nu)
+    if mu_1 > r + nu_1 or nu_1 > r + mu_1 or nu_1 > s + lam_1:
+        return 0
     total = 0
     for l1, l2, a, b in _l_splits(r + s - sum(nu), r, s):
         x_lam, x_mu, x_nu = _restricted(lam, a, l2, l1), _restricted(mu, l2, b, l1), _restricted(nu, a, b, l1)

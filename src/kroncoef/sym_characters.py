@@ -10,7 +10,11 @@ is a bead moved t places down to a free place, with the sign of the parity
 of the beads it passes;
 Kronecker coefficients as class-weighted triple products; and explicit
 Specht modules on the standard polytabloid basis: permutation matrices by
-straightening in dominance order, and forms read off the polytabloids.
+straightening in dominance order, and forms read off the polytabloids.  A
+model expands one polytabloid, that of its first standard tableau t0, over
+the signed column arrangements; every other e_t is sigma . e_t0 = e_{sigma t0}
+(Sagan, section 2.3), and one gather of row indices permutes a polytabloid
+for both.
 The class sizes are those of _classes alone, and a class is located by
 partitions._class_key alone; the closed size formula and the cycle type of a
 permutation, which only the tests read, are class_size and cycle_type in
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from itertools import chain, product
 from math import factorial
-from operator import add, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 
 from . import _memo
 from .partitions import Partition, _class_index, _class_key, _classes, _degree, _partition_count, partitions_of
@@ -238,6 +242,18 @@ def _polytabloid(rows: tuple[tuple[int, ...], ...], k: int) -> dict[tuple, int]:
     return vec
 
 
+def _gather(vec: dict[tuple, int], inverse: list[int]) -> dict[tuple, int]:
+    """sigma . vec for a tabloid vector keyed by row indices, given the
+    0-based inverse of sigma: sigma moves entry v to sigma(v), so entry w
+    sits in the row of sigma^-1(w).  A fresh dict in every case."""
+    if len(inverse) < 2:
+        # the one permutation of at most one entry (itemgetter of one index
+        # would return a scalar, and of none raises)
+        return dict(vec)
+    get = itemgetter(*inverse)
+    return {get(key): c for key, c in vec.items()}
+
+
 def _row_key(rows, k: int) -> tuple[int, ...]:
     """The row index of each entry 1..k; a smaller key is a tabloid that is
     higher in a linear extension of the dominance order."""
@@ -265,8 +281,17 @@ class SpechtModel:
         self.tableaux = standard_tableaux(self.nu)
         self.dim = len(self.tableaux)
         # the polytabloids keyed by row indices, and the top tabloid {t} of
-        # each e_t, dominance-largest first
-        self._keyed = [_polytabloid(t, self.k) for t in self.tableaux]
+        # each e_t, dominance-largest first.  Only e_t0 is expanded: every
+        # other e_t is sigma . e_t0 = e_{sigma t0} with sigma t0 = t
+        t0 = self.tableaux[0]
+        first = _polytabloid(t0, self.k)
+        self._keyed = []
+        for t in self.tableaux:
+            # sigma moves each entry of t0 to the entry of t in its cell
+            inverse = [0] * self.k
+            for v, w in zip(chain.from_iterable(t0), chain.from_iterable(t)):
+                inverse[w - 1] = v - 1
+            self._keyed.append(_gather(first, inverse))
         self._tops = sorted((_row_key(t, self.k), j) for j, t in enumerate(self.tableaux))
         self.generators = [
             self.matrix_of(tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, self.k + 1)))
@@ -297,9 +322,8 @@ class SpechtModel:
         sigma = tuple(sigma)
         if len(sigma) != self.k or sorted(sigma) != list(range(1, self.k + 1)):
             raise ValueError(f"not a permutation of 1..{self.k}: {sigma}")
-        # sigma moves entry v to sigma(v), so entry w sits in the row of sigma^-1(w)
         inverse = sorted(range(self.k), key=sigma.__getitem__)
-        return [{tuple(key[v] for v in inverse): c for key, c in vec.items()} for vec in self._keyed]
+        return [_gather(vec, inverse) for vec in self._keyed]
 
     def matrix_of(self, sigma: tuple[int, ...]) -> tuple:
         """Matrix of the permutation: column t expands sigma . e_t."""

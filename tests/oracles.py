@@ -28,7 +28,10 @@ containment, the size of a conjugacy class by the formula
 |rho|! / prod k^{m_k} m_k! (the library sizes its classes by a recursion
 over the first part), the cycle type of a permutation, and the list of all
 (r, m) diagrams, built vertex by vertex through the public constructor,
-where the library builds the canonical label tuples of its half-diagrams.
+where the library builds the canonical label tuples of its half-diagrams;
+and the factoring of a composed half-diagram into a canonical half-diagram
+and a permutation, read off the whole composed diagram, where the library
+reads it off one join of the middle row.
 
 The tests' exact linear algebra lives here too, since the library holds no
 matrix helper: the matrix product, the transpose and a fraction-free rank.
@@ -38,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from kroncoef.diagram_algebra import SetPartitionDiagram, compose, factor_half_diagram, propagating_count
+from kroncoef.diagram_algebra import SetPartitionDiagram, compose, propagating_count
 from kroncoef.lr import lr_coeff3
 from kroncoef.partitions import Partition, _classes, partitions_of
 from kroncoef.sym_characters import _chars, kron_oracle
@@ -305,6 +308,34 @@ def compose_union_find(x_blocks, y_blocks, r: int, k: int, m: int) -> tuple[int,
     return len(outer) - len(blocks), text, propagating
 
 
+def factor_half_diagram(d: SetPartitionDiagram) -> tuple[tuple[int, ...], SetPartitionDiagram]:
+    """Write d = (canonical half-diagram) . (permutation): returns (sigma,
+    canonical) where sigma sends each bottom vertex k' of d to the 1-based
+    index, in least-top-vertex order, of the propagating block holding it;
+    this is the convention of permutation_diagram."""
+    tops, bottoms = d.labels[:d.r], d.labels[d.r:]
+    # the blocks meeting the top row are labelled first, in least-top-vertex order
+    top_count = max(tops, default=-1) + 1
+    props = sorted(b for b in bottoms if b < top_count)
+    if len(set(props)) < len(props):
+        raise ValueError("half-diagram propagating block with several bottoms")
+    if len(props) < len(bottoms):
+        raise ValueError("half-diagram with a bottom-only block")
+    index = {b: k for k, b in enumerate(props, 1)}
+    return tuple(index[b] for b in bottoms), SetPartitionDiagram._of(d.r, d.m, tops + tuple(props))
+
+
+def factor_by_compose(x: SetPartitionDiagram, half: SetPartitionDiagram):
+    """StandardModule._factor the long way: the whole diagram x over half,
+    its propagating count, and factor_half_diagram of it; (t, sigma,
+    canonical labels), or None when a propagating block drops."""
+    t, z = compose(x, half)
+    if propagating_count(z) < half.m:
+        return None
+    sigma, canonical = factor_half_diagram(z)
+    return t, sigma, canonical.labels
+
+
 def gram_by_products(mod) -> list[list[Fraction]]:
     """The Gram matrix of a standard module with Fraction entries: the pair
     of half-diagrams (i, j) gives delta^t times the Specht form times the
@@ -315,10 +346,10 @@ def gram_by_products(mod) -> list[list[Fraction]]:
     gram = [[Fraction(0)] * mod.dim for _ in range(mod.dim)]
     for i, vi in enumerate(mod.halves):
         for j, vj in enumerate(mod.halves):
-            t, z = compose(vi.flip(), vj)
-            if propagating_count(z) < mod.m:
+            step = factor_by_compose(vi.flip(), vj)
+            if step is None:
                 continue
-            sigma, _ = factor_half_diagram(z)
+            t, sigma, _ = step
             block = mat_mul(form, specht.matrix_of(sigma))
             for a in range(sd):
                 for b in range(sd):

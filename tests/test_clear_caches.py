@@ -13,6 +13,7 @@ from kroncoef import Partition as P
 from kroncoef.diagram_algebra import bell, dim_standard, restriction_table
 from kroncoef.kronecker import kron_via_blocks, kron_via_dagger, kron_via_oracle, reduced_kron, reduced_kron_via_lr
 from kroncoef.lr import lr_coeff3
+from kroncoef.partitions import partitions_up_to
 from kroncoef.sym_characters import CharacterTable, character, specht_model
 
 
@@ -45,6 +46,7 @@ def values():
         restriction_table(P([2, 1]), 2, 2),
         dim_standard(4, P([2, 1])),
         bell(6),
+        partitions_up_to(3),
     )
 
 

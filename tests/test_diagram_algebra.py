@@ -15,7 +15,6 @@ from kroncoef.diagram_algebra import (
     compose,
     crossing_profile,
     dim_standard,
-    factor_half_diagram,
     generator_e,
     generator_s,
     half_diagrams,
@@ -29,7 +28,17 @@ from kroncoef.diagram_algebra import (
 from kroncoef.kronecker import reduced_kron
 from kroncoef.partitions import Partition, _classes, _pad, block_chain, partitions_up_to
 from kroncoef.sym_characters import CharacterTable, _weighted, character, specht_dim
-from oracles import compose_union_find, cycle_type, enumerate_diagrams, gram_by_products, mat_mul, rank, transpose
+from oracles import (
+    compose_union_find,
+    cycle_type,
+    enumerate_diagrams,
+    factor_by_compose,
+    factor_half_diagram,
+    gram_by_products,
+    mat_mul,
+    rank,
+    transpose,
+)
 
 P = Partition
 D = SetPartitionDiagram.parse
@@ -397,6 +406,37 @@ class TestStandardModules:
             tr = sum(mat[i][i] for i in range(mod.dim))
             assert tr == character(P([2, 1]), cycle_type(sigma))
 
+    def test_factor_is_the_composed_diagram_factored(self):
+        # _factor joins once on the middle row; the reference composes the
+        # whole diagram, counts its propagating blocks and factors it
+        for r in range(4):
+            for m in range(r + 1):
+                halves = half_diagrams(r, m)
+                for x in enumerate_diagrams(r, r):
+                    for half in halves:
+                        assert StandardModule._factor(x, half) == factor_by_compose(x, half), (str(x), str(half))
+
+    def test_factor_of_the_pairs_of_the_gram(self):
+        # gram_matrix joins the flipped (m, r) half-diagram i above half j
+        for r in range(5):
+            for m in range(r + 1):
+                halves = half_diagrams(r, m)
+                for vi in halves:
+                    flipped = vi.flip()
+                    for vj in halves:
+                        assert StandardModule._factor(flipped, vj) == factor_by_compose(flipped, vj), (str(vi), str(vj))
+
+    @pytest.mark.parametrize("r", [5, 6])
+    def test_factor_on_seeded_samples(self, r):
+        rng = random.Random(r)
+        for m in range(r + 1):
+            halves = half_diagrams(r, m)
+            for _ in range(60):
+                x, half = random_diagram(rng, r, r), rng.choice(halves)
+                assert StandardModule._factor(x, half) == factor_by_compose(x, half), (str(x), str(half))
+                flipped = rng.choice(halves).flip()
+                assert StandardModule._factor(flipped, half) == factor_by_compose(flipped, half), (str(flipped), str(half))
+
     def test_factor_half_diagram(self):
         sigma, canonical = factor_half_diagram(D("{1,2'}{2,1'}"))
         assert sigma == (2, 1)
@@ -502,6 +542,36 @@ class TestRestriction:
     def test_out_of_domain_is_zero(self):
         assert restrict_multiplicity(P([3]), 1, 1, P([1]), P([1])) == 0
         assert restrict_multiplicity(P([1]), 1, 1, P([2]), P()) == 0
+
+    def test_degrees_are_read_as_degrees(self):
+        for call in (
+            lambda: restriction_table(P([1]), -1, 2),
+            lambda: restriction_table(P([1]), 2, -1),
+            lambda: restrict_multiplicity(P([3]), -1, 5, P(), P([3])),
+            lambda: restrict_multiplicity(P([3]), 5, -1, P([3]), P()),
+        ):
+            with pytest.raises(ValueError, match="negative degree -1$"):
+                call()
+        for call in (
+            lambda: restriction_table(P([1]), 2.5, 1),
+            lambda: restrict_multiplicity(P([1]), 1, 2.5, P(), P([1])),
+        ):
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+                call()
+
+    def test_table_is_every_nonzero_multiplicity(self):
+        # the table reads only the label sizes of the size triangle; the
+        # reference asks restrict_multiplicity about every label pair
+        for nu in partitions_up_to(7):
+            for m in range(nu.size, 8):
+                for r in range(m + 1):
+                    s = m - r
+                    want = {}
+                    for lam in partitions_up_to(r):
+                        for mu in partitions_up_to(s):
+                            if c := restrict_multiplicity(nu, r, s, lam, mu):
+                                want[(lam, mu)] = c
+                    assert restriction_table(nu, r, s) == want, (nu, r, s)
 
     def test_reduced_kronecker_theorem(self):
         # the multiplicity is the reduced Kronecker coefficient, compared here

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import permutations
+
 import pytest
 
 import kroncoef
@@ -229,6 +232,32 @@ class TestReducedViaLR:
                 for w in range(lam.size + mu.size + 1):
                     for nu in partitions_of(w):
                         assert reduced_kron_via_lr(lam, mu, nu) == reduced_kron_lr_sum(lam, mu, nu), (lam, mu, nu)
+
+    def test_vanishing_bounds_against_the_oracle(self):
+        # every triple with |lam|, |mu| <= 4 and |nu| <= |lam| + |mu| that
+        # fails a first-row bound rho_1 <= |X| + Y_1, (rho, X, Y) any order of
+        # the triple, or the size triangle with lam or mu as the largest, has
+        # the oracle's reduced coefficient 0; and each bound fails for some
+        # triple and is met with equality by some nonzero one
+        failed, tight, count = Counter(), Counter(), 0
+        for lam in partitions_up_to(4):
+            for mu in partitions_up_to(4):
+                for w in range(lam.size + mu.size + 1):
+                    for nu in partitions_of(w):
+                        count += 1
+                        triple, g = (lam, mu, nu), reduced_kron(lam, mu, nu)
+                        total = lam.size + mu.size + nu.size
+                        bounds = [((rho, x, y), triple[rho].row(1), triple[x].size + triple[y].row(1))
+                                  for rho, x, y in permutations(range(3))]
+                        bounds += [(i, triple[i].size, total - triple[i].size) for i in (0, 1)]
+                        for name, lhs, rhs in bounds:
+                            if lhs > rhs:
+                                failed[name] += 1
+                                assert g == 0, (name, lam, mu, nu)
+                            elif lhs == rhs and g:
+                                tight[name] += 1
+        assert count == 4648
+        assert len(failed) == 8 and set(tight) == set(failed)
 
     def test_agreement_small(self):
         for lam in partitions_up_to(3):

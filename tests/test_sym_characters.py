@@ -307,6 +307,14 @@ class TestSpechtModel:
             for sigma in permutations(range(1, k + 1)):
                 assert m.matrix_of(sigma) == ref(sigma)
 
+    def test_each_polytabloid_is_its_own_expansion(self):
+        # the model expands the first tableau's polytabloid and permutes it
+        # into the others; the reference expands each tableau's own columns
+        for k in range(8):
+            for nu in partitions_of(k):
+                m = specht_model(nu)
+                assert m._keyed == [sym_characters._polytabloid(t, k) for t in m.tableaux], nu
+
     def test_straightening_outside_the_span_raises(self):
         # a row-index key: (1, 0) is the tabloid with 2 in the first row
         m = specht_model(P([1, 1]))
