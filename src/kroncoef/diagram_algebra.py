@@ -255,9 +255,6 @@ class AlgebraElement:
             and (self.r, self.delta, self.terms) == (other.r, other.delta, other.terms)
         )
 
-    def __hash__(self):
-        return hash((self.r, self.delta, tuple(sorted(self.terms.items(), key=lambda kv: str(kv[0])))))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -327,23 +324,24 @@ def dim_standard(r: int, nu: Partition) -> int:
 
 def half_diagrams(r: int, m: int) -> list[SetPartitionDiagram]:
     """Canonical (r, m) half-diagrams: every set partition of the top row with
-    m blocks marked propagating, bottoms attached in least-vertex order."""
-    out = [
+    m blocks marked propagating, bottoms attached in least-vertex order, in
+    lexicographic order of their label tuples (the order of _label_tuples
+    and combinations)."""
+    return [
         SetPartitionDiagram._of(r, m, top + chosen)
         for top in _label_tuples(r)
         for chosen in combinations(range(max(top, default=-1) + 1), m)
     ]
-    out.sort(key=str)
-    return out
 
 
 class StandardModule:
     """Standard module of the degree-r partition algebra labelled by nu.
 
-    Basis: (canonical half-diagram, standard tableau) pairs.  A diagram acts
-    by concatenation on the half-diagram; if propagating blocks drop the
-    result is zero, otherwise the leftover bottom permutation is pushed onto
-    the Specht factor.
+    Basis: (canonical half-diagram, standard tableau) pairs, the half-diagrams
+    in lexicographic order of their label tuples.  A diagram acts by
+    concatenation on the half-diagram; if propagating blocks drop the result
+    is zero, otherwise the leftover bottom permutation is pushed onto the
+    Specht factor.
     """
 
     def __init__(self, r: int, nu: Partition, delta):

@@ -7,15 +7,16 @@ kron_via_<route>(lam, mu, nu, n):
 * blocks: an alternating sum of reduced coefficients over the n-pair chain,
 * dagger: an alternating sum over the dagger partitions of the padded nu,
 * closed: for a two-row or hook nu, (n-k, k) or (n-k, 1^k), the dagger sum
-  cut after its first two terms, on the one range rule of _two_dagger_terms.
+  cut after its first two terms, on the range rule of kron_via_closed.
 
-The block chain, dagger and closed routes take their reduced coefficients
-from one cached kernel, _reduced_kron, the positive quadruple sum of
-Littlewood-Richardson products of the source paper contracted in class space:
-one sum of products of character values of lam, mu and nu, with no LR
-coefficient and no Kronecker coefficient.  The chain and dagger sums run over
-the same partitions, so they are two readings of one kernel sum; only the
-character oracle is independent of it.
+The block chain, dagger and closed routes are one alternating sum,
+_alternating, of reduced coefficients from one cached kernel, _reduced_kron,
+the positive quadruple sum of Littlewood-Richardson products of the source
+paper contracted in class space: one sum of products of character values of
+lam, mu and nu, with no LR coefficient and no Kronecker coefficient.  The
+chain and the dagger partitions of _daggers are the same partitions, so the
+routes are readings of one kernel sum; only the character oracle is
+independent of it.
 reduced_kron, the character oracle at the stability bound, is kept as the
 kernel's comparator; it and kron_via_oracle are the callers of
 sym_characters._kron.  valid_n_range is the range of n of a triple, from its
@@ -36,6 +37,7 @@ of its pieces.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import factorial
 from operator import mul
 
@@ -108,30 +110,33 @@ def kron_via_blocks(lam: Partition, mu: Partition, nu: Partition, n: int) -> int
     r, s = sum(lam), sum(mu)
     if sum(nu) > r + s:
         return 0
-    total = 0
-    for i, entry in enumerate(block_chain(nu, n, r + s)):
-        total += (-1) ** i * _reduced_kron(lam, mu, entry.parts)
-    return total
+    return _alternating(lam, mu, block_chain(nu, n, r + s))
 
 
 def kron_via_dagger(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
     """Kronecker coefficient as an alternating sum of reduced coefficients at
-    the dagger partitions of the padded nu.  The sum has at most the product
-    of the padded lengths of the first two factors as terms, and stops at the
-    first term whose dagger partition has more than |lam| + |mu| boxes: the
-    i-th has n - row_i + i boxes, which strictly increases with i, and the
-    reduced coefficient of an oversize third factor is zero."""
+    the dagger partitions of the padded nu (see _daggers)."""
     lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
+    return _alternating(lam, mu, _daggers(lam, mu, nu, n))
+
+
+def _daggers(lam: tuple, mu: tuple, nu: tuple, n: int):
+    """dagger(pad(nu, n), i) for i below the product of the padded lengths of
+    lam and mu, stopping before the first with more than |lam| + |mu| boxes:
+    the i-th has n - row_i + i boxes, which strictly increases with i, and
+    the reduced coefficient of an oversize third factor is zero."""
     nu_padded = pad(nu, n)
     rows = nu_padded.parts
     boxes = sum(lam) + sum(mu)
-    total = 0
-    # every padded part is positive, so a padded length is a tuple length
-    for i in range(len(_pad(lam, n)) * len(_pad(mu, n))):
+    for i in range((len(lam) + 1) * (len(mu) + 1)):
         if n - (rows[i] if i < len(rows) else 0) + i > boxes:
-            break
-        total += (-1) ** i * _reduced_kron(lam, mu, dagger(nu_padded, i).parts)
-    return total
+            return
+        yield dagger(nu_padded, i)
+
+
+def _alternating(lam: tuple, mu: tuple, entries) -> int:
+    """The sum over i of (-1)^i _reduced_kron(lam, mu, entries[i])."""
+    return sum((-1) ** i * _reduced_kron(lam, mu, entry.parts) for i, entry in enumerate(entries))
 
 
 def reduced_kron_via_lr(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -156,7 +161,7 @@ def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
     order of a triple is computed as the one sorted by (size, parts).
 
     It is 0, before any class sum, when a first-row bound of
-    _two_dagger_terms fails: rho_1 <= |X| + Y_1 for each order (rho, X, Y)
+    kron_via_closed fails: rho_1 <= |X| + Y_1 for each order (rho, X, Y)
     of the three labels.  A bound holds when |rho| <= |X|, so on the sorted
     triple only three of the six can fail.  A sorted triple off the size
     triangle, |nu| > |lam| + |mu|, leaves _l_splits empty."""
@@ -208,20 +213,12 @@ def _restricted(outer: tuple, x: int, y: int, c: int) -> tuple:
 
 def kron_via_closed(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
     """Kronecker coefficient of the padded triple for a two-row or hook nu,
-    (n-k, k) or (n-k, 1^k), by _two_dagger_terms; FormulaRangeError below its
-    range and for any other nu, where kron_via_dagger sums every term."""
-    lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
-    if len(nu) > 1 and nu[0] > 1:
-        raise FormulaRangeError(f"no closed formula: {Partition(nu)} padded is neither two-row nor hook")
-    return _two_dagger_terms(lam, mu, nu, n)
-
-
-def _two_dagger_terms(lam: tuple, mu: tuple, nu: tuple, n: int) -> int:
-    """The dagger sum of kron_via_dagger cut after two terms on a padded
-    triple: gbar(lam, mu, nu) - gbar(lam, mu, nu+), nu+ = dagger(pad(nu, n), 1)
-    = (n - |nu| + 1, nu_2, ...).  It is g from n0 = min(stability bound,
-    |lam| + |mu| + nu_2 - 1) on (nu_2 = 0 for fewer than two parts), and
-    FormulaRangeError below:
+    (n-k, k) or (n-k, 1^k): the dagger sum of kron_via_dagger cut after two
+    terms, gbar(lam, mu, nu) - gbar(lam, mu, nu+), nu+ = dagger(pad(nu, n), 1)
+    = (n - |nu| + 1, nu_2, ...).  FormulaRangeError for any other nu, where
+    kron_via_dagger sums every term, and below n0 = min(stability bound,
+    |lam| + |mu| + nu_2 - 1) (nu_2 = 0 for fewer than two parts).  From n0
+    on the two terms are g:
     1. From |lam| + |mu| + nu_2 - 1 on, the third dagger partition has
        n - nu_2 + 2 > |lam| + |mu| boxes, so it and every later term are zero.
     2. From the stability bound on, g = gbar(lam, mu, nu) and gbar(nu+) = 0:
@@ -230,11 +227,14 @@ def _two_dagger_terms(lam: tuple, mu: tuple, nu: tuple, n: int) -> int:
        alpha_1 + pi_1 <= |lam|, beta_1 <= mu_1), and nu+ has n - nu_1 + 1 boxes
        and first row n - |nu| + 1: each term of the bound rules it out.
     """
+    lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
+    if len(nu) > 1 and nu[0] > 1:
+        raise FormulaRangeError(f"no closed formula: {Partition(nu)} padded is neither two-row nor hook")
     second = nu[1] if len(nu) > 1 else 0
     n0 = min(_stability_bound(lam, mu, nu), sum(lam) + sum(mu) + second - 1)
     if n < n0:
         raise FormulaRangeError(f"the two-term dagger sum needs n >= {n0}, got n={n}")
-    return _reduced_kron(lam, mu, nu) - _reduced_kron(lam, mu, (n - sum(nu) + 1,) + nu[1:])
+    return _alternating(lam, mu, islice(_daggers(lam, mu, nu, n), 2))
 
 
 def _l_splits(l: int, r: int, s: int):

@@ -68,6 +68,13 @@ class TestKron:
         assert lines[0].split("\t") == ["lambda", "mu", "nu", "n", "route", "value"]
         assert lines[1].split("\t")[-1] == "1"
 
+    def test_route_disagreement(self, capsys, monkeypatch):
+        real = kronecker.kron_via_dagger
+        monkeypatch.setattr(kronecker, "kron_via_dagger", lambda *args: real(*args) + 1)
+        code, out, err = run(capsys, "kron", "[1]", "[1]", "[2]", "--n", "4")
+        assert code == 1 and out == ""
+        assert err == "error: route disagreement: oracle=1 blocks=1 dagger=2\n"
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "kron", "[2,1]", "[2]", "[1,1]", "--n", "7")
         _, out2, _ = run(capsys, "kron", "[2,1]", "[2]", "[1,1]", "--n", "7")
@@ -167,6 +174,14 @@ class TestChainDagger:
         assert lines[0] == "index\tpartition\tsize"
         assert lines[1] == "0\t[1]\t1"
 
+    def test_chain_json(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "chain", "[1]", "--n", "2", "--r", "2")
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"command": "chain", "index": "0", "partition": "[1]", "size": "1"},
+            {"command": "chain", "index": "1", "partition": "[2]", "size": "2"},
+        ]
+
     def test_dagger(self, capsys):
         code, out, _ = run(capsys, "dagger", "[10,10]", "--n", "30", "--i", "8")
         assert code == 0 and out == "[11,11,11,1,1,1,1,1]\n"
@@ -201,6 +216,13 @@ class TestRestrict:
         assert code == 0
         assert lines[0] == "lambda\tmu\tmultiplicity"
         assert set(lines[1:]) == {"[]\t[1]\t1", "[1]\t[]\t1", "[1]\t[1]\t1"}
+        code, out, _ = run(capsys, "--format", "json", "restrict", "[1]", "--r", "1", "--s", "1")
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"command": "restrict", "lambda": "[]", "mu": "[1]", "multiplicity": "1"},
+            {"command": "restrict", "lambda": "[1]", "mu": "[]", "multiplicity": "1"},
+            {"command": "restrict", "lambda": "[1]", "mu": "[1]", "multiplicity": "1"},
+        ]
 
     def test_negative_degree(self, capsys):
         assert "--r" in refused(capsys, "restrict", "[1]", "--r", "-1", "--s", "1")
@@ -226,12 +248,21 @@ class TestDiagram:
     def test_compose(self, capsys):
         code, out, _ = run(capsys, "diagram", "compose", "{1,2,1'}{2'}", "{1,2'}{2}{1'}")
         assert code == 0 and out == "delta^1 {1,2,2'}{1'}\n"
+        code, out, _ = run(capsys, "--format", "json", "diagram", "compose", "{1,2,1'}{2'}", "{1,2'}{2}{1'}")
+        assert code == 0 and json.loads(out) == {"command": "compose", "t": 1, "diagram": "{1,2,2'}{1'}"}
 
     def test_compose_with_delta(self, capsys):
         code, out, _ = run(
             capsys, "diagram", "compose", "{1,2,1'}{2'}", "{1,2'}{2}{1'}", "--delta", "4"
         )
         assert code == 0 and out == "delta^1 {1,2,2'}{1'} scalar=4\n"
+        code, out, _ = run(
+            capsys, "diagram", "compose", "{1,2,1'}{2'}", "{1,2'}{2}{1'}", "--delta", "7/2", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == {"command": "compose", "t": 1, "diagram": "{1,2,2'}{1'}", "scalar": "7/2"}
+        message = refused(capsys, "diagram", "compose", "{1,2,1'}{2'}", "{1,2'}{2}{1'}", "--delta", "x")
+        assert message.startswith("error: bad rational 'x'")
         # --delta is an option of compose, after it
         refused(capsys, "--delta", "4", "diagram", "compose", "{1,2,1'}{2'}", "{1,2'}{2}{1'}")
 
@@ -250,11 +281,16 @@ class TestDiagram:
             "--r", "10", "--s", "6",
         )
         assert code == 0 and out == "p_r=1 p_s=2 p_c=2 n_c=2\n"
+        code, out, _ = run(capsys, "--format", "json", "diagram", "profile", "{1,1'}{2}", "--r", "1", "--s", "1")
+        assert code == 0 and json.loads(out) == {"command": "profile", "p_r": 1, "p_s": 0, "p_c": 0, "n_c": 0}
 
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "diagram", "dims", "--r", "2")
         assert code == 0
         assert "algebra dimension = 15" in out
+        code, out, _ = run(capsys, "--format", "json", "diagram", "dims", "--r", "2")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and rows[0] == {"command": "dims", "nu": "[]", "dim": "2"} and len(rows) == 4
 
     def test_oversized_dims_refused_at_once(self, capsys):
         start = time.perf_counter()
@@ -425,6 +461,7 @@ DIAGRAM = KRON | {"diagram_algebra", "fractions"}
 FOOTPRINTS = [
     ("import kroncoef", set()),
     ("import kroncoef.cli", CLI),
+    ("import kroncoef; kroncoef.lr", {"lr", "partitions"}),
     (["kron", "[1]", "[1]", "[2]", "--n", "4"], KRON),
     (["rkron", "[1]", "[1]", "[2]"], KRON),
     (["dagger", "[1]", "--n", "4", "--i", "2"], CLI),

@@ -1,9 +1,12 @@
 """Seeded faults in a shared layer, and the sweep rows that must flag them:
 the route-agreement sweep is a cross-check only if the routes do not share
-their answer."""
+their answer.  The dagger fault also reaches the closed route, which is the
+dagger sum's first two terms: the closed route must then differ from the
+oracle on some in-range two-row or hook case."""
 
 import json
 from contextlib import contextmanager
+from itertools import product
 
 import pytest
 import test_lr
@@ -11,7 +14,7 @@ import test_lr
 import kroncoef
 from kroncoef import Partition, diagram_algebra, kronecker, lr, sym_characters
 from kroncoef.cli import main, sweep_rows
-from kroncoef.partitions import block_chain, dagger
+from kroncoef.partitions import block_chain, dagger, partitions_up_to
 
 
 @contextmanager
@@ -75,6 +78,25 @@ def test_route_fault_is_flagged(monkeypatch, name, fault):
     # flags 219 and 234 kron_routes rows
     rows = flagged(monkeypatch, [(kronecker, name, fault)])
     assert rows["kron_routes"], rows
+
+
+def test_dagger_fault_reaches_the_closed_route(monkeypatch):
+    # the closed route is the dagger sum cut after two terms, so it reads
+    # kronecker.dagger too: 96 of its 1,128 in-range calls with |lam|, |mu|
+    # <= 3 and n <= stability bound + 2 differ from the oracle
+    labels = [p.parts for p in partitions_up_to(3)]
+    differ = 0
+    with seeded(monkeypatch, [(kronecker, "dagger", dagger_first_row_raised)]):
+        for lam, mu in product(labels, repeat=2):
+            top = sum(lam) + sum(mu)
+            for nu in {(k,) for k in range(1, top + 1)} | {(1,) * k for k in range(top + 1)}:
+                for n in kronecker.valid_n_range(lam, mu, nu, 2):
+                    try:
+                        closed = kronecker.kron_via_closed(lam, mu, nu, n)
+                    except kronecker.FormulaRangeError:
+                        continue
+                    differ += closed != kronecker.kron_via_oracle(lam, mu, nu, n)
+    assert differ
 
 
 REAL_CHARS, REAL_REDUCED_KRON, REAL_SKEW = sym_characters._chars, kronecker._reduced_kron, lr._skew

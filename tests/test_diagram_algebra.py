@@ -66,6 +66,7 @@ class TestDiagramType:
         assert d.r == 8 and d.m == 8
         assert str(d) == EXAMPLE_TEXT
         assert D(str(d)) == d
+        assert repr(d) == f"SetPartitionDiagram(8,8,{EXAMPLE_TEXT})"
 
     def test_block_count_and_canonical_order(self):
         d = D(EXAMPLE_TEXT)
@@ -90,6 +91,8 @@ class TestDiagramType:
         for text in ("{1,-1}", "{1,-1'}", "{+1,1'}", "{01,1'}", "{1,01'}"):
             with pytest.raises(ValueError, match="bad vertex"):
                 D(text)
+        with pytest.raises(ValueError, match="expected {...}-blocks"):
+            D("1,1'")
 
     def test_flip(self):
         d = D("{1,2,1'}{2'}")
@@ -127,6 +130,23 @@ class TestCompose:
             prod = AlgebraElement.from_diagram(D("{1,2,1'}{2'}"), delta) * \
                 AlgebraElement.from_diagram(D("{1,2'}{2}{1'}"), delta)
             assert prod.terms == {D("{1,2,2'}{1'}"): delta}
+
+    def test_zero_coefficients_are_dropped(self):
+        zero = AlgebraElement(2, DELTA, {identity_diagram(2): 0})
+        assert zero.terms == {} and zero == AlgebraElement(2, DELTA)
+        assert repr(zero) == "0"
+        one = AlgebraElement.one(2, DELTA)
+        assert (one - one).terms == {}
+
+    def test_mismatched_elements_refused(self):
+        one = AlgebraElement.one(2, DELTA)
+        for other, message in (
+            (AlgebraElement.one(3, DELTA), "degree mismatch"),
+            (AlgebraElement.one(2, Fraction(7, 2)), "parameter mismatch"),
+        ):
+            for op in (lambda x, y: x + y, lambda x, y: x * y):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    op(one, other)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -171,6 +191,7 @@ class TestCompose:
         ax, ay, az = (AlgebraElement.from_diagram(d, DELTA) for d in (x, y, z))
         assert (ax + ay) * az == ax * az + ay * az
         assert az * (2 * ax - ay) == 2 * (az * ax) - az * ay
+        assert ax * 2 == 2 * ax
 
 
 class TestGenerators:
@@ -191,6 +212,13 @@ class TestGenerators:
         ((d, c),) = e.terms.items()
         assert d == D("{1,1'}{2}{2'}")
         assert c == Fraction(1, 5)
+        assert repr(e) == "(1/5)*{1,1'}{2}{2'}"
+
+    def test_generator_indices_refused(self):
+        with pytest.raises(ValueError, match=r"need 1 <= i < j <= r, got \(2,1,3\)$"):
+            generator_s(2, 1, 3, DELTA)
+        with pytest.raises(ValueError, match=r"need 1 <= l <= r, got \(0,2\)$"):
+            generator_e(0, 2, DELTA)
 
     def test_last_idempotent_pattern(self):
         ((d, _),) = generator_e(4, 4, DELTA).terms.items()
@@ -235,6 +263,7 @@ class TestDimensions:
         assert dim_standard(2, P([1, 1])) == 1
         assert dim_standard(2, P([1])) == 3
         assert dim_standard(2, P()) == 2
+        assert dim_standard(2, P([3])) == 0
 
     def test_identity_pattern_shape(self):
         for r in range(1, 6):

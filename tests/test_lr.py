@@ -31,6 +31,7 @@ def test_three_factor_examples():
 def test_zero_on_size_mismatch_or_noncontainment():
     assert lr_coeff(P([2]), P([1]), P([2])) == 0
     assert lr_coeff(P([3]), P([1]), P([2, 2])) == 0
+    assert lr_coeff3(P([1]), P([1]), P([1]), P([2])) == 0
 
 
 def test_symmetry_up_to_8():

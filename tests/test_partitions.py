@@ -75,6 +75,7 @@ class TestPartition:
     def test_row_access(self):
         lam = P([4, 2, 1])
         assert [lam.row(i) for i in (1, 2, 3, 4)] == [4, 2, 1, 0]
+        assert list(lam) == [4, 2, 1]
         with pytest.raises(ValueError):
             lam.row(0)
 
@@ -159,6 +160,8 @@ class TestBlockChain:
     def test_degree_two_chains(self):
         assert [p.parts for p in block_chain(P([1]), 2, 2)] == [(1,), (2,)]
         assert [p.parts for p in block_chain(P([1, 1]), 2, 2)] == [(1, 1)]
+        with pytest.raises(ValueError, match=r"\[2\] does not lie in degrees <= 1$"):
+            block_chain(P([2]), 4, 1)
 
     def test_long_chain_entries(self):
         chain = block_chain(P([10, 10]), 30, 40)
@@ -220,6 +223,8 @@ class TestDagger:
         d8 = dagger(pad(P([10, 10]), 30), 8)
         assert d8 == P([11, 11, 11, 1, 1, 1, 1, 1])
         assert d8.size == 38
+        with pytest.raises(ValueError, match="dagger index must be >= 0$"):
+            dagger(pad(P([1]), 3), -1)
 
     def test_matches_chain_exhaustive(self):
         for nu in partitions_up_to(6):

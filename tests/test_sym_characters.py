@@ -125,6 +125,18 @@ class TestCharacterTable:
         for n in range(1, 9):
             CharacterTable(n).check_orthogonality()
 
+    def test_orthogonality_fault_raises(self, monkeypatch):
+        # chi^(2) on the class (2) negated: the row of (2) reads as (1,1)'s
+        real = sym_characters._chars
+        monkeypatch.setattr(sym_characters, "_chars", lambda lam: (1, -1) if lam == (2,) else real(lam))
+        kroncoef.clear_caches()
+        try:
+            with pytest.raises(ArithmeticError, match=r"^row orthogonality fails at \(\[1,1\], \[2\]\)$"):
+                CharacterTable(2).check_orthogonality()
+        finally:
+            monkeypatch.undo()
+            kroncoef.clear_caches()
+
     def test_tsv_shape(self):
         tsv = CharacterTable(4).to_tsv()
         lines = tsv.strip().split("\n")
