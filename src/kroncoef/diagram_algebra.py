@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 
 from . import _memo
 from .kronecker import _reduced_kron
@@ -188,7 +189,8 @@ def _parameter(delta) -> Fraction:
 
 class AlgebraElement:
     """Finite rational linear combination of (r, r) diagrams at a fixed
-    nonzero rational parameter."""
+    nonzero rational parameter; terms is a read-only mapping from diagram to
+    nonzero coefficient."""
 
     __slots__ = ("r", "delta", "terms")
 
@@ -203,7 +205,7 @@ class AlgebraElement:
             if d.r != r or d.m != r:
                 raise ValueError(f"diagram {d} does not have profile ({r},{r})")
             clean[d] = c
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     @classmethod
     def from_diagram(cls, d: SetPartitionDiagram, delta, coeff=1) -> "AlgebraElement":

@@ -17,11 +17,13 @@ lam, mu and nu, with no LR coefficient and no Kronecker coefficient.  The
 chain and the dagger partitions of _daggers are the same partitions, so the
 routes are readings of one kernel sum; only the character oracle is
 independent of it.
-reduced_kron, the character oracle at the stability bound, is kept as the
-kernel's comparator; it and kron_via_oracle are the callers of
+reduced_kron, the character oracle at the stability bound, is the stable
+route of kroncoef rkron; it and kron_via_oracle are the callers of
 sym_characters._kron.  valid_n_range is the range of n of a triple, from its
 first padding to past the stability bound; which triples the verification
-sweep checks is decided by kroncoef.cli.sweep_rows.
+sweep checks is decided by kroncoef.cli.sweep_rows, whose route rows compare
+the kernel's gbar with the oracle at every n of that range from the
+stability bound on.
 
 Arguments may be given either as reduced partitions (padded internally with a
 first row of n - |.|) or as partitions of n; a partition whose size equals n
@@ -80,8 +82,8 @@ def valid_n_range(lam: Partition, mu: Partition, nu: Partition, extra_n: int) ->
 def reduced_kron(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Reduced Kronecker coefficient as the stable limit of the padded
     Kronecker coefficient: the character oracle at the first n where all
-    three paddings exist and stability has set in.  This is the comparator
-    for the Littlewood-Richardson kernel behind the other routes."""
+    three paddings exist and stability has set in: the stable route of
+    kroncoef rkron, against reduced_kron_via_lr."""
     lam, mu, nu = (Partition(p).parts for p in (lam, mu, nu))
     n = _oracle_n(lam, mu, nu)
     if n is None:

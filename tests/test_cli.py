@@ -323,14 +323,16 @@ class TestTable:
 
 
 SMALL_SWEEP = ("--max-weight", "1", "--extra-n", "1", "--dim-max", "3", "--stab-max-n", "4")
-SWEEP_CHECKS = ("kron_routes", "reduced_routes", "stabilization", "dim_identity")
+SWEEP_CHECKS = ("kron_routes", "stabilization", "dim_identity")
 # the default sweep, sweep_rows(4, 3, 6, 8): the SHA-256 of its stdout in each
-# format, and the summary's row counts
+# format, the summary's row counts, and the route rows with a closed column
+# and with a gbar column
 DEFAULT_SWEEP_SHA256 = {
-    "tsv": "c9f5b9b85aa542daf239834daa7fa65a34c85257816e92bd8c94dbc7efb0d5e4",
-    "json": "01aea4b77042af2f8079ba26271851a14ae9a115efc5f4d5f7b43162cd898738",
+    "tsv": "3359274122808113c6a73804ea354b821cf974bc58072a4af2bbf5d955cf52ea",
+    "json": "a840338813b1246575f037605df3b5f4b1a451f6699181d42fcc39117d79fbef",
 }
-DEFAULT_SWEEP_ROWS = {"kron_routes": 20673, "reduced_routes": 4638, "stabilization": 7, "dim_identity": 280}
+DEFAULT_SWEEP_ROWS = {"kron_routes": 20673, "stabilization": 7, "dim_identity": 280}
+DEFAULT_SWEEP_COLUMNS = {"closed=": 6288, "gbar=": 17499}
 
 
 class TestSweep:
@@ -383,6 +385,7 @@ class TestSweep:
             code, out, err = run(capsys, "--format", fmt, "sweep")
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+            assert {column: out.count(column) for column in DEFAULT_SWEEP_COLUMNS} == DEFAULT_SWEEP_COLUMNS
             summary = json.loads(err)
             assert summary["rows"] == DEFAULT_SWEEP_ROWS and summary["failed"] == 0
 

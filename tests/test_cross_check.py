@@ -32,7 +32,7 @@ def seeded(monkeypatch, patches):
 
 def flagged(monkeypatch, patches) -> dict[str, int]:
     """The failed rows of each check of the 3/2/4/6 sweep under patches."""
-    rows = dict.fromkeys(("kron_routes", "reduced_routes", "stabilization", "dim_identity"), 0)
+    rows = dict.fromkeys(("kron_routes", "stabilization", "dim_identity"), 0)
     with seeded(monkeypatch, patches):
         for check, _case, _values, ok in sweep_rows(3, 2, 4, 6):
             rows[check] += not ok
@@ -52,7 +52,7 @@ def test_conjugate_character_swap_is_flagged(monkeypatch):
         return real(swap.get(lam, lam))
 
     rows = flagged(monkeypatch, [(sym_characters, "_chars", swapped), (kronecker, "_chars", swapped)])
-    assert rows["kron_routes"] and rows["reduced_routes"], rows
+    assert rows["kron_routes"], rows
 
 
 def chain_without_last(nu, n, r):
@@ -138,18 +138,18 @@ def skew_raised(outer, inner):
 @pytest.mark.parametrize(
     "patches, caught_by",
     [
-        # 215 kron_routes, 63 reduced_routes, 1 stabilization and 26 dim_identity rows
+        # 203 kron_routes, 1 stabilization and 17 dim_identity rows
         (
             [(sym_characters, "_chars", chars_sign_flipped), (kronecker, "_chars", chars_sign_flipped)],
-            ("kron_routes", "reduced_routes", "stabilization", "dim_identity"),
+            ("kron_routes", "stabilization", "dim_identity"),
         ),
-        # 805 kron_routes, 225 reduced_routes, 1 stabilization and 23
-        # dim_identity rows, 364 of them by an ArithmeticError
-        (NON_INTEGRAL, ("kron_routes", "reduced_routes", "stabilization", "dim_identity")),
-        # 10 kron_routes, 3 reduced_routes and 11 dim_identity rows
+        # 761 kron_routes, 1 stabilization and 21 dim_identity rows, 219 of
+        # them by an ArithmeticError
+        (NON_INTEGRAL, ("kron_routes", "stabilization", "dim_identity")),
+        # 10 kron_routes and 11 dim_identity rows
         (
             [(kronecker, "_reduced_kron", reduced_kron_raised), (diagram_algebra, "_reduced_kron", reduced_kron_raised)],
-            ("kron_routes", "reduced_routes", "dim_identity"),
+            ("kron_routes", "dim_identity"),
         ),
         # the sweep reads no LR coefficient and flags no row: a direct test must fail
         ([(lr, "_skew", skew_raised)], test_lr.test_matches_lattice_word_count_up_to_8),

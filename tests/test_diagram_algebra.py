@@ -138,6 +138,15 @@ class TestCompose:
         one = AlgebraElement.one(2, DELTA)
         assert (one - one).terms == {}
 
+    def test_terms_are_read_only(self):
+        # a zero written into terms would be a term __init__ drops
+        e = AlgebraElement.one(2, DELTA)
+        with pytest.raises(TypeError):
+            e.terms[identity_diagram(2)] = Fraction(0)
+        with pytest.raises(TypeError):
+            e.terms[D("{1,2}{1',2'}")] = Fraction(1)
+        assert e == AlgebraElement.one(2, DELTA) and e.terms == {identity_diagram(2): 1}
+
     def test_mismatched_elements_refused(self):
         one = AlgebraElement.one(2, DELTA)
         for other, message in (

@@ -2,7 +2,8 @@
 has a reader (a private one in the library, a public one in the library or
 the README), and every public name of the package resolves to the object
 its module defines: the package's __init__.py names its public API in a
-table and imports a module on first use of one of its names."""
+table and imports a module on first use of one of its names.  Every Python
+file of the repository also parses under the oldest supported Python."""
 
 import ast
 import glob
@@ -21,6 +22,28 @@ FILES = sorted(
     for pattern in ("src/kroncoef/*.py", "tests/*.py")
     for path in glob.glob(os.path.join(ROOT, pattern))
 )
+
+
+# every Python file of the repository, for the parse under the oldest
+# supported Python, pyproject.toml's requires-python
+PY_FILES = sorted(
+    path
+    for top in ("src", "tests", "perfbench")
+    for path in glob.glob(os.path.join(ROOT, top, "**", "*.py"), recursive=True)
+)
+OLDEST_PYTHON = (3, 10)
+
+
+def test_the_oldest_python_parse_refuses_newer_syntax():
+    ast.parse("match x:\n    case 1:\n        pass\n", feature_version=OLDEST_PYTHON)
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11 and greater"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=OLDEST_PYTHON)
+
+
+@pytest.mark.parametrize("path", PY_FILES, ids=lambda p: os.path.relpath(p, ROOT))
+def test_parses_under_the_oldest_python(path):
+    with open(path, encoding="utf-8") as handle:
+        ast.parse(handle.read(), filename=path, feature_version=OLDEST_PYTHON)
 
 
 def unused_imports(source: str) -> list[str]:
