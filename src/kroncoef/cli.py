@@ -1,5 +1,6 @@
 """Command line front end: single coefficients, chains, restriction tables,
-diagram arithmetic, and batch verification sweeps.
+diagram arithmetic, and batch verification sweeps.  route_values lists the
+values of one route row, which kron --route all and the sweep both check.
 
 Partitions are written in bracket form ([4,1], [] for the empty partition),
 diagrams in block form ({1,2'}{2,1'}).  Output formats: human (default),
@@ -14,7 +15,7 @@ import sys
 import time
 
 # each command imports the modules it calls, so that a process loads only those
-from .partitions import Partition, _partition_count, _reduce, block_chain, dagger, pad, partitions_of, partitions_up_to
+from .partitions import Partition, _partition_count, _reduce, block_chain, dagger, pad, partitions_up_to
 
 
 def _parse_rational(text: str):
@@ -58,20 +59,42 @@ def _refuse_past_oracle_cap(n: int, route: str, alternative: str) -> None:
         raise ValueError(f"{route} sums over more than {ORACLE_MAX_CLASSES} classes; use {alternative}")
 
 
+def _agreement(values: dict) -> tuple[str, bool]:
+    """The values as k=v pairs, and whether they are all one value."""
+    return " ".join(f"{k}={v}" for k, v in values.items()), len(set(values.values())) == 1
+
+
 def _emit_agreed(args, command: str, inputs: dict, routes: dict, start: float) -> int:
     """Print the one value of every route, or name the routes and fail."""
     ms = (time.perf_counter() - start) * 1000
-    values = set(routes.values())
-    if len(values) != 1:
-        detail = " ".join(f"{k}={v}" for k, v in routes.items())
+    detail, agreed = _agreement(routes)
+    if not agreed:
         print(f"error: route disagreement: {detail}", file=sys.stderr)
         return 1
-    _emit_value(args.format, command, inputs, args.route, values.pop(), ms)
+    _emit_value(args.format, command, inputs, args.route, next(iter(routes.values())), ms)
     return 0
 
 
-# kron --route R runs kronecker.kron_via_R; all runs every route but closed
+# kron --route R runs kronecker.kron_via_R, and all runs route_values
 KRON_ROUTES = ("oracle", "blocks", "dagger", "closed")
+
+
+def route_values(lam: Partition, mu: Partition, nu: Partition, n: int) -> dict:
+    """The route values of (lam, mu, nu) at n, which must all be one: the
+    oracle, blocks and dagger routes; the closed route unless its shape or
+    range rule refuses; and from the stability bound on the reduced
+    coefficient gbar, from the kernel behind reduced_kron_via_lr."""
+    from . import kronecker as kr
+
+    values = {route: getattr(kr, f"kron_via_{route}")(lam, mu, nu, n) for route in KRON_ROUTES[:3]}
+    try:
+        values["closed"] = kr.kron_via_closed(lam, mu, nu, n)
+    except kr.FormulaRangeError:
+        pass
+    parts = tuple(_reduce(p, n) for p in (lam, mu, nu))
+    if n >= kr._stability_bound(*parts):
+        values["gbar"] = kr._reduced_kron(*parts)
+    return values
 
 
 def cmd_kron(args) -> int:
@@ -79,12 +102,13 @@ def cmd_kron(args) -> int:
 
     lam, mu, nu = map(Partition.parse, (args.lam, args.mu, args.nu))
     start = time.perf_counter()
-    routes = {}
-    for route in KRON_ROUTES[:3] if args.route == "all" else (args.route,):
-        if route == "oracle":
-            _refuse_past_oracle_cap(args.n, f"the oracle route at --n {args.n}", "--route blocks or --route dagger")
+    if args.route in ("all", "oracle"):
+        _refuse_past_oracle_cap(args.n, f"the oracle route at --n {args.n}", "--route blocks or --route dagger")
+    if args.route == "all":
+        routes = route_values(lam, mu, nu, args.n)
+    else:
         try:
-            routes[route] = getattr(kr, f"kron_via_{route}")(lam, mu, nu, args.n)
+            routes = {args.route: getattr(kr, f"kron_via_{args.route}")(lam, mu, nu, args.n)}
         except kr.FormulaRangeError as exc:
             raise ValueError(f"{exc} (--route dagger sums every term)")
     inputs = {"lambda": str(lam), "mu": str(mu), "nu": str(nu), "n": args.n}
@@ -272,45 +296,15 @@ def _row(check: str, case: str, compute, *args) -> tuple:
         return check, case, f"error={exc}", False
 
 
-def sweep_rows(max_weight: int, extra_n: int, dim_max: int, stab_max_n: int):
+def sweep_rows(max_weight: int, extra_n: int, dim_max: int):
     """Deterministically ordered (check, case, values, ok) rows of the
-    verification sweep: route agreement on route_cases(max_weight, extra_n),
-    tensor-square stabilization for n = 2..stab_max_n and the
-    standard-module dimension identity up to degree dim_max.  A route row
-    of a two-row or hook padded nu adds the closed route where its range
-    rule admits n, and from the stability bound on a route row adds the
-    reduced coefficient gbar: the row passes when every value is one."""
+    verification sweep: the route_values of every route_cases(max_weight,
+    extra_n), which pass when they are all one, and the standard-module
+    dimension identity up to degree dim_max."""
     from . import diagram_algebra as da
-    from . import kronecker as kr
-    from .sym_characters import kron_oracle
 
     def routes(lam, mu, nu, n):
-        o, b, d = (route(lam, mu, nu, n) for route in (kr.kron_via_oracle, kr.kron_via_blocks, kr.kron_via_dagger))
-        values = {"oracle": o, "blocks": b, "dagger": d}
-        # the closed route's shape picks the rows, and below its range rule's
-        # n0 its FormulaRangeError leaves the column out
-        if len(nu) < 2 or nu.parts[0] == 1:
-            try:
-                values["closed"] = kr.kron_via_closed(lam, mu, nu, n)
-            except kr.FormulaRangeError:
-                pass
-        # route_cases' labels are Partitions already: the stability bound and
-        # gbar, from the kernel behind reduced_kron_via_lr, read their parts,
-        # since validating them again on every row cost about 5% of the sweep
-        parts = lam.parts, mu.parts, nu.parts
-        if n >= kr._stability_bound(*parts):
-            values["gbar"] = kr._reduced_kron(*parts)
-        return " ".join(f"{k}={v}" for k, v in values.items()), len(set(values.values())) == 1
-
-    # the tensor square of the Specht module [n-1,1] from the character
-    # oracle, against its stable decomposition: [n], [n-1,1], [n-2,2] and
-    # [n-2,1,1], each once, with the shorter lists at n = 2 and n = 3
-    def tensor_square(n):
-        hook = Partition([n - 1, 1])
-        got = {nu: g for nu in partitions_of(n) if (g := kron_oracle(hook, hook, nu))}
-        shapes = {2: [[2]], 3: [[3], [2, 1], [1, 1, 1]]}.get(n, [[n], [n - 1, 1], [n - 2, 2], [n - 2, 1, 1]])
-        want = dict.fromkeys(map(Partition, shapes), 1)
-        return "decomposition=" + ";".join(f"{p}:{c}" for p, c in sorted(got.items())), got == want
+        return _agreement(route_values(lam, mu, nu, n))
 
     # dim Delta_{r+s}(nu) against the restriction-weighted sum of products
     # of the dimensions of the degree r and degree s standard modules
@@ -322,8 +316,6 @@ def sweep_rows(max_weight: int, extra_n: int, dim_max: int, stab_max_n: int):
 
     for lam, mu, nu, n in route_cases(max_weight, extra_n):
         yield _row("kron_routes", f"{lam} {mu} {nu} n={n}", routes, lam, mu, nu, n)
-    for n in range(2, stab_max_n + 1):
-        yield _row("stabilization", f"n={n}", tensor_square, n)
     for m in range(2, dim_max + 1):
         for r in range(1, m):
             for nu in partitions_up_to(m):
@@ -331,12 +323,17 @@ def sweep_rows(max_weight: int, extra_n: int, dim_max: int, stab_max_n: int):
 
 
 def cmd_sweep(args) -> int:
+    # the route rows reach n = 4w + extra_n, w = max_weight: lam = mu = (w),
+    # nu = (2w) has its stability bound and its first padding at 4w, no case more
+    if args.max_weight >= 0:
+        top = 4 * args.max_weight + args.extra_n
+        _refuse_past_oracle_cap(top, f"the oracle route at n = {top}", "a smaller --max-weight or --extra-n")
     start = time.perf_counter()
-    rows = dict.fromkeys(("kron_routes", "stabilization", "dim_identity"), 0)
+    rows = dict.fromkeys(("kron_routes", "dim_identity"), 0)
     failed = 0
     if args.format != "json":
         print("check\tcase\tvalues\tok")
-    for check, case, values, ok in sweep_rows(args.max_weight, args.extra_n, args.dim_max, args.stab_max_n):
+    for check, case, values, ok in sweep_rows(args.max_weight, args.extra_n, args.dim_max):
         rows[check] += 1
         failed += not ok
         if args.format == "json":
@@ -435,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int, default=4, help="cap on |lambda|, |mu| (negative disables)")
     p.add_argument("--extra-n", type=int, default=3, help="n beyond the stability bound")
     p.add_argument("--dim-max", type=int, default=6, help="degree cap for the dimension identity (below 2 disables)")
-    p.add_argument("--stab-max-n", type=int, default=8, help="last n of the stabilization check (below 2 disables)")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -73,7 +74,14 @@ class TestKron:
         monkeypatch.setattr(kronecker, "kron_via_dagger", lambda *args: real(*args) + 1)
         code, out, err = run(capsys, "kron", "[1]", "[1]", "[2]", "--n", "4")
         assert code == 1 and out == ""
-        assert err == "error: route disagreement: oracle=1 blocks=1 dagger=2\n"
+        assert err == "error: route disagreement: oracle=1 blocks=1 dagger=2 closed=1 gbar=1\n"
+
+    def test_all_runs_the_closed_route(self, capsys, monkeypatch):
+        real = kronecker.kron_via_closed
+        monkeypatch.setattr(kronecker, "kron_via_closed", lambda *args: real(*args) + 1)
+        code, out, err = run(capsys, "kron", "[1]", "[1]", "[2]", "--n", "4")
+        assert code == 1 and out == ""
+        assert err == "error: route disagreement: oracle=1 blocks=1 dagger=1 closed=2 gbar=1\n"
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "kron", "[2,1]", "[2]", "[1,1]", "--n", "7")
@@ -322,16 +330,16 @@ class TestTable:
         assert time.perf_counter() - start < 1.0
 
 
-SMALL_SWEEP = ("--max-weight", "1", "--extra-n", "1", "--dim-max", "3", "--stab-max-n", "4")
-SWEEP_CHECKS = ("kron_routes", "stabilization", "dim_identity")
-# the default sweep, sweep_rows(4, 3, 6, 8): the SHA-256 of its stdout in each
+SMALL_SWEEP = ("--max-weight", "1", "--extra-n", "1", "--dim-max", "3")
+SWEEP_CHECKS = ("kron_routes", "dim_identity")
+# the default sweep, sweep_rows(4, 3, 6): the SHA-256 of its stdout in each
 # format, the summary's row counts, and the route rows with a closed column
 # and with a gbar column
 DEFAULT_SWEEP_SHA256 = {
-    "tsv": "3359274122808113c6a73804ea354b821cf974bc58072a4af2bbf5d955cf52ea",
-    "json": "a840338813b1246575f037605df3b5f4b1a451f6699181d42fcc39117d79fbef",
+    "tsv": "d956b2d3e8d49dee5f7419e4c1d90fbd427bd42808d2f943634e2a52d61b098b",
+    "json": "2d14259edd7d735c1e83063af40a95da3eb7c9cc5027bcf93c490b8f2154e30b",
 }
-DEFAULT_SWEEP_ROWS = {"kron_routes": 20673, "stabilization": 7, "dim_identity": 280}
+DEFAULT_SWEEP_ROWS = {"kron_routes": 20673, "dim_identity": 280}
 DEFAULT_SWEEP_COLUMNS = {"closed=": 6288, "gbar=": 17499}
 
 
@@ -342,19 +350,9 @@ class TestSweep:
         lines = out.strip().split("\n")
         assert lines[0] == "check\tcase\tvalues\tok"
         assert all(line.endswith("True") for line in lines[1:])
-        assert any(line.startswith("stabilization") for line in lines)
-
-    def test_stabilization_rows_alone(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--max-weight", "-1", "--dim-max", "0")
-        rows = out.splitlines()[1:]
-        assert code == 0 and [row.split("\t")[1] for row in rows] == [f"n={n}" for n in range(2, 9)]
-        assert "stabilization\tn=4\tdecomposition=[2,1,1]:1;[2,2]:1;[3,1]:1;[4]:1\tTrue" in rows
 
     def test_empty_bounds_empty_report(self, capsys):
-        code, out, err = run(
-            capsys, "sweep", "--max-weight", "-1", "--extra-n", "0",
-            "--dim-max", "0", "--stab-max-n", "0",
-        )
+        code, out, err = run(capsys, "sweep", "--max-weight", "-1", "--extra-n", "0", "--dim-max", "0")
         assert code == 0
         assert out == "check\tcase\tvalues\tok\n"
         assert json.loads(err)["rows"] == dict.fromkeys(SWEEP_CHECKS, 0)
@@ -374,10 +372,10 @@ class TestSweep:
 
     def test_default_sweep_is_pinned(self, capsys, monkeypatch):
         # the rows are computed once and replayed to both formats
-        rows = list(cli.sweep_rows(4, 3, 6, 8))
+        rows = list(cli.sweep_rows(4, 3, 6))
 
         def replay(*bounds):
-            assert bounds == (4, 3, 6, 8)
+            assert bounds == (4, 3, 6)
             return iter(rows)
 
         monkeypatch.setattr(cli, "sweep_rows", replay)
@@ -400,24 +398,30 @@ class TestSweep:
         assert last == f"error: {failed} sweep mismatches"
 
     def test_negative_extra_n_refused(self, capsys):
-        message = refused(
-            capsys, "sweep", "--max-weight", "0", "--extra-n", "-5",
-            "--dim-max", "0", "--stab-max-n", "0",
-        )
+        message = refused(capsys, "sweep", "--max-weight", "0", "--extra-n", "-5", "--dim-max", "0")
         assert "--extra-n" in message
 
     def test_negative_extra_n_refused_as_a_process(self):
-        proc = kroncoef_process(
-            "sweep", "--max-weight", "0", "--extra-n", "-5", "--dim-max", "0", "--stab-max-n", "0"
-        )
+        proc = kroncoef_process("sweep", "--max-weight", "0", "--extra-n", "-5", "--dim-max", "0")
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: --extra-n") and proc.stderr.count("\n") == 1, proc.stderr
 
+    def test_oracle_refused_past_its_class_cap(self, capsys, monkeypatch):
+        # the route rows reach n = 4 * max_weight + extra_n: n = 60 would run
+        # the oracle over p(60) = 966,467 classes
+        start = time.perf_counter()
+        message = refused(capsys, "sweep", "--max-weight", "0", "--extra-n", "60", "--dim-max", "0")
+        assert message.startswith("error: the oracle route at n = 60 sums over more than")
+        assert "--max-weight" in refused(capsys, "sweep", "--max-weight", "11", "--dim-max", "0")
+        assert time.perf_counter() - start < 1.0
+        # the defaults (n <= 19) and --max-weight 5 (n <= 23) are admitted
+        monkeypatch.setattr(cli, "sweep_rows", lambda *bounds: iter(()))
+        for argv in ((), ("--max-weight", "5")):
+            code, _, _ = run(capsys, "sweep", *argv)
+            assert code == 0, argv
+
     def test_jobs_and_json(self, capsys):
-        code, out, _ = run(
-            capsys, "--format", "json", "sweep",
-            "--max-weight", "1", "--extra-n", "0", "--dim-max", "2", "--stab-max-n", "2",
-        )
+        code, out, _ = run(capsys, "--format", "json", "sweep", "--max-weight", "1", "--extra-n", "0", "--dim-max", "2")
         assert code == 0
         rows = [json.loads(line) for line in out.strip().split("\n")]
         assert all(row["ok"] for row in rows)
@@ -495,6 +499,18 @@ def readme_commands() -> list[list[str]]:
         text = fh.read()
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("kroncoef ")]
+
+
+def test_readme_sweep_defaults_and_summary():
+    # the sweep section's default bounds are build_parser's, and its summary
+    # line's rows are the pinned default sweep's
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = " ".join(fh.read().split())
+    bounds = re.search(r"the default bounds \(`([^`]*)`\)", text).group(1).split()
+    defaults = vars(cli.build_parser().parse_args(["sweep"]))
+    options = {k: v for k, v in defaults.items() if k not in ("command", "format", "func")}
+    assert dict(zip(bounds[::2], map(int, bounds[1::2]))) == {f"--{k.replace('_', '-')}": v for k, v in options.items()}
+    assert json.loads(re.search(r'\{"rows": (\{[^}]*\})', text).group(1)) == DEFAULT_SWEEP_ROWS
 
 
 def test_readme_examples_exit_zero(capsys):

@@ -31,10 +31,10 @@ def seeded(monkeypatch, patches):
 
 
 def flagged(monkeypatch, patches) -> dict[str, int]:
-    """The failed rows of each check of the 3/2/4/6 sweep under patches."""
-    rows = dict.fromkeys(("kron_routes", "stabilization", "dim_identity"), 0)
+    """The failed rows of each check of the 3/2/4 sweep under patches."""
+    rows = dict.fromkeys(("kron_routes", "dim_identity"), 0)
     with seeded(monkeypatch, patches):
-        for check, _case, _values, ok in sweep_rows(3, 2, 4, 6):
+        for check, _case, _values, ok in sweep_rows(3, 2, 4):
             rows[check] += not ok
     return rows
 
@@ -138,14 +138,14 @@ def skew_raised(outer, inner):
 @pytest.mark.parametrize(
     "patches, caught_by",
     [
-        # 203 kron_routes, 1 stabilization and 17 dim_identity rows
+        # 203 kron_routes and 17 dim_identity rows
         (
             [(sym_characters, "_chars", chars_sign_flipped), (kronecker, "_chars", chars_sign_flipped)],
-            ("kron_routes", "stabilization", "dim_identity"),
+            ("kron_routes", "dim_identity"),
         ),
-        # 761 kron_routes, 1 stabilization and 21 dim_identity rows, 219 of
-        # them by an ArithmeticError
-        (NON_INTEGRAL, ("kron_routes", "stabilization", "dim_identity")),
+        # 761 kron_routes and 21 dim_identity rows, 218 of them by an
+        # ArithmeticError
+        (NON_INTEGRAL, ("kron_routes", "dim_identity")),
         # 10 kron_routes and 11 dim_identity rows
         (
             [(kronecker, "_reduced_kron", reduced_kron_raised), (diagram_algebra, "_reduced_kron", reduced_kron_raised)],
@@ -176,7 +176,7 @@ def test_non_integral_sum_fails_its_row_and_the_sweep_goes_on(monkeypatch, capsy
     # every row is printed, an ArithmeticError as a failed row with its
     # message, and the summary and the error line follow
     with seeded(monkeypatch, NON_INTEGRAL):
-        code = main(["sweep", "--max-weight", "3", "--extra-n", "2", "--dim-max", "4", "--stab-max-n", "6"])
+        code = main(["sweep", "--max-weight", "3", "--extra-n", "2", "--dim-max", "4"])
     out, err = capsys.readouterr()
     rows = [line.split("\t") for line in out.splitlines()[1:]]
     summary, last = err.splitlines()

@@ -16,7 +16,7 @@ from kroncoef.kronecker import (
     stability_bound,
     valid_n_range,
 )
-from kroncoef.cli import route_cases, sweep_rows
+from kroncoef.cli import route_cases
 from kroncoef.lr import lr_coeff
 from kroncoef.partitions import Partition, _reduce, block_chain, dagger, pad, partitions_of, partitions_up_to
 from kroncoef.sym_characters import kron_oracle
@@ -328,33 +328,3 @@ class TestClosedFormulas:
                         assert str(got.value) == str(exc), (lam, mu, nu, n)
                         continue
                     assert kron_via_closed(lam, mu, nu, n) == want, (lam, mu, nu, n)
-
-    def test_agreement_with_oracle_small(self):
-        # from the padding and shape floor up: below min(stability bound,
-        # |lam| + |mu| + nu_2 - 1) a FormulaRangeError, from there the oracle
-        for lam in partitions_up_to(3):
-            for mu in partitions_up_to(3):
-                pad_floor = max(lam.size + lam.row(1), mu.size + mu.row(1), 1)
-                for k in range(5):
-                    for nu, shape_floor in ((P([k] if k else []), 2 * k), (P([1] * k), k + 1)):
-                        n0 = min(stability_bound(lam, mu, nu), lam.size + mu.size + nu.row(2) - 1)
-                        floor = max(pad_floor, shape_floor)
-                        for n in range(floor, max(floor, lam.size + mu.size + k + 1) + 2):
-                            if n < n0:
-                                with pytest.raises(FormulaRangeError, match=f"needs n >= {n0},"):
-                                    kron_via_closed(lam, mu, nu, n)
-                            else:
-                                want = kron_via_oracle(lam, mu, nu, n)
-                                assert kron_via_closed(lam, mu, nu, n) == want, (lam, mu, nu, n)
-
-
-class TestTensorSquare:
-    def test_stabilization_sequence(self):
-        rows = list(sweep_rows(-1, 0, 0, 8))
-        assert [(check, case, ok) for check, case, _values, ok in rows] == [
-            ("stabilization", f"n={n}", True) for n in range(2, 9)
-        ]
-        assert rows[0][2] == "decomposition=[2]:1"
-        assert rows[1][2] == "decomposition=[1,1,1]:1;[2,1]:1;[3]:1"
-        for n, (_check, _case, values, _ok) in enumerate(rows[2:], 4):
-            assert values == f"decomposition=[{n - 2},1,1]:1;[{n - 2},2]:1;[{n - 1},1]:1;[{n}]:1", n
