@@ -80,17 +80,19 @@ KRON_ROUTES = ("oracle", "blocks", "dagger", "closed")
 
 
 def route_values(lam: Partition, mu: Partition, nu: Partition, n: int) -> dict:
-    """The route values of (lam, mu, nu) at n, which must all be one: the
-    oracle, blocks and dagger routes; the closed route unless its shape or
-    range rule refuses; and from the stability bound on the reduced
-    coefficient gbar, from the kernel behind reduced_kron_via_lr."""
+    """The route values of (lam, mu, nu) at n, which must all be one: every
+    route of KRON_ROUTES, in that order, that does not refuse the case with
+    FormulaRangeError (today only the closed route, by its shape or range
+    rule); and from the stability bound on the reduced coefficient gbar,
+    from the kernel behind reduced_kron_via_lr."""
     from . import kronecker as kr
 
-    values = {route: getattr(kr, f"kron_via_{route}")(lam, mu, nu, n) for route in KRON_ROUTES[:3]}
-    try:
-        values["closed"] = kr.kron_via_closed(lam, mu, nu, n)
-    except kr.FormulaRangeError:
-        pass
+    values = {}
+    for route in KRON_ROUTES:
+        try:
+            values[route] = getattr(kr, f"kron_via_{route}")(lam, mu, nu, n)
+        except kr.FormulaRangeError:
+            pass
     parts = tuple(_reduce(p, n) for p in (lam, mu, nu))
     if n >= kr._stability_bound(*parts):
         values["gbar"] = kr._reduced_kron(*parts)

@@ -5,11 +5,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
 timings.
 """
 
+import json
 import time
-from collections import Counter
 from fractions import Fraction
 
-from kroncoef.cli import sweep_rows
+from conftest import default_sweep
 from kroncoef.diagram_algebra import (
     AlgebraElement,
     SetPartitionDiagram,
@@ -36,11 +36,15 @@ P = Partition
 D = SetPartitionDiagram.parse
 
 
-def _report(num: int, name: str, ok: bool, started: float, detail: str = "") -> None:
+def _report(num: int, name: str, ok: bool, started: float, detail: str = "", counts: dict | None = None) -> None:
+    """Print the line ACCEPTANCE num name: PASS|FAIL [seconds] (detail),
+    ended by one JSON object with the criterion, ok, the seconds and the
+    counts that detail gives in prose, and fail the test unless ok."""
     status = "PASS" if ok else "FAIL"
     elapsed = time.perf_counter() - started
     suffix = f" ({detail})" if detail else ""
-    print(f"ACCEPTANCE {num} {name}: {status} [{elapsed:.2f}s]{suffix}")
+    record = {"criterion": num, "name": name, "ok": ok, "seconds": round(elapsed, 3), "counts": counts or {}}
+    print(f"ACCEPTANCE {num} {name}: {status} [{elapsed:.2f}s]{suffix} {json.dumps(record)}")
     assert ok, f"acceptance criterion {num} ({name}) failed {suffix}"
 
 
@@ -97,22 +101,33 @@ def test_acceptance_3_nonsemisimple_degree_two():
 
 def test_acceptance_4_route_agreement_sweep():
     started = time.perf_counter()
-    # the dimension rows are criterion 7
-    counts = Counter()
-    bad = []
-    for check, case, values, ok in sweep_rows(4, 3, 0):
-        counts[check] += 1
-        counts["gbar"] += "gbar=" in values
-        if not ok:
-            bad.append((check, case))
+    # the route rows of the default sweep; its dimension rows are criterion 7
+    rows = [row for row in default_sweep() if row[0] == "kron_routes"]
+    bad = [case for _check, case, _values, ok in rows if not ok]
+    counts = {"cases": len(rows), "gbar": sum("gbar=" in values for _check, _case, values, _ok in rows)}
     _report(
         4,
         "route agreement sweep",
         not bad,
         started,
-        f"{counts['kron_routes']} padded cases, {counts['gbar']} of them also against gbar"
+        f"{counts['cases']} padded cases, {counts['gbar']} of them also against gbar"
         + (f", first bad {bad[0]}" if bad else ""),
+        counts,
     )
+
+
+def test_acceptance_line_ends_in_one_json_object(capsys):
+    test_acceptance_4_route_agreement_sweep()
+    line = capsys.readouterr().out
+    assert line.startswith("ACCEPTANCE 4 route agreement sweep: PASS [") and line.count("\n") == 1
+    record = json.loads(line[line.index('{"criterion"') :])
+    assert record.pop("seconds") >= 0
+    assert record == {
+        "criterion": 4,
+        "name": "route agreement sweep",
+        "ok": True,
+        "counts": {"cases": 20673, "gbar": 17499},
+    }
 
 
 def test_acceptance_5_closed_formulas():
@@ -150,6 +165,7 @@ def test_acceptance_5_closed_formulas():
         started,
         f"{admitted} evaluations equal the oracle, {refused} below the range refused"
         + (f", first bad {bad[0]}" if bad else ""),
+        {"admitted": admitted, "refused": refused},
     )
 
 
@@ -182,8 +198,8 @@ def test_acceptance_6_degree_two_worked_example():
 
 def test_acceptance_7_dimension_certificate():
     started = time.perf_counter()
-    # the dimension rows of the sweep alone
-    rows = list(sweep_rows(-1, 0, 6))
+    # the dimension rows of the default sweep
+    rows = [row for row in default_sweep() if row[0] == "dim_identity"]
     bad = [case for _check, case, _values, ok in rows if not ok]
     total = len(rows)
     wedderburn_ok = all(
@@ -197,6 +213,7 @@ def test_acceptance_7_dimension_certificate():
         ok,
         started,
         f"{total} identities up to degree 6",
+        {"identities": total},
     )
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -10,8 +11,10 @@ from collections import Counter
 
 import pytest
 
+from conftest import default_sweep
 from kroncoef import cli, kronecker
 from kroncoef.cli import main
+from kroncoef.partitions import Partition
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -82,6 +85,19 @@ class TestKron:
         code, out, err = run(capsys, "kron", "[1]", "[1]", "[2]", "--n", "4")
         assert code == 1 and out == ""
         assert err == "error: route disagreement: oracle=1 blocks=1 dagger=1 closed=2 gbar=1\n"
+
+    def test_all_leaves_out_a_route_that_refuses_its_range(self, monkeypatch):
+        # a route added to KRON_ROUTES is asked by its name alone; one that
+        # raises FormulaRangeError is left out of the row, one that answers
+        # is kept
+        def refuse(*args):
+            raise kronecker.FormulaRangeError("out of range")
+
+        monkeypatch.setattr(cli, "KRON_ROUTES", (*cli.KRON_ROUTES, "refusing", "answering"))
+        monkeypatch.setattr(kronecker, "kron_via_refusing", refuse, raising=False)
+        monkeypatch.setattr(kronecker, "kron_via_answering", lambda *args: 7, raising=False)
+        values = cli.route_values(*map(Partition, ([1], [1], [2])), 4)
+        assert values == {"oracle": 1, "blocks": 1, "dagger": 1, "closed": 1, "answering": 7, "gbar": 1}
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "kron", "[2,1]", "[2]", "[1,1]", "--n", "7")
@@ -343,6 +359,18 @@ DEFAULT_SWEEP_ROWS = {"kron_routes": 20673, "dim_identity": 280}
 DEFAULT_SWEEP_COLUMNS = {"closed=": 6288, "gbar=": 17499}
 
 
+def replay_default_sweep(monkeypatch) -> None:
+    """Make cli.sweep_rows replay the default sweep's rows, taken before the
+    patch, so that a cold cache does not replay into itself."""
+    rows = default_sweep()
+
+    def replay(*bounds):
+        assert bounds == (4, 3, 6)
+        return iter(rows)
+
+    monkeypatch.setattr(cli, "sweep_rows", replay)
+
+
 class TestSweep:
     def test_small_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "sweep", *SMALL_SWEEP)
@@ -372,13 +400,7 @@ class TestSweep:
 
     def test_default_sweep_is_pinned(self, capsys, monkeypatch):
         # the rows are computed once and replayed to both formats
-        rows = list(cli.sweep_rows(4, 3, 6))
-
-        def replay(*bounds):
-            assert bounds == (4, 3, 6)
-            return iter(rows)
-
-        monkeypatch.setattr(cli, "sweep_rows", replay)
+        replay_default_sweep(monkeypatch)
         for fmt, digest in DEFAULT_SWEEP_SHA256.items():
             code, out, err = run(capsys, "--format", fmt, "sweep")
             assert code == 0
@@ -513,9 +535,23 @@ def test_readme_sweep_defaults_and_summary():
     assert json.loads(re.search(r'\{"rows": (\{[^}]*\})', text).group(1)) == DEFAULT_SWEEP_ROWS
 
 
-def test_readme_examples_exit_zero(capsys):
+def test_readme_examples_exit_zero(capsys, monkeypatch):
+    # the sweep line replays the default sweep that the pin test checks
+    replay_default_sweep(monkeypatch)
     commands = readme_commands()
     assert len(commands) == 14
     for argv in commands:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out, argv
+
+
+def test_console_script_is_main():
+    # the one script of pyproject.toml's [project.scripts], which README's
+    # pip install -e . installs; read by a regex, since tomllib needs 3.11
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        text = fh.read()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    scripts = dict(re.findall(r'^([\w-]+)\s*=\s*"([^"]*)"', section, re.M))
+    assert list(scripts) == ["kroncoef"]
+    module, function = scripts["kroncoef"].split(":")
+    assert getattr(importlib.import_module(module), function) is cli.main

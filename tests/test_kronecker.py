@@ -14,7 +14,6 @@ from kroncoef.kronecker import (
     reduced_kron,
     reduced_kron_via_lr,
     stability_bound,
-    valid_n_range,
 )
 from kroncoef.cli import route_cases
 from kroncoef.lr import lr_coeff
@@ -152,11 +151,6 @@ class TestRoutes:
         finally:
             kroncoef.clear_caches()
 
-    def test_route_agreement_small(self):
-        for lam, mu, nu, n in route_cases(2, 2):
-            oracle = kron_via_oracle(lam, mu, nu, n)
-            assert kron_via_blocks(lam, mu, nu, n) == kron_via_dagger(lam, mu, nu, n) == oracle, (lam, mu, nu, n)
-
     def test_dagger_truncation_is_exact(self):
         # the untruncated sum over all len(pad(lam)) * len(pad(mu)) terms
         for lam, mu, nu, n in route_cases(3, 3):
@@ -168,22 +162,6 @@ class TestRoutes:
             assert all(a < b for a, b in zip(sizes, sizes[1:])), (nu_padded, sizes)
             full = sum((-1) ** i * reduced_kron(lam_r, mu_r, d) for i, d in enumerate(daggers))
             assert kron_via_dagger(lam, mu, nu, n) == full, (lam, mu, nu, n)
-
-    def test_stability_past_bound(self):
-        for lam in partitions_up_to(3):
-            for mu in partitions_up_to(3):
-                for w in range(lam.size + mu.size + 1):
-                    for nu in partitions_of(w):
-                        ns = valid_n_range(lam, mu, nu, 3)
-                        bound = stability_bound(lam, mu, nu)
-                        vals = {
-                            kron_via_oracle(lam, mu, nu, n)
-                            for n in ns
-                            if n >= bound
-                        }
-                        assert len(vals) <= 1
-                        if vals:
-                            assert vals.pop() == reduced_kron(lam, mu, nu)
 
 
 class TestReducedViaLR:
