@@ -235,7 +235,7 @@ def kron_via_closed(lam: Partition, mu: Partition, nu: Partition, n: int) -> int
     """
     lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
     if len(nu) > 1 and nu[0] > 1:
-        raise FormulaRangeError(f"no closed formula: {Partition(nu)} padded is neither two-row nor hook")
+        raise FormulaRangeError(f"no closed formula: {Partition._of(nu)} padded is neither two-row nor hook")
     second = nu[1] if len(nu) > 1 else 0
     n0 = min(_stability_bound(lam, mu, nu), sum(lam) + sum(mu) + second - 1)
     if n < n0:

@@ -12,6 +12,11 @@ located by its one additive class key, _class_key: the keys of cycle types
 that are joined add, and _class_index maps a key to its position in
 _classes.  A degree is read once, by _degree.  Young diagram containment,
 which only the tests read, is contains in tests/oracles.py.
+
+Only the public constructor validates: Partition(...) and Partition.parse
+check what a caller gives, and the library builds the parts tuples it made
+itself (pad, dagger, block_chain, partitions_of, conjugate) with the
+unchecked Partition._of.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ class Partition:
     """A weakly decreasing sequence of positive integers.
 
     Immutable and hashable; ordering is by (size, parts) so sorted lists of
-    partitions come out grouped by degree.
+    partitions come out grouped by degree.  Only the public constructor
+    validates; the library builds the parts tuples it made itself with the
+    unchecked _of.
     """
 
     __slots__ = ("parts", "size")
@@ -48,6 +55,13 @@ class Partition:
             raise ValueError(f"parts must be weakly decreasing: {p}")
         self.parts = p
         self.size = sum(p)
+
+    @classmethod
+    def _of(cls, parts: tuple) -> "Partition":
+        """The partition of a canonical parts tuple, unchecked."""
+        lam = object.__new__(cls)
+        lam.parts, lam.size = parts, sum(parts)
+        return lam
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -71,12 +85,12 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         if not self.parts:
-            return Partition()
+            return Partition._of(())
         cols = [0] * self.parts[0]
         for p in self.parts:
             for j in range(p):
                 cols[j] += 1
-        return Partition(cols)
+        return Partition._of(tuple(cols))
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -111,7 +125,7 @@ def _is_numeral(text: str) -> bool:
 def pad(lam: Partition, n: int) -> Partition:
     """The partition (n - |lam|, lam_1, lam_2, ...) of n, whose first row is
     the padding row; valid only when n - |lam| >= lam_1."""
-    return Partition(_pad(Partition(lam).parts, n))
+    return Partition._of(_pad(Partition(lam).parts, n))
 
 
 def _pad(parts: tuple, n: int) -> tuple:
@@ -193,7 +207,7 @@ def block_chain(nu: Partition, n: int, r: int) -> tuple[Partition, ...]:
         raise ValueError("n must be a positive integer")
     if nu.size > r:
         raise ValueError(f"{nu} does not lie in degrees <= {r}")
-    return tuple(map(Partition, takewhile(lambda p: sum(p) <= r, _walk(nu.parts, n))))
+    return tuple(map(Partition._of, takewhile(lambda p: sum(p) <= r, _walk(nu.parts, n))))
 
 
 def dagger(padded: Partition, i: int) -> Partition:
@@ -208,7 +222,7 @@ def dagger(padded: Partition, i: int) -> Partition:
         raise ValueError("dagger index must be >= 0")
     rows = Partition(padded).parts
     head = [r + 1 for r in rows[:i]] + [1] * (i - len(rows))
-    return Partition(head + list(rows[i + 1:]))
+    return Partition._of(tuple(head) + rows[i + 1:])
 
 
 def _degree(r: int) -> int:
@@ -272,7 +286,7 @@ def _class_index(n: int) -> dict[int, int]:
 def partitions_of(k: int) -> tuple[Partition, ...]:
     """All partitions of k, sorted: the cycle types of _classes(k), whose
     lexicographic order is the (size, parts) order of Partition."""
-    return tuple(Partition(rho) for rho, _size in _classes(k))
+    return tuple(Partition._of(rho) for rho, _size in _classes(k))
 
 
 @_memo

@@ -40,7 +40,7 @@ class TestPartition:
 
     def test_rejects_non_integral_parts(self):
         # refused, not truncated: P([1.5]) is not P([1])
-        for parts in ([1.5], [2.0, 1], ["3", 2]):
+        for parts in ([1.5], [1.0], [2.0, 1], ["3", 2]):
             with pytest.raises(TypeError):
                 P(parts)
 
@@ -96,8 +96,9 @@ class TestPad:
     def test_examples(self):
         assert pad(P([1]), 2).parts == (1, 1)
         assert pad(P([1]), 5).parts == (4, 1)
-        with pytest.raises(ValueError):
-            pad(P([2]), 3)
+        for lam, n in ((P([2]), 3), (P([3]), 4)):
+            with pytest.raises(ValueError):
+                pad(lam, n)
 
     def test_total(self):
         for lam in partitions_up_to(5):
@@ -271,3 +272,32 @@ class TestEnumeration:
             keys = [_class_key(rho, n) for rho, _size in _classes(n)]
             assert len(set(keys)) == len(keys), n
             assert _class_index(n) == {key: i for i, key in enumerate(keys)}, n
+
+
+class TestUncheckedConstruction:
+    """The library builds its own partitions with the unchecked
+    Partition._of; each must be what the checked constructor makes of its
+    parts.  The public paths' refusals are tested with each function."""
+
+    @staticmethod
+    def assert_canonical(p):
+        checked = Partition(list(p.parts))
+        assert (p.parts, p.size) == (checked.parts, checked.size), p
+
+    def test_library_partitions_are_canonical(self):
+        for k in range(13):
+            for lam in partitions_of(k):
+                self.assert_canonical(lam)
+                self.assert_canonical(lam.conjugate())
+        for nu in partitions_up_to(5):
+            for n in range(1, 13):
+                for r in range(nu.size, 11):
+                    for entry in block_chain(nu, n, r):
+                        self.assert_canonical(entry)
+                try:
+                    padded = pad(nu, n)
+                except ValueError:
+                    continue
+                self.assert_canonical(padded)
+                for i in range(9):
+                    self.assert_canonical(dagger(padded, i))
