@@ -155,18 +155,47 @@ def propagating_count(d: SetPartitionDiagram) -> int:
 
 def _join(x: SetPartitionDiagram, y: SetPartitionDiagram) -> tuple[int, list[int]]:
     """x stacked above y, x.m == y.r, with the middle layer joined: (t,
-    outer), the number of middle-only components and the component of each
-    top vertex of x, then of each bottom vertex of y."""
+    outer), the number of middle-only components and the canonical label of
+    each top vertex of x, then of each bottom vertex of y, the components
+    numbered in order of first appearance.
+
+    One union-find pass over x's block labels: walking the middle row, each
+    of y's blocks attaches by a dict to the first x block it meets, and a
+    later meeting merges two x components.  Each attachment and each merge
+    takes one component off the count of all blocks of x and y; t is what
+    is left once the outer components are taken off too."""
     r, k = x.r, x.m
-    # component of each block: x's blocks first, y's numbered after them
-    shift = max(x.labels, default=-1) + 1
-    comp = list(range(shift + max(y.labels, default=-1) + 1))
-    for a, b in zip(x.labels[r:], y.labels[:k]):
-        ca, cb = comp[a], comp[shift + b]
-        if ca != cb:
-            comp = [ca if c == cb else c for c in comp]
-    outer = [comp[a] for a in x.labels[:r]] + [comp[shift + b] for b in y.labels[k:]]
-    return len(set(comp)) - len(set(outer)), outer
+    xl, yl = x.labels, y.labels
+    parent = list(range(max(xl) + 1 if xl else 0))
+    attach: dict[int, int] = {}
+    unions = 0
+    for a, b in zip(xl[r:], yl[:k]):
+        while parent[a] != a:
+            a = parent[a]
+        c = attach.get(b)
+        if c is None:
+            attach[b] = a
+            continue
+        while parent[c] != c:
+            c = parent[c]
+        if c != a:
+            parent[c] = a
+            unions += 1
+    first: dict[int, int] = {}
+    outer = []
+    for a in xl[:r]:
+        while parent[a] != a:
+            a = parent[a]
+        outer.append(first.setdefault(a, len(first)))
+    for b in yl[k:]:
+        # a y block that never meets the middle is a component of its own,
+        # keyed ~b apart from the x roots
+        a = attach.get(b, ~b)
+        while a >= 0 and parent[a] != a:
+            a = parent[a]
+        outer.append(first.setdefault(a, len(first)))
+    blocks = len(parent) + (max(yl) + 1 if yl else 0)
+    return blocks - len(attach) - unions - len(first), outer
 
 
 def compose(x: SetPartitionDiagram, y: SetPartitionDiagram) -> tuple[int, SetPartitionDiagram]:
@@ -175,7 +204,7 @@ def compose(x: SetPartitionDiagram, y: SetPartitionDiagram) -> tuple[int, SetPar
     if x.m != y.r:
         raise ValueError(f"degree mismatch: ({x.r},{x.m}) over ({y.r},{y.m})")
     t, outer = _join(x, y)
-    return t, SetPartitionDiagram._of(x.r, y.m, _relabel(outer))
+    return t, SetPartitionDiagram._of(x.r, y.m, tuple(outer))
 
 
 def _parameter(delta) -> Fraction:
@@ -368,13 +397,12 @@ class StandardModule:
         1-based index, in least-top-vertex order, of the propagating block
         holding it: the convention of permutation_diagram."""
         t, outer = _join(x, half)
-        # the blocks of the result, numbered in least-top-vertex order
-        first: dict = {}
-        tops = [first.setdefault(c, len(first)) for c in outer[:x.r]]
-        # each bottom of half lies in its own propagating block, so none
-        # drops iff the m bottoms stay in m distinct blocks that meet the top
-        bottoms = [first.get(c, -1) for c in outer[x.r:]]
-        if -1 in bottoms or len(set(bottoms)) < len(bottoms):
+        # the join numbers the blocks meeting the top row first, in
+        # least-top-vertex order.  Each bottom of half lies in its own
+        # propagating block, so none drops iff the m bottoms stay in m
+        # distinct blocks that meet the top
+        tops, bottoms = outer[:x.r], outer[x.r:]
+        if max(bottoms, default=-1) > max(tops, default=-1) or len(set(bottoms)) < len(bottoms):
             return None
         props = sorted(bottoms)
         index = {b: k for k, b in enumerate(props, 1)}
@@ -382,11 +410,11 @@ class StandardModule:
 
     def _place(self, entries, block_of) -> list[list]:
         """The matrix that adds scale * block_of(sigma) at block (i, j) for each
-        entry (i, j, scale, sigma), each sigma's block computed once; integral
-        scales and blocks give int entries."""
+        entry (i, j, scale, sigma), block_of called once per distinct sigma;
+        integral scales and blocks give int entries."""
         sd = self.specht.dim
         mat = [[0] * self.dim for _ in range(self.dim)]
-        blocks = {sigma: block_of(sigma) for *_, sigma in entries}
+        blocks = {sigma: block_of(sigma) for sigma in {entry[3] for entry in entries}}
         for i, j, scale, sigma in entries:
             scale = scale.numerator if scale.denominator == 1 else scale
             for a, row in enumerate(blocks[sigma]):
@@ -405,25 +433,34 @@ class StandardModule:
         if x.delta != self.delta:
             raise ValueError("parameter mismatch")
         entries = []
+        # a join over the r middle vertices leaves at most r loops
+        powers = [self.delta**t for t in range(self.r + 1)]
         for d, coeff in x.terms.items():
+            scales = [coeff * p for p in powers]
             for j, half in enumerate(self.halves):
                 step = self._factor(d, half)
                 if step is not None:
                     t, sigma, canonical = step
-                    entries.append((self.half_index[canonical], j, coeff * self.delta**t, sigma))
+                    entries.append((self.half_index[canonical], j, scales[t], sigma))
         return self._place(entries, self.specht.matrix_of)
 
     def gram_matrix(self) -> list[list]:
         """Matrix of the natural bilinear form on the basis: half-diagrams i, j
-        pair to delta^t sigma, whose block is the Specht form against sigma."""
+        pair to delta^t sigma, whose block is the Specht form against sigma.
+        Only the pairs j >= i are joined: flip(v_j) over v_i is the flip of
+        flip(v_i) over v_j, with the same loops and the inverse permutation."""
         entries = []
-        for i, vi in enumerate(self.halves):
+        powers = [self.delta**t for t in range(self.r + 1)]
+        halves = self.halves
+        for i, vi in enumerate(halves):
             flipped = vi.flip()
-            for j, vj in enumerate(self.halves):
-                step = self._factor(flipped, vj)
+            for j in range(i, len(halves)):
+                step = self._factor(flipped, halves[j])
                 if step is not None:
                     t, sigma, _ = step
-                    entries.append((i, j, self.delta**t, sigma))
+                    entries.append((i, j, powers[t], sigma))
+        inverse = {sigma: tuple(sigma.index(k) + 1 for k in range(1, len(sigma) + 1)) for sigma in {e[3] for e in entries}}
+        entries += [(j, i, scale, inverse[sigma]) for i, j, scale, sigma in entries if j > i]
         return self._place(entries, self.specht.form_of)
 
 

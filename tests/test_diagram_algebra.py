@@ -27,7 +27,7 @@ from kroncoef.diagram_algebra import (
 )
 from kroncoef.kronecker import reduced_kron
 from kroncoef.partitions import Partition, _classes, _pad, block_chain, partitions_up_to
-from kroncoef.sym_characters import CharacterTable, _weighted, character, specht_dim
+from kroncoef.sym_characters import CharacterTable, SpechtModel, _weighted, character, specht_dim
 from oracles import (
     compose_union_find,
     cycle_type,
@@ -463,6 +463,38 @@ class TestStandardModules:
                     flipped = vi.flip()
                     for vj in halves:
                         assert StandardModule._factor(flipped, vj) == factor_by_compose(flipped, vj), (str(vi), str(vj))
+
+    def test_gram_pairs_factor_as_flips_of_each_other(self):
+        # gram_matrix joins only the pairs j >= i: flip(v_j) over v_i is the
+        # flip of flip(v_i) over v_j, so it drops a block exactly when that
+        # one does, and otherwise has the same loops and the inverse sigma
+        for r in range(5):
+            for m in range(r + 1):
+                halves = half_diagrams(r, m)
+                for vi in halves:
+                    for vj in halves:
+                        ij = StandardModule._factor(vi.flip(), vj)
+                        ji = StandardModule._factor(vj.flip(), vi)
+                        assert (ij is None) == (ji is None), (str(vi), str(vj))
+                        if ij is not None:
+                            assert ji[0] == ij[0], (str(vi), str(vj))
+                            assert tuple(ji[1][s - 1] for s in ij[1]) == tuple(range(1, m + 1)), (str(vi), str(vj))
+
+    def test_each_distinct_sigma_block_is_computed_once(self, monkeypatch):
+        # the module asks its Specht model for one block per distinct sigma:
+        # in the action matrix of each permutation, and in the Gram matrix
+        mod = standard_module(4, P([2, 1]), Fraction(3))
+        calls = []
+        for name in ("matrix_of", "form_of"):
+            real = getattr(SpechtModel, name)
+            monkeypatch.setattr(SpechtModel, name, lambda model, sigma, real=real: calls.append(sigma) or real(model, sigma))
+        for sigma in permutations(range(1, 5)):
+            calls.clear()
+            mod.action_matrix(permutation_diagram(sigma))
+            assert len(calls) == len(set(calls)), sigma
+        calls.clear()
+        mod.gram_matrix()
+        assert len(calls) == len(set(calls)) == 5
 
     @pytest.mark.parametrize("r", [5, 6])
     def test_factor_on_seeded_samples(self, r):
