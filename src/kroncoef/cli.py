@@ -18,15 +18,6 @@ import time
 from .partitions import Partition, _partition_count, _reduce, block_chain, dagger, pad, partitions_up_to
 
 
-def _parse_rational(text: str):
-    from fractions import Fraction
-
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}")
-
-
 def _emit_value(fmt: str, command: str, inputs: dict, route: str, value: int, ms: float) -> None:
     if fmt == "json":
         obj = {"command": command, **inputs, "route": route, "value": value, "ms": round(ms, 3)}
@@ -82,9 +73,9 @@ KRON_ROUTES = ("oracle", "blocks", "dagger", "closed")
 def route_values(lam: Partition, mu: Partition, nu: Partition, n: int) -> dict:
     """The route values of (lam, mu, nu) at n, which must all be one: every
     route of KRON_ROUTES, in that order, that does not refuse the case with
-    FormulaRangeError (today only the closed route, by its shape or range
-    rule); and from the stability bound on the reduced coefficient gbar,
-    from the kernel behind reduced_kron_via_lr."""
+    FormulaRangeError (today only the closed route, by its range rule); and
+    from the stability bound on the reduced coefficient gbar, from the
+    kernel behind reduced_kron_via_lr."""
     from . import kronecker as kr
 
     values = {}
@@ -222,7 +213,7 @@ def cmd_restrict(args) -> int:
 def cmd_compose(args) -> int:
     from . import diagram_algebra as da
 
-    delta = _parse_rational(args.delta) if args.delta is not None else None
+    delta = da._parse_rational(args.delta) if args.delta is not None else None
     t, z = da.compose(da.SetPartitionDiagram.parse(args.x), da.SetPartitionDiagram.parse(args.y))
     scalar = str(delta**t) if delta is not None else None
     if args.format == "json":

@@ -207,10 +207,19 @@ def compose(x: SetPartitionDiagram, y: SetPartitionDiagram) -> tuple[int, SetPar
     return t, SetPartitionDiagram._of(x.r, y.m, tuple(outer))
 
 
+def _parse_rational(value) -> Fraction:
+    """value read as an exact Fraction; ValueError, naming it, for text that
+    is not a rational, a zero denominator included."""
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {value!r}: {exc}")
+
+
 def _parameter(delta) -> Fraction:
     """delta read as the algebra's parameter, an exact Fraction; ValueError
-    when it is zero."""
-    delta = Fraction(delta)
+    when it is not one or is zero."""
+    delta = _parse_rational(delta)
     if delta == 0:
         raise ValueError("the diagram algebra parameter must be nonzero")
     return delta

@@ -6,8 +6,9 @@ kron_via_<route>(lam, mu, nu, n):
 * oracle: the character oracle on first-row-padded triples,
 * blocks: an alternating sum of reduced coefficients over the n-pair chain,
 * dagger: an alternating sum over the dagger partitions of the padded nu,
-* closed: for a two-row or hook nu, (n-k, k) or (n-k, 1^k), the dagger sum
-  cut after its first two terms, on the range rule of kron_via_closed.
+* closed: the dagger sum cut after its first two terms, from the n on which
+  kron_via_closed proves the cut exact; for a two-row or hook nu, (n-k, k)
+  or (n-k, 1^k), the source paper's closed formulas.
 
 The block chain, dagger and closed routes are one alternating sum,
 _alternating, of reduced coefficients from one cached kernel, _reduced_kron,
@@ -214,13 +215,12 @@ def _restricted(outer: tuple, x: int, y: int, c: int) -> tuple:
 
 
 def kron_via_closed(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
-    """Kronecker coefficient of the padded triple for a two-row or hook nu,
-    (n-k, k) or (n-k, 1^k): the dagger sum of kron_via_dagger cut after two
-    terms, gbar(lam, mu, nu) - gbar(lam, mu, nu+), nu+ = dagger(pad(nu, n), 1)
-    = (n - |nu| + 1, nu_2, ...).  FormulaRangeError for any other nu, where
-    kron_via_dagger sums every term, and below n0 = min(stability bound,
-    |lam| + |mu| + nu_2 - 1) (nu_2 = 0 for fewer than two parts).  From n0
-    on the two terms are g:
+    """Kronecker coefficient of the padded triple as the dagger sum of
+    kron_via_dagger cut after two terms, gbar(lam, mu, nu) - gbar(lam, mu, nu+),
+    nu+ = dagger(pad(nu, n), 1) = (n - |nu| + 1, nu_2, ...); for a two-row or
+    hook nu, (n-k, k) or (n-k, 1^k), the source paper's closed formulas.
+    FormulaRangeError below n0 = min(stability bound, |lam| + |mu| + nu_2 - 1)
+    (nu_2 = 0 for fewer than two parts).  From n0 on the two terms are g:
     1. From |lam| + |mu| + nu_2 - 1 on, the third dagger partition has
        n - nu_2 + 2 > |lam| + |mu| boxes, so it and every later term are zero.
     2. From the stability bound on, g = gbar(lam, mu, nu) and gbar(nu+) = 0:
@@ -228,14 +228,10 @@ def kron_via_closed(lam: Partition, mu: Partition, nu: Partition, n: int) -> int
        and rho_1 <= |mu| + lam_1 (in the LR sum rho_1 <= alpha_1 + beta_1 + pi_1,
        alpha_1 + pi_1 <= |lam|, beta_1 <= mu_1), and nu+ has n - nu_1 + 1 boxes
        and first row n - |nu| + 1: each term of the bound rules it out.
-    Neither step reads the shape of nu, so the shape refusal is the source
-    paper's scope and the range rule is the proof's: over the default
-    sweep's route cases the two-term cut equals g on all 13,725 rows of
-    other shapes from n0 on, and differs from g on 264 of the 660 below n0.
+    Neither step reads the shape of nu.  A two-row or hook nu has nu_2 <= 1,
+    so its range starts by |lam| + |mu|; another shape may need a larger n.
     """
     lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
-    if len(nu) > 1 and nu[0] > 1:
-        raise FormulaRangeError(f"no closed formula: {Partition._of(nu)} padded is neither two-row nor hook")
     second = nu[1] if len(nu) > 1 else 0
     n0 = min(_stability_bound(lam, mu, nu), sum(lam) + sum(mu) + second - 1)
     if n < n0:

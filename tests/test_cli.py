@@ -123,8 +123,12 @@ class TestKron:
         assert code == 0 and out == "1\n"
 
     def test_closed_route_out_of_range_errors(self, capsys):
-        message = refused(capsys, "kron", "[2,1]", "[2,1]", "[2,1]", "--n", "9", "--route", "closed")
-        assert message.endswith("(--route dagger sums every term)")
+        # a padded third factor of any shape is answered from n0 on, here
+        # n0 = min(8, 3 + 3 + 1 - 1) = 6, and refused below it
+        message = refused(capsys, "kron", "[2,1]", "[2,1]", "[2,1]", "--n", "5", "--route", "closed")
+        assert message == "error: the two-term dagger sum needs n >= 6, got n=5 (--route dagger sums every term)"
+        code, out, _ = run(capsys, "kron", "[2,1]", "[2,1]", "[2,1]", "--n", "9", "--route", "closed")
+        assert code == 0 and out == "9\n"
 
     def test_closed_route_reads_the_labels_like_all(self, capsys):
         # every route reads lam, mu and nu in that order and names the first
@@ -134,8 +138,8 @@ class TestKron:
         assert refused(capsys, "kron", "[4]", "[1]", "[3]", "--n", "5", "--route", "closed") == message
 
     def test_dagger_route_where_no_closed_formula_applies(self, capsys):
-        code, out, _ = run(capsys, "kron", "[2,1]", "[2,1]", "[2,1]", "--n", "9", "--route", "dagger")
-        assert code == 0 and out == "9\n"
+        code, out, _ = run(capsys, "kron", "[2,1]", "[2,1]", "[2,1]", "--n", "5", "--route", "dagger")
+        assert code == 0 and out == "1\n"
 
     def test_oracle_refused_past_its_class_cap(self, capsys):
         start = time.perf_counter()
@@ -352,11 +356,11 @@ SWEEP_CHECKS = ("kron_routes", "dim_identity")
 # format, the summary's row counts, and the route rows with a closed column
 # and with a gbar column
 DEFAULT_SWEEP_SHA256 = {
-    "tsv": "d956b2d3e8d49dee5f7419e4c1d90fbd427bd42808d2f943634e2a52d61b098b",
-    "json": "2d14259edd7d735c1e83063af40a95da3eb7c9cc5027bcf93c490b8f2154e30b",
+    "tsv": "0d41746dc3585568ceec9e0667bc397c68094ed973c5e6b97dd3b04bf9b3e57a",
+    "json": "a7c1d843d8f1444d3aa4194d55a6b66ae7dfe86b7d615a92d0748520d7a1b9e4",
 }
 DEFAULT_SWEEP_ROWS = {"kron_routes": 20673, "dim_identity": 280}
-DEFAULT_SWEEP_COLUMNS = {"closed=": 6288, "gbar=": 17499}
+DEFAULT_SWEEP_COLUMNS = {"closed=": 20013, "gbar=": 17499}
 
 
 def replay_default_sweep(monkeypatch) -> None:

@@ -244,6 +244,16 @@ class TestGenerators:
 
     @pytest.mark.parametrize(
         "build",
+        [lambda: AlgebraElement(2, "x"), lambda: generator_e(1, 2, "1/0"), lambda: standard_module(2, P([1]), "1/0")],
+        ids=["element", "generator_e", "module"],
+    )
+    def test_unreadable_parameter_rejected(self, build):
+        # one reader for rationals: a zero denominator is a ValueError too
+        with pytest.raises(ValueError, match="^bad rational '(x|1/0)': "):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
         [
             lambda r: AlgebraElement(r, DELTA),
             lambda r: AlgebraElement.one(r, DELTA),

@@ -1,12 +1,14 @@
 from collections import Counter
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 
 import kroncoef
+from conftest import default_route_rows
 from kroncoef import kronecker
 from kroncoef.kronecker import (
     FormulaRangeError,
+    _daggers,
     kron_via_blocks,
     kron_via_closed,
     kron_via_dagger,
@@ -14,6 +16,7 @@ from kroncoef.kronecker import (
     reduced_kron,
     reduced_kron_via_lr,
     stability_bound,
+    valid_n_range,
 )
 from kroncoef.cli import route_cases
 from kroncoef.lr import lr_coeff
@@ -151,6 +154,21 @@ class TestRoutes:
         finally:
             kroncoef.clear_caches()
 
+    def test_block_chain_is_the_dagger_list(self):
+        # entry by entry, over a larger range than the default sweep's
+        for lam, mu, nu, n in route_cases(5, 1):
+            chain = block_chain(nu, n, lam.size + mu.size)
+            assert chain == tuple(_daggers(lam.parts, mu.parts, nu.parts, n)), (lam, mu, nu, n)
+        # an oversize third factor, which kron_via_blocks answers with 0
+        # before any chain: no dagger term, and no chain in those degrees
+        for lam in partitions_up_to(2):
+            for mu in partitions_up_to(2):
+                for nu in partitions_of(lam.size + mu.size + 1):
+                    for n in valid_n_range(lam, mu, nu, 1):
+                        assert list(_daggers(lam.parts, mu.parts, nu.parts, n)) == [], (lam, mu, nu, n)
+                        with pytest.raises(ValueError, match="does not lie in degrees"):
+                            block_chain(nu, n, lam.size + mu.size)
+
     def test_dagger_truncation_is_exact(self):
         # the untruncated sum over all len(pad(lam)) * len(pad(mu)) terms
         for lam, mu, nu, n in route_cases(3, 3):
@@ -270,10 +288,39 @@ class TestClosedFormulas:
             kron_via_closed(P([1]), P([1]), P([3]), 5)
         assert type(exc.value) is ValueError
 
-    def test_other_shapes_refused(self):
-        for nu in ([2, 2], [2, 1], [3, 1, 1]):
-            with pytest.raises(FormulaRangeError, match="neither two-row nor hook"):
-                kron_via_closed(P([2, 1]), P([2, 1]), P(nu), 12)
+    def test_other_shapes_answered_from_n0(self):
+        # a nu that is neither two-row nor a hook has the one range rule:
+        # refused below n0 = min(stability bound, |lam| + |mu| + nu_2 - 1),
+        # the oracle's value from n0 on
+        lam = P([2, 1])
+        for nu, n0 in (([2, 2], 7), ([2, 1], 6), ([3, 1, 1], 6)):
+            nu = P(nu)
+            for n in range(nu.size + nu.row(1), 13):
+                if n < n0:
+                    with pytest.raises(FormulaRangeError, match=f"needs n >= {n0}, got n={n}$"):
+                        kron_via_closed(lam, lam, nu, n)
+                else:
+                    assert kron_via_closed(lam, lam, nu, n) == kron_via_oracle(lam, lam, nu, n), (nu, n)
+
+    def test_two_row_and_hook_cut_is_uniform(self):
+        # the source paper's claim: from n = |lam| + |mu| on, g(lam, mu, nu)
+        # = gbar(lam, mu, nu) - gbar(lam, mu, nu+), nu+ = dagger(pad(nu, n), 1),
+        # for every two-row or hook nu, and not for other shapes, whose range
+        # can start later; over the default sweep's route rows, g its oracle
+        counts = Counter()
+        differing = []
+        for lam, mu, nu, n, values in default_route_rows():
+            if n < lam.size + mu.size:
+                continue
+            cut = reduced_kron_via_lr(lam, mu, nu) - reduced_kron_via_lr(lam, mu, dagger(pad(nu, n), 1))
+            shape = "two-row or hook" if len(nu) <= 1 or nu.row(1) == 1 else "other"
+            counts[shape] += 1
+            if cut != values["oracle"]:
+                assert shape == "other", (lam, mu, nu, n, cut, values)
+                differing.append((lam, mu, nu, n, cut, values["oracle"]))
+        assert counts == {"two-row or hook": 6073, "other": 13944}
+        assert len(differing) == 57
+        assert differing[0] == (P([1, 1]), P([2, 2]), P([2, 2]), 6, -1, 0)
 
     def test_padded_and_reduced_nu_agree(self):
         # nu and pad(nu, n) are one label at n: one value, or one refusal
@@ -306,3 +353,27 @@ class TestClosedFormulas:
                         assert str(got.value) == str(exc), (lam, mu, nu, n)
                         continue
                     assert kron_via_closed(lam, mu, nu, n) == want, (lam, mu, nu, n)
+
+
+class TestLimitingBehaviour:
+    def test_g_rises_to_gbar_by_the_stability_bound(self):
+        # Brion: g(n) never decreases along a triple; over the default
+        # sweep's triples, from the first padding to b + 3, it reaches its
+        # last value at N_exact, no later than max(b, first padding), and
+        # the block chain of nu is one entry long from N_chain on, no earlier
+        triples = rising = 0
+        early = Counter()
+        for (lam, mu, nu), rows in groupby(default_route_rows(), key=lambda row: row[:3]):
+            ns, gs = zip(*((n, values["oracle"]) for *_, n, values in rows))
+            triples += 1
+            assert all(a <= b for a, b in zip(gs, gs[1:])), (lam, mu, nu, gs)
+            rising += gs[0] != gs[-1]
+            n_exact = ns[gs.index(gs[-1])]
+            settled = max(stability_bound(lam, mu, nu), ns[0])
+            n_chain = ns[0]
+            while len(block_chain(nu, n_chain, lam.size + mu.size)) > 1:
+                n_chain += 1
+            assert n_exact <= settled <= n_chain, (lam, mu, nu, n_exact, settled, n_chain)
+            early[settled - n_exact] += 1
+        assert (triples, rising) == (4638, 1480)
+        assert early == {0: 3552, 1: 1051, 2: 35}
