@@ -18,18 +18,6 @@ import time
 from .partitions import Partition, _partition_count, _reduce, block_chain, dagger, pad, partitions_up_to
 
 
-def _emit_value(fmt: str, command: str, inputs: dict, route: str, value: int, ms: float) -> None:
-    if fmt == "json":
-        obj = {"command": command, **inputs, "route": route, "value": value, "ms": round(ms, 3)}
-        print(json.dumps(obj))
-    elif fmt == "tsv":
-        keys = list(inputs) + ["route", "value"]
-        print("\t".join(keys))
-        print("\t".join(str(v) for v in list(inputs.values()) + [route, value]))
-    else:
-        print(value)
-
-
 def _emit_table(fmt: str, command: str, columns: list[str], rows: list[tuple]) -> None:
     if fmt == "json":
         for row in rows:
@@ -55,14 +43,22 @@ def _agreement(values: dict) -> tuple[str, bool]:
     return " ".join(f"{k}={v}" for k, v in values.items()), len(set(values.values())) == 1
 
 
-def _emit_agreed(args, command: str, inputs: dict, routes: dict, start: float) -> int:
-    """Print the one value of every route, or name the routes and fail."""
+def _emit_agreed(fmt: str, command: str, inputs: dict, route: str, routes: dict, start: float) -> int:
+    """Print the one value of the routes, labelled route, or name them and
+    fail: the one output of the value commands, kron, rkron, lr and dagger."""
     ms = (time.perf_counter() - start) * 1000
     detail, agreed = _agreement(routes)
     if not agreed:
         print(f"error: route disagreement: {detail}", file=sys.stderr)
         return 1
-    _emit_value(args.format, command, inputs, args.route, next(iter(routes.values())), ms)
+    value = next(iter(routes.values()))
+    if fmt == "json":
+        print(json.dumps({"command": command, **inputs, "route": route, "value": value, "ms": round(ms, 3)}))
+    elif fmt == "tsv":
+        print("\t".join([*inputs, "route", "value"]))
+        print("\t".join(map(str, [*inputs.values(), route, value])))
+    else:
+        print(value)
     return 0
 
 
@@ -105,7 +101,7 @@ def cmd_kron(args) -> int:
         except kr.FormulaRangeError as exc:
             raise ValueError(f"{exc} (--route dagger sums every term)")
     inputs = {"lambda": str(lam), "mu": str(mu), "nu": str(nu), "n": args.n}
-    return _emit_agreed(args, "kron", inputs, routes, start)
+    return _emit_agreed(args.format, "kron", inputs, args.route, routes, start)
 
 
 def cmd_rkron(args) -> int:
@@ -122,7 +118,7 @@ def cmd_rkron(args) -> int:
     if args.route in ("both", "lr"):
         routes["lr"] = kr.reduced_kron_via_lr(lam, mu, nu)
     inputs = {"lambda": str(lam), "mu": str(mu), "nu": str(nu)}
-    return _emit_agreed(args, "rkron", inputs, routes, start)
+    return _emit_agreed(args.format, "rkron", inputs, args.route, routes, start)
 
 
 def cmd_lr(args) -> int:
@@ -137,9 +133,7 @@ def cmd_lr(args) -> int:
         value = lr_coeff3(lam, mu, eta, nu)
     else:
         value = lr_coeff(lam, mu, nu)
-    ms = (time.perf_counter() - start) * 1000
-    _emit_value(args.format, "lr", inputs, "placement", value, ms)
-    return 0
+    return _emit_agreed(args.format, "lr", inputs, "placement", {"placement": value}, start)
 
 
 def _first_past(n: int, limit: int, measure) -> int | None:
@@ -182,10 +176,8 @@ def cmd_dagger(args) -> int:
         raise ValueError(f"the dagger partition at --i {args.i} has more than {OUTPUT_BUDGET} parts")
     padded = pad(_reduce(nu, args.n), args.n)
     start = time.perf_counter()
-    result = dagger(padded, args.i)
-    ms = (time.perf_counter() - start) * 1000
-    _emit_value(args.format, "dagger", {"nu": str(nu), "n": args.n, "i": args.i}, "dagger", str(result), ms)
-    return 0
+    value = str(dagger(padded, args.i))
+    return _emit_agreed(args.format, "dagger", {"nu": str(nu), "n": args.n, "i": args.i}, "dagger", {"dagger": value}, start)
 
 
 # restrict reads at most one reduced coefficient per label pair (lam, mu)

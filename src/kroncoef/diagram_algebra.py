@@ -367,6 +367,7 @@ def half_diagrams(r: int, m: int) -> list[SetPartitionDiagram]:
     m blocks marked propagating, bottoms attached in least-vertex order, in
     lexicographic order of their label tuples (the order of _label_tuples
     and combinations)."""
+    r, m = _degree(r), _degree(m)
     return [
         SetPartitionDiagram._of(r, m, top + chosen)
         for top in _label_tuples(r)
@@ -396,6 +397,8 @@ class StandardModule:
         self.half_index = {h.labels: i for i, h in enumerate(self.halves)}
         # basis vector (h, t) has index h * specht.dim + t
         self.dim = len(self.halves) * self.specht.dim
+        # a join over the r middle vertices leaves at most r loops
+        self._powers = [self.delta**t for t in range(r + 1)]
 
     @staticmethod
     def _factor(x: SetPartitionDiagram, half: SetPartitionDiagram):
@@ -442,10 +445,8 @@ class StandardModule:
         if x.delta != self.delta:
             raise ValueError("parameter mismatch")
         entries = []
-        # a join over the r middle vertices leaves at most r loops
-        powers = [self.delta**t for t in range(self.r + 1)]
         for d, coeff in x.terms.items():
-            scales = [coeff * p for p in powers]
+            scales = [coeff * p for p in self._powers]
             for j, half in enumerate(self.halves):
                 step = self._factor(d, half)
                 if step is not None:
@@ -456,10 +457,9 @@ class StandardModule:
     def gram_matrix(self) -> list[list]:
         """Matrix of the natural bilinear form on the basis: half-diagrams i, j
         pair to delta^t sigma, whose block is the Specht form against sigma.
-        Only the pairs j >= i are joined: flip(v_j) over v_i is the flip of
-        flip(v_i) over v_j, with the same loops and the inverse permutation."""
+        The form is symmetric, so only the pairs j >= i are joined and the
+        lower triangle is the transpose of the upper."""
         entries = []
-        powers = [self.delta**t for t in range(self.r + 1)]
         halves = self.halves
         for i, vi in enumerate(halves):
             flipped = vi.flip()
@@ -467,10 +467,12 @@ class StandardModule:
                 step = self._factor(flipped, halves[j])
                 if step is not None:
                     t, sigma, _ = step
-                    entries.append((i, j, powers[t], sigma))
-        inverse = {sigma: tuple(sigma.index(k) + 1 for k in range(1, len(sigma) + 1)) for sigma in {e[3] for e in entries}}
-        entries += [(j, i, scale, inverse[sigma]) for i, j, scale, sigma in entries if j > i]
-        return self._place(entries, self.specht.form_of)
+                    entries.append((i, j, self._powers[t], sigma))
+        mat = self._place(entries, self.specht.form_of)
+        for a, row in enumerate(mat):
+            for b in range(a):
+                row[b] = mat[b][a]
+        return mat
 
 
 def standard_module(r: int, nu: Partition, delta) -> StandardModule:

@@ -153,6 +153,8 @@ def _reduce(label: Partition, n: int) -> tuple:
 def is_n_pair(mu: Partition, lam: Partition, n: int) -> bool:
     """True iff lam/mu is a one-row horizontal strip whose rightmost box has
     content n - |mu|."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     return _successor(Partition(mu).parts, n) == Partition(lam).parts
 
 

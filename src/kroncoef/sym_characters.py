@@ -219,9 +219,9 @@ def _signed_arrangements(seq: tuple):
 
 
 def _polytabloid(rows: tuple[tuple[int, ...], ...], k: int) -> dict[tuple, int]:
-    """The polytabloid e_t of the tableau t, keyed by row indices as in
-    _row_key: a signed column arrangement pi gives the tabloid {pi t}, in
-    which pi(v) lies in the row of v."""
+    """The polytabloid e_t of the tableau t, each tabloid keyed by the row
+    index of each entry 1..k: a signed column arrangement pi gives the
+    tabloid {pi t}, in which pi(v) lies in the row of v."""
     ncols = len(rows[0]) if rows else 0
     cols = [tuple(row[j] for row in rows if j < len(row)) for j in range(ncols)]
     vec: dict[tuple, int] = {}
@@ -252,16 +252,6 @@ def _gather(vec: dict[tuple, int], inverse: list[int]) -> dict[tuple, int]:
     return {get(key): c for key, c in vec.items()}
 
 
-def _row_key(rows, k: int) -> tuple[int, ...]:
-    """The row index of each entry 1..k; a smaller key is a tabloid that is
-    higher in a linear extension of the dominance order."""
-    key = [0] * k
-    for i, row in enumerate(rows):
-        for v in row:
-            key[v - 1] = i
-    return tuple(key)
-
-
 class SpechtModel:
     """Specht module with explicit matrices for the permutations.
 
@@ -278,9 +268,8 @@ class SpechtModel:
         self.k = self.nu.size
         self.tableaux = standard_tableaux(self.nu)
         self.dim = len(self.tableaux)
-        # the polytabloids keyed by row indices, and the top tabloid {t} of
-        # each e_t, dominance-largest first.  Only e_t0 is expanded: every
-        # other e_t is sigma . e_t0 = e_{sigma t0} with sigma t0 = t
+        # the polytabloids keyed by row indices.  Only e_t0 is expanded:
+        # every other e_t is sigma . e_t0 = e_{sigma t0} with sigma t0 = t
         t0 = self.tableaux[0]
         first = _polytabloid(t0, self.k)
         self._keyed = []
@@ -290,7 +279,9 @@ class SpechtModel:
             for v, w in zip(chain.from_iterable(t0), chain.from_iterable(t)):
                 inverse[w - 1] = v - 1
             self._keyed.append(_gather(first, inverse))
-        self._tops = sorted((_row_key(t, self.k), j) for j, t in enumerate(self.tableaux))
+        # the top tabloid {t} of each e_t, dominance-largest first, is its
+        # least key: keys compare by the row of entry 1, 2, ..., extending dominance
+        self._tops = sorted((min(vec), j) for j, vec in enumerate(self._keyed))
         self.generators = [
             self.matrix_of(tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, self.k + 1)))
             for i in range(1, self.k)

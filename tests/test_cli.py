@@ -214,6 +214,35 @@ class TestChainDagger:
         code, out, _ = run(capsys, "dagger", "[10,10]", "--n", "30", "--i", "8")
         assert code == 0 and out == "[11,11,11,1,1,1,1,1]\n"
 
+    @pytest.mark.parametrize(
+        "argv, tsv, obj",
+        [
+            (
+                ["lr", "[2,1]", "[2,1]", "[3,2,1]"],
+                "lambda\tmu\tnu\troute\tvalue\n[2,1]\t[2,1]\t[3,2,1]\tplacement\t2\n",
+                {"command": "lr", "lambda": "[2,1]", "mu": "[2,1]", "nu": "[3,2,1]", "route": "placement", "value": 2},
+            ),
+            (
+                ["lr", "[1]", "[1]", "[2,1]", "--eta", "[1]"],
+                "lambda\tmu\tnu\teta\troute\tvalue\n[1]\t[1]\t[2,1]\t[1]\tplacement\t2\n",
+                {"command": "lr", "lambda": "[1]", "mu": "[1]", "nu": "[2,1]", "eta": "[1]", "route": "placement", "value": 2},
+            ),
+            (
+                ["dagger", "[10,10]", "--n", "30", "--i", "8"],
+                "nu\tn\ti\troute\tvalue\n[10,10]\t30\t8\tdagger\t[11,11,11,1,1,1,1,1]\n",
+                {"command": "dagger", "nu": "[10,10]", "n": 30, "i": 8, "route": "dagger", "value": "[11,11,11,1,1,1,1,1]"},
+            ),
+        ],
+    )
+    def test_lr_and_dagger_value_formats(self, capsys, argv, tsv, obj):
+        # the bytes of each format, json up to its ms timing, which comes last
+        code, out, _ = run(capsys, *argv, "--format", "tsv")
+        assert code == 0 and out == tsv
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        ms = json.loads(out)["ms"]
+        assert code == 0 and isinstance(ms, float)
+        assert out == json.dumps({**obj, "ms": ms}) + "\n"
+
     def test_dagger_negative_index(self, capsys):
         assert "--i" in refused(capsys, "dagger", "[1]", "--n", "3", "--i", "-1")
 

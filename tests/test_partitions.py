@@ -127,6 +127,11 @@ class TestNPairs:
         assert not is_n_pair(P([2, 1]), P([2, 1]), 6)
         assert not is_n_pair(P([2, 1]), P([3, 2]), 6)
 
+    def test_nonpositive_n_refused(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                is_n_pair(P([]), P([1]), n)
+
     def test_against_bruteforce(self):
         for mu in partitions_up_to(5):
             for lam in partitions_up_to(6):

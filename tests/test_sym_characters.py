@@ -327,6 +327,22 @@ class TestSpechtModel:
                 m = specht_model(nu)
                 assert m._keyed == [sym_characters._polytabloid(t, k) for t in m.tableaux], nu
 
+    def test_least_key_of_each_polytabloid_is_its_tableau(self):
+        # the straightening order reads the top tabloid {t} of e_t as the
+        # least key of its expansion: the row index of each entry 1..k of t
+        count = 0
+        for k in range(8):
+            for nu in partitions_of(k):
+                m = specht_model(nu)
+                for t, vec in zip(m.tableaux, m._keyed, strict=True):
+                    key = [0] * k
+                    for i, row in enumerate(t):
+                        for v in row:
+                            key[v - 1] = i
+                    assert min(vec) == tuple(key), (nu, t)
+                    count += 1
+        assert count == 352
+
     def test_straightening_outside_the_span_raises(self):
         # a row-index key: (1, 0) is the tabloid with 2 in the first row
         m = specht_model(P([1, 1]))
