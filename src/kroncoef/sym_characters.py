@@ -9,12 +9,17 @@ partition is an int with one set bit per row, and a border strip of length t
 is a bead moved t places down to a free place, with the sign of the parity
 of the beads it passes;
 Kronecker coefficients as class-weighted triple products; and explicit
-Specht modules on the standard polytabloid basis: permutation matrices by
-straightening in dominance order, and forms read off the polytabloids.  A
-model expands one polytabloid, that of its first standard tableau t0, over
-the signed column arrangements; every other e_t is sigma . e_t0 = e_{sigma t0}
-(Sagan, section 2.3), and one gather of row indices permutes a polytabloid
-for both.
+Specht modules on the standard polytabloid basis.  Column t of the matrix of
+sigma is sigma . e_t = e_{sigma t}, read off the tableau sigma t: sorting its
+columns is a column permutation pi of a tableau t', and
+e_{pi t'} = sgn(pi) e_t' (Sagan, section 2.3), so where t' is standard the
+column is a signed basis vector.  Only the other columns are expanded over
+tabloids and straightened in dominance order; forms are read off the
+polytabloids.  A model builds its generators when it is built, and expands
+its polytabloids once, on the first straightening or form: that of its
+first standard tableau t0 over the signed column arrangements, and every
+other e_t as sigma . e_t0 = e_{sigma t0}, by the gather of row indices that
+also permutes a polytabloid for a matrix or a form.
 The class sizes are those of _classes alone, and a class is located by
 partitions._class_key alone; the closed size formula and the cycle type of a
 permutation, which only the tests read, are class_size and cycle_type in
@@ -23,6 +28,7 @@ tests/oracles.py.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, product
 from math import factorial
 from operator import add, itemgetter, mul, neg, sub
@@ -218,14 +224,17 @@ def _signed_arrangements(seq: tuple):
             yield (-sign if i % 2 else sign), (v,) + rest
 
 
+def _columns(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The columns of a tableau given by its rows, each read top to bottom."""
+    return tuple(tuple(row[j] for row in rows if j < len(row)) for j in range(len(rows[0]) if rows else 0))
+
+
 def _polytabloid(rows: tuple[tuple[int, ...], ...], k: int) -> dict[tuple, int]:
     """The polytabloid e_t of the tableau t, each tabloid keyed by the row
     index of each entry 1..k: a signed column arrangement pi gives the
     tabloid {pi t}, in which pi(v) lies in the row of v."""
-    ncols = len(rows[0]) if rows else 0
-    cols = [tuple(row[j] for row in rows if j < len(row)) for j in range(ncols)]
     vec: dict[tuple, int] = {}
-    for arrangement in product(*map(_signed_arrangements, cols)):
+    for arrangement in product(*map(_signed_arrangements, _columns(rows))):
         key = [0] * k
         sign = 1
         for col_sign, image in arrangement:
@@ -255,12 +264,17 @@ def _gather(vec: dict[tuple, int], inverse: list[int]) -> dict[tuple, int]:
 class SpechtModel:
     """Specht module with explicit matrices for the permutations.
 
-    The basis is the set of standard polytabloids.  Every matrix is exact and
-    integral: column t of matrix_of(sigma) expands sigma . e_t by
-    straightening in dominance order, and form_of(sigma) pairs the basis with
-    the sigma . e_t by the tabloid inner product.  Keeps no cache.
-    Validated through the Coxeter relations and trace identities rather than
-    any particular basis convention.
+    The basis is the set of standard polytabloids e_t; every matrix is exact
+    and integral.  Column t of matrix_of(sigma) is e_{sigma t}: where sorting
+    the columns of sigma t by a column permutation pi gives a standard t',
+    it is sgn(pi) e_t' (Sagan, section 2.3), and elsewhere sigma . e_t is
+    straightened in dominance order.  form_of(sigma) pairs the basis with
+    the sigma . e_t by the tabloid inner product.  The generators, the
+    matrices of the adjacent transpositions, are built with the model; the
+    polytabloids are expanded once, when a straightening or a form first
+    needs them, and no matrix is kept.  Validated through the Coxeter
+    relations and trace identities rather than any particular basis
+    convention.
     """
 
     def __init__(self, nu: Partition):
@@ -268,34 +282,45 @@ class SpechtModel:
         self.k = self.nu.size
         self.tableaux = standard_tableaux(self.nu)
         self.dim = len(self.tableaux)
-        # the polytabloids keyed by row indices.  Only e_t0 is expanded:
-        # every other e_t is sigma . e_t0 = e_{sigma t0} with sigma t0 = t
-        t0 = self.tableaux[0]
-        first = _polytabloid(t0, self.k)
-        self._keyed = []
-        for t in self.tableaux:
-            # sigma moves each entry of t0 to the entry of t in its cell
-            inverse = [0] * self.k
-            for v, w in zip(chain.from_iterable(t0), chain.from_iterable(t)):
-                inverse[w - 1] = v - 1
-            self._keyed.append(_gather(first, inverse))
-        # the top tabloid {t} of each e_t, dominance-largest first, is its
-        # least key: keys compare by the row of entry 1, 2, ..., extending dominance
-        self._tops = sorted((min(vec), j) for j, vec in enumerate(self._keyed))
+        # each standard tableau by its columns, in order: a column-sorted
+        # tableau is standard exactly when it is found here
+        self._index = {_columns(t): j for j, t in enumerate(self.tableaux)}
+        # the top tabloid {t} of e_t: the row index of each entry 1, 2, ... of t
+        tops = [tuple(i for _v, i in sorted((v, i) for i, row in enumerate(t) for v in row)) for t in self.tableaux]
+        # dominance-largest first is least key first: keys compare by the row
+        # of entry 1, 2, ..., which extends dominance
+        self._tops = sorted(zip(tops, range(self.dim)))
         self.generators = [
             self.matrix_of(tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, self.k + 1)))
             for i in range(1, self.k)
         ]
 
+    @cached_property
+    def _keyed(self) -> list[dict[tuple, int]]:
+        """The polytabloids keyed by row indices, expanded on first use.  Only
+        e_t0 is expanded over its columns: every other e_t is
+        sigma . e_t0 = e_{sigma t0} with sigma t0 = t."""
+        t0 = self.tableaux[0]
+        first = _polytabloid(t0, self.k)
+        keyed = []
+        for t in self.tableaux:
+            # sigma moves each entry of t0 to the entry of t in its cell
+            inverse = [0] * self.k
+            for v, w in zip(chain.from_iterable(t0), chain.from_iterable(t)):
+                inverse[w - 1] = v - 1
+            keyed.append(_gather(first, inverse))
+        return keyed
+
     def _straighten(self, vec: dict[tuple, int]) -> tuple[int, ...]:
         # {t} has coefficient 1 in e_t, and every other tabloid of e_t lies
         # below it, so no later e_t' can change the coefficient of {t}
         coeffs = [0] * self.dim
+        keyed = self._keyed
         for top, j in self._tops:
             c = vec.get(top)
             if c:
                 coeffs[j] = c
-                for key, b in self._keyed[j].items():
+                for key, b in keyed[j].items():
                     left = vec.get(key, 0) - c * b
                     if left:
                         vec[key] = left
@@ -305,18 +330,48 @@ class SpechtModel:
             raise ArithmeticError("tabloid vector outside the polytabloid span")
         return tuple(coeffs)
 
-    def _permuted(self, sigma: tuple[int, ...]) -> list[dict[tuple, int]]:
-        """The polytabloids sigma . e_t, keyed by row indices, for the
-        permutation given in one-line notation (sigma[j-1] is the image of j)."""
+    def _checked(self, sigma: tuple[int, ...]) -> tuple[int, ...]:
+        """sigma as a tuple, refused unless it is a permutation of 1..k in
+        one-line notation (sigma[j-1] is the image of j)."""
         sigma = tuple(sigma)
         if len(sigma) != self.k or sorted(sigma) != list(range(1, self.k + 1)):
             raise ValueError(f"not a permutation of 1..{self.k}: {sigma}")
+        return sigma
+
+    def _permuted(self, sigma: tuple[int, ...]) -> list[dict[tuple, int]]:
+        """The polytabloids sigma . e_t, keyed by row indices."""
+        sigma = self._checked(sigma)
         inverse = sorted(range(self.k), key=sigma.__getitem__)
         return [_gather(vec, inverse) for vec in self._keyed]
 
     def matrix_of(self, sigma: tuple[int, ...]) -> tuple:
-        """Matrix of the permutation: column t expands sigma . e_t."""
-        return tuple(zip(*map(self._straighten, self._permuted(sigma))))
+        """Matrix of the permutation: column t is sigma . e_t = e_{sigma t},
+        a signed unit vector where sorting the columns of sigma t gives a
+        standard tableau, and straightened where it does not."""
+        sigma = self._checked(sigma)
+        inverse = sorted(range(self.k), key=sigma.__getitem__)
+        columns = []
+        for j, cols in enumerate(self._index):
+            sign = 1
+            moved = []
+            for col in cols:
+                image = [sigma[v - 1] for v in col]
+                ordered = sorted(image)
+                if image != ordered:
+                    # the sort takes one transposition per inversion
+                    for a, x in enumerate(image):
+                        for y in image[a + 1:]:
+                            if x > y:
+                                sign = -sign
+                moved.append(tuple(ordered))
+            i = self._index.get(tuple(moved))
+            if i is None:
+                columns.append(self._straighten(_gather(self._keyed[j], inverse)))
+            else:
+                unit = [0] * self.dim
+                unit[i] = sign
+                columns.append(unit)
+        return tuple(zip(*columns))
 
     def form_of(self, sigma: tuple[int, ...]) -> tuple:
         """The matrix <e_a, sigma . e_b> of the tabloid inner product."""

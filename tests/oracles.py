@@ -21,7 +21,9 @@ LR products and Kronecker coefficients, term by term, where the library
 contracts it to one sum over classes of character values.  The Gram matrix
 here multiplies the Specht form by a permutation matrix for each pair of
 half-diagrams, in Fractions, where the library reads each block off the
-permuted polytabloids.
+permuted polytabloids.  A Specht matrix here straightens every permuted
+polytabloid sigma . e_t, where the library reads a column off the tableau
+sigma t whenever sorting its columns gives a standard tableau.
 
 The references that the library does without live here too: Young diagram
 containment, the size of a conjugacy class by the formula
@@ -355,6 +357,12 @@ def gram_by_products(mod) -> list[list[Fraction]]:
                 for b in range(sd):
                     gram[i * sd + a][j * sd + b] = mod.delta**t * block[a][b]
     return gram
+
+
+def matrix_by_straightening(model, sigma: tuple[int, ...]) -> tuple:
+    """The matrix of sigma on a Specht model, each column sigma . e_t
+    gathered over tabloids and straightened in dominance order."""
+    return tuple(zip(*map(model._straighten, model._permuted(sigma))))
 
 
 def mat_mul(a, b) -> tuple[tuple, ...]:

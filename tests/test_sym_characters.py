@@ -1,4 +1,7 @@
 import random
+import re
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from math import factorial
@@ -12,6 +15,7 @@ from kroncoef import sym_characters
 from kroncoef.partitions import Partition, _classes, _partition_count, partitions_of
 from kroncoef.sym_characters import (
     CharacterTable,
+    SpechtModel,
     character,
     kron_oracle,
     specht_dim,
@@ -19,7 +23,7 @@ from kroncoef.sym_characters import (
     standard_tableaux,
     _chars,
 )
-from oracles import char_beta, class_size, cycle_type, induction_mult, mat_mul, transpose
+from oracles import char_beta, class_size, cycle_type, induction_mult, mat_mul, matrix_by_straightening, transpose
 
 P = Partition
 
@@ -236,10 +240,12 @@ class TestSpechtModel:
                 assert len(standard_tableaux(nu)) == specht_dim(nu)
 
     def test_one_dimensional_cases(self):
-        for n in range(1, 6):
-            m = specht_model(P([n]))
+        for n in range(6):
+            m = specht_model([n] if n else [])
             assert m.dim == 1
-            assert all(g == ((1,),) for g in m.generators)
+            assert m.generators == [((1,),)] * max(n - 1, 0)
+            sigma = tuple(range(1, n + 1))
+            assert m.matrix_of(sigma) == m.form_of(sigma) == ((1,),)
         m = specht_model(P([1, 1]))
         assert m.generators == [((-1,),)]
 
@@ -308,8 +314,57 @@ class TestSpechtModel:
         m = specht_model(P([2, 1]))
         for sigma in ((1, 1, 2), (1, 2), (1, 2, 4)):
             for method in (m.matrix_of, m.form_of):
-                with pytest.raises(ValueError, match="not a permutation of 1..3"):
+                with pytest.raises(ValueError, match=re.escape(f"not a permutation of 1..3: {sigma}")):
                     method(sigma)
+
+    def test_matrix_of_is_the_straightening_reference(self):
+        # every sigma for |nu| <= 5, a seeded sample for |nu| = 6 and 7
+        rng = random.Random(33)
+        for k in range(8):
+            perms = list(permutations(range(1, k + 1)))
+            for nu in partitions_of(k):
+                m = specht_model(nu)
+                for i, g in enumerate(m.generators, start=1):
+                    assert g == m.matrix_of(tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, k + 1)))
+                for sigma in perms if k <= 5 else rng.sample(perms, 20):
+                    assert m.matrix_of(sigma) == matrix_by_straightening(m, sigma), (nu, sigma)
+
+    def test_sorted_columns_spare_the_straightening(self, monkeypatch):
+        expanded, straightened = [], []
+        polytabloid, straighten = sym_characters._polytabloid, SpechtModel._straighten
+        monkeypatch.setattr(sym_characters, "_polytabloid", lambda t, k: expanded.append(t) or polytabloid(t, k))
+        monkeypatch.setattr(SpechtModel, "_straighten", lambda m, vec: straightened.append(m.nu) or straighten(m, vec))
+        for k in range(8):
+            SpechtModel(P([1] * k))
+        assert expanded == straightened == []
+        # s_i t is standard, up to sorting a column, unless i and i + 1
+        # share a row of t, where i + 1 comes to stand before i
+        nu = P([3, 2, 1])
+        want = sum(any(i in row and i + 1 in row for row in t) for t in standard_tableaux(nu) for i in range(1, 6))
+        SpechtModel(nu)
+        assert len(straightened) == want
+        assert 0 < want < 5 * specht_dim(nu)
+
+    def test_shared_model_from_threads(self):
+        # (1^6) first expands its polytabloid in the threads' form_of calls
+        rng = random.Random(34)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for shape in ((1,) * 6, (3, 2, 1)):
+                sigmas = rng.sample(list(permutations(range(1, sum(shape) + 1))), 12)
+                shared, alone = SpechtModel(P(shape)), SpechtModel(P(shape))
+                want = [(matrix_by_straightening(alone, s), alone.form_of(s)) for s in sigmas]
+                barrier = threading.Barrier(4)
+
+                def run(_):
+                    barrier.wait()
+                    return [(shared.matrix_of(s), shared.form_of(s)) for s in sigmas]
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    assert list(pool.map(run, range(4))) == [want] * 4, shape
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_matrix_of_is_the_generator_word_product(self, k):
@@ -328,18 +383,19 @@ class TestSpechtModel:
                 assert m._keyed == [sym_characters._polytabloid(t, k) for t in m.tableaux], nu
 
     def test_least_key_of_each_polytabloid_is_its_tableau(self):
-        # the straightening order reads the top tabloid {t} of e_t as the
-        # least key of its expansion: the row index of each entry 1..k of t
+        # the straightening order takes the top tabloid {t} of e_t from t,
+        # the row index of each entry 1..k, and it is the least key of e_t
         count = 0
         for k in range(8):
             for nu in partitions_of(k):
                 m = specht_model(nu)
-                for t, vec in zip(m.tableaux, m._keyed, strict=True):
+                for j, (t, vec) in enumerate(zip(m.tableaux, m._keyed, strict=True)):
                     key = [0] * k
                     for i, row in enumerate(t):
                         for v in row:
                             key[v - 1] = i
                     assert min(vec) == tuple(key), (nu, t)
+                    assert (tuple(key), j) in m._tops
                     count += 1
         assert count == 352
 
