@@ -14,12 +14,13 @@ sigma is sigma . e_t = e_{sigma t}, read off the tableau sigma t: sorting its
 columns is a column permutation pi of a tableau t', and
 e_{pi t'} = sgn(pi) e_t' (Sagan, section 2.3), so where t' is standard the
 column is a signed basis vector.  Only the other columns are expanded over
-tabloids and straightened in dominance order; forms are read off the
-polytabloids.  A model builds its generators when it is built, and expands
-its polytabloids once, on the first straightening or form: that of its
-first standard tableau t0 over the signed column arrangements, and every
-other e_t as sigma . e_t0 = e_{sigma t0}, by the gather of row indices that
-also permutes a polytabloid for a matrix or a form.
+tabloids and straightened in dominance order.  The tabloid form of the
+basis is computed once per model, and the form against sigma is that form
+times the matrix of sigma.  A model builds its generators when it is built,
+and expands its polytabloids once, on the first straightening or form: that
+of its first standard tableau t0 over the signed column arrangements, and
+every other e_t as sigma . e_t0 = e_{sigma t0}, by the gather of row
+indices that also permutes a polytabloid for a straightening.
 The class sizes are those of _classes alone, and a class is located by
 partitions._class_key alone; the closed size formula and the cycle type of a
 permutation, which only the tests read, are class_size and cycle_type in
@@ -252,11 +253,8 @@ def _polytabloid(rows: tuple[tuple[int, ...], ...], k: int) -> dict[tuple, int]:
 def _gather(vec: dict[tuple, int], inverse: list[int]) -> dict[tuple, int]:
     """sigma . vec for a tabloid vector keyed by row indices, given the
     0-based inverse of sigma: sigma moves entry v to sigma(v), so entry w
-    sits in the row of sigma^-1(w).  A fresh dict in every case."""
-    if len(inverse) < 2:
-        # the one permutation of at most one entry (itemgetter of one index
-        # would return a scalar, and of none raises)
-        return dict(vec)
+    sits in the row of sigma^-1(w).  Only k >= 2 reaches here: the one
+    permutation of fewer entries is the identity, never gathered by."""
     get = itemgetter(*inverse)
     return {get(key): c for key, c in vec.items()}
 
@@ -268,11 +266,12 @@ class SpechtModel:
     and integral.  Column t of matrix_of(sigma) is e_{sigma t}: where sorting
     the columns of sigma t by a column permutation pi gives a standard t',
     it is sgn(pi) e_t' (Sagan, section 2.3), and elsewhere sigma . e_t is
-    straightened in dominance order.  form_of(sigma) pairs the basis with
-    the sigma . e_t by the tabloid inner product.  The generators, the
+    straightened in dominance order.  form_of(sigma) is the tabloid form of
+    the basis, <e_a, e_b>, times matrix_of(sigma).  The generators, the
     matrices of the adjacent transpositions, are built with the model; the
     polytabloids are expanded once, when a straightening or a form first
-    needs them, and no matrix is kept.  Validated through the Coxeter
+    needs them, the form of the basis is computed once, on the first
+    form_of, and no other matrix is kept.  Validated through the Coxeter
     relations and trace identities rather than any particular basis
     convention.
     """
@@ -301,15 +300,21 @@ class SpechtModel:
         e_t0 is expanded over its columns: every other e_t is
         sigma . e_t0 = e_{sigma t0} with sigma t0 = t."""
         t0 = self.tableaux[0]
-        first = _polytabloid(t0, self.k)
-        keyed = []
-        for t in self.tableaux:
+        keyed = [_polytabloid(t0, self.k)]
+        for t in self.tableaux[1:]:
             # sigma moves each entry of t0 to the entry of t in its cell
             inverse = [0] * self.k
             for v, w in zip(chain.from_iterable(t0), chain.from_iterable(t)):
                 inverse[w - 1] = v - 1
-            keyed.append(_gather(first, inverse))
+            keyed.append(_gather(keyed[0], inverse))
         return keyed
+
+    @cached_property
+    def _form(self) -> tuple:
+        """The tabloid form of the basis, <e_a, e_b>, built on first use."""
+        keyed = self._keyed
+        # a row key names one tabloid, so keys pair up as tabloids do
+        return tuple(tuple(sum(c * v.get(key, 0) for key, c in u.items()) for v in keyed) for u in keyed)
 
     def _straighten(self, vec: dict[tuple, int]) -> tuple[int, ...]:
         # {t} has coefficient 1 in e_t, and every other tabloid of e_t lies
@@ -330,25 +335,14 @@ class SpechtModel:
             raise ArithmeticError("tabloid vector outside the polytabloid span")
         return tuple(coeffs)
 
-    def _checked(self, sigma: tuple[int, ...]) -> tuple[int, ...]:
-        """sigma as a tuple, refused unless it is a permutation of 1..k in
-        one-line notation (sigma[j-1] is the image of j)."""
-        sigma = tuple(sigma)
-        if len(sigma) != self.k or sorted(sigma) != list(range(1, self.k + 1)):
-            raise ValueError(f"not a permutation of 1..{self.k}: {sigma}")
-        return sigma
-
-    def _permuted(self, sigma: tuple[int, ...]) -> list[dict[tuple, int]]:
-        """The polytabloids sigma . e_t, keyed by row indices."""
-        sigma = self._checked(sigma)
-        inverse = sorted(range(self.k), key=sigma.__getitem__)
-        return [_gather(vec, inverse) for vec in self._keyed]
-
     def matrix_of(self, sigma: tuple[int, ...]) -> tuple:
         """Matrix of the permutation: column t is sigma . e_t = e_{sigma t},
         a signed unit vector where sorting the columns of sigma t gives a
-        standard tableau, and straightened where it does not."""
-        sigma = self._checked(sigma)
+        standard tableau, and straightened where it does not.  sigma[j-1]
+        is the image of j."""
+        sigma = tuple(sigma)
+        if len(sigma) != self.k or sorted(sigma) != list(range(1, self.k + 1)):
+            raise ValueError(f"not a permutation of 1..{self.k}: {sigma}")
         inverse = sorted(range(self.k), key=sigma.__getitem__)
         columns = []
         for j, cols in enumerate(self._index):
@@ -374,10 +368,10 @@ class SpechtModel:
         return tuple(zip(*columns))
 
     def form_of(self, sigma: tuple[int, ...]) -> tuple:
-        """The matrix <e_a, sigma . e_b> of the tabloid inner product."""
-        permuted = self._permuted(sigma)
-        # a row key names one tabloid, so keys pair up as tabloids do
-        return tuple(tuple(sum(c * v.get(key, 0) for key, c in u.items()) for v in permuted) for u in self._keyed)
+        """The matrix <e_a, sigma . e_b> of the tabloid inner product: the
+        form of the basis times the matrix of sigma."""
+        columns = tuple(zip(*self.matrix_of(sigma)))
+        return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in self._form)
 
 
 @_memo

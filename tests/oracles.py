@@ -39,6 +39,7 @@ The tests' exact linear algebra lives here too, since the library holds no
 matrix helper: the matrix product, the transpose and a fraction-free rank.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -340,11 +341,10 @@ def factor_by_compose(x: SetPartitionDiagram, half: SetPartitionDiagram):
 
 def gram_by_products(mod) -> list[list[Fraction]]:
     """The Gram matrix of a standard module with Fraction entries: the pair
-    of half-diagrams (i, j) gives delta^t times the Specht form times the
-    matrix of sigma, where flip(i) over j is delta^t, a canonical
-    half-diagram and sigma."""
+    of half-diagrams (i, j) gives delta^t times the Specht form against
+    sigma, paired off the polytabloids, where flip(i) over j is delta^t, a
+    canonical half-diagram and sigma."""
     specht, sd = mod.specht, mod.specht.dim
-    form = [[sum(c * v.get(key, 0) for key, c in u.items()) for v in specht._keyed] for u in specht._keyed]
     gram = [[Fraction(0)] * mod.dim for _ in range(mod.dim)]
     for i, vi in enumerate(mod.halves):
         for j, vj in enumerate(mod.halves):
@@ -352,17 +352,40 @@ def gram_by_products(mod) -> list[list[Fraction]]:
             if step is None:
                 continue
             t, sigma, _ = step
-            block = mat_mul(form, specht.matrix_of(sigma))
+            block = form_by_pairing(specht, sigma)
             for a in range(sd):
                 for b in range(sd):
                     gram[i * sd + a][j * sd + b] = mod.delta**t * block[a][b]
     return gram
 
 
+def permuted_polytabloids(model, sigma: tuple[int, ...]) -> list[dict[tuple, int]]:
+    """The sigma . e_t of a Specht model, keyed by row indices: entry w of
+    sigma . e_t sits in the row of sigma^-1(w)."""
+    inverse = sorted(range(model.k), key=sigma.__getitem__)
+    return [{tuple(key[i] for i in inverse): c for key, c in vec.items()} for vec in model._keyed]
+
+
 def matrix_by_straightening(model, sigma: tuple[int, ...]) -> tuple:
     """The matrix of sigma on a Specht model, each column sigma . e_t
     gathered over tabloids and straightened in dominance order."""
-    return tuple(zip(*map(model._straighten, model._permuted(sigma))))
+    return tuple(zip(*map(model._straighten, permuted_polytabloids(model, sigma))))
+
+
+def form_by_pairing(model, sigma: tuple[int, ...]) -> tuple:
+    """The matrix <e_a, sigma . e_b> of a Specht model: each sigma . e_b
+    gathered over tabloids and paired, tabloid by tabloid, with the basis
+    vectors that hold that tabloid."""
+    holders = defaultdict(list)
+    for a, u in enumerate(model._keyed):
+        for key, c in u.items():
+            holders[key].append((a, c))
+    form = [[0] * model.dim for _ in range(model.dim)]
+    for b, v in enumerate(permuted_polytabloids(model, sigma)):
+        for key, c in v.items():
+            for a, d in holders.get(key, ()):
+                form[a][b] += d * c
+    return tuple(map(tuple, form))
 
 
 def mat_mul(a, b) -> tuple[tuple, ...]:

@@ -9,7 +9,9 @@ from contextlib import contextmanager
 from itertools import product
 
 import pytest
+import test_diagram_algebra
 import test_lr
+import test_sym_characters
 
 import kroncoef
 from kroncoef import Partition, diagram_algebra, kronecker, lr, sym_characters
@@ -100,6 +102,7 @@ def test_dagger_fault_reaches_the_closed_route(monkeypatch):
 
 
 REAL_CHARS, REAL_REDUCED_KRON, REAL_SKEW = sym_characters._chars, kronecker._reduced_kron, lr._skew
+REAL_FORM = sym_characters.SpechtModel._form.func
 
 
 def chars_sign_flipped(lam):
@@ -127,6 +130,15 @@ def reduced_kron_raised(lam, mu, nu):
     return REAL_REDUCED_KRON(lam, mu, nu) + ((lam, mu, nu) == ((1,), (1,), (2,)))
 
 
+def form_raised(model):
+    # <e_1, e_2> of (2,1) read one higher in the form of the basis, which
+    # every form_of block of (2,1) is multiplied by
+    form = REAL_FORM(model)
+    if model.nu.parts != (2, 1):
+        return form
+    return ((form[0][0], form[0][1] + 1),) + form[1:]
+
+
 def skew_raised(outer, inner):
     # c^(2,1)_{(1),(2)} = 1 read as 2, on a copy of the shared cached dict
     expansion = REAL_SKEW(outer, inner)
@@ -152,21 +164,33 @@ def skew_raised(outer, inner):
             ("kron_routes", "dim_identity"),
         ),
         # the sweep reads no LR coefficient and flags no row: a direct test must fail
-        ([(lr, "_skew", skew_raised)], test_lr.test_matches_lattice_word_count_up_to_8),
+        ([(lr, "_skew", skew_raised)], (test_lr.test_matches_lattice_word_count_up_to_8,)),
+        # the Specht form and the Gram matrix are each checked against a
+        # pairing of the polytabloids, which reads no form_of
+        (
+            [(sym_characters.SpechtModel, "_form", property(form_raised))],
+            (
+                test_sym_characters.TestSpechtModel().test_form_of_is_the_pairing_reference,
+                test_sym_characters.TestSpechtModel().test_invariant_form_is_sigma_invariant,
+                test_diagram_algebra.TestStandardModules().test_gram_matches_the_product_reference,
+            ),
+        ),
     ],
     ids=[
         "_chars one sign flip",
         "_chars non-integral sums",
         "_reduced_kron + 1 on one triple",
         "_skew + 1 on one coefficient",
+        "SpechtModel._form (2,1) off-diagonal + 1",
     ],
 )
 def test_layer_fault_is_caught(monkeypatch, patches, caught_by):
     """Each fault names what must catch it: the sweep checks that must flag
-    rows, or a direct test, run as a function, that must fail."""
-    if callable(caught_by):
-        with seeded(monkeypatch, patches), pytest.raises(AssertionError):
-            caught_by()
+    rows, or the direct tests, run as functions, that must each fail."""
+    if callable(caught_by[0]):
+        for test in caught_by:
+            with seeded(monkeypatch, patches), pytest.raises(AssertionError):
+                test()
     else:
         rows = flagged(monkeypatch, patches)
         assert all(rows[check] for check in caught_by), rows

@@ -499,19 +499,24 @@ class TestStandardModules:
         # the module asks its Specht model for one block per distinct sigma:
         # in the action matrix of each permutation, and in the Gram matrix
         mod = standard_module(4, P([2, 1]), Fraction(3))
-        calls = []
-        for name in ("matrix_of", "form_of"):
+        calls = {"matrix_of": [], "form_of": []}
+        for name, seen in calls.items():
             real = getattr(SpechtModel, name)
-            monkeypatch.setattr(SpechtModel, name, lambda model, sigma, real=real: calls.append(sigma) or real(model, sigma))
+            monkeypatch.setattr(SpechtModel, name, lambda model, sigma, real=real, seen=seen: seen.append(sigma) or real(model, sigma))
         for sigma in permutations(range(1, 5)):
-            calls.clear()
+            for seen in calls.values():
+                seen.clear()
             mod.action_matrix(permutation_diagram(sigma))
-            assert len(calls) == len(set(calls)), sigma
+            assert len(calls["matrix_of"]) == len(set(calls["matrix_of"])), sigma
+            assert calls["form_of"] == [], sigma
         # the Gram matrix joins only the pairs j >= i, whose 4 distinct sigma
-        # leave out (3,1,2), the inverse of (2,3,1)
-        calls.clear()
+        # leave out (3,1,2), the inverse of (2,3,1); each form_of block is
+        # the form of the basis times one matrix_of
+        for seen in calls.values():
+            seen.clear()
         mod.gram_matrix()
-        assert len(calls) == len(set(calls)) == 4
+        assert len(calls["form_of"]) == len(set(calls["form_of"])) == 4
+        assert calls["matrix_of"] == calls["form_of"]
 
     @pytest.mark.parametrize("r", [5, 6])
     def test_factor_on_seeded_samples(self, r):

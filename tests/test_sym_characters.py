@@ -23,7 +23,16 @@ from kroncoef.sym_characters import (
     standard_tableaux,
     _chars,
 )
-from oracles import char_beta, class_size, cycle_type, induction_mult, mat_mul, matrix_by_straightening, transpose
+from oracles import (
+    char_beta,
+    class_size,
+    cycle_type,
+    form_by_pairing,
+    induction_mult,
+    mat_mul,
+    matrix_by_straightening,
+    transpose,
+)
 
 P = Partition
 
@@ -240,12 +249,15 @@ class TestSpechtModel:
                 assert len(standard_tableaux(nu)) == specht_dim(nu)
 
     def test_one_dimensional_cases(self):
+        # n = 0 and 1 permute no entries: e_t0 is the one polytabloid and
+        # the identity the one sigma, so nothing is gathered
         for n in range(6):
             m = specht_model([n] if n else [])
             assert m.dim == 1
             assert m.generators == [((1,),)] * max(n - 1, 0)
             sigma = tuple(range(1, n + 1))
             assert m.matrix_of(sigma) == m.form_of(sigma) == ((1,),)
+            assert m._keyed == [{(0,) * n: 1}]
         m = specht_model(P([1, 1]))
         assert m.generators == [((-1,),)]
 
@@ -301,14 +313,50 @@ class TestSpechtModel:
                 lhs = mat_mul(transpose(mat), mat_mul(form, mat))
                 assert tuple(tuple(row) for row in lhs) == form, (shape, sigma)
 
-    def test_form_of_is_the_form_times_the_matrix(self):
-        # <e_a, sigma e_b> read off the polytabloids is the product of the
-        # tabloid form with the matrix of sigma
-        for shape in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 2, 1)):
-            m = specht_model(P(shape))
-            form = m.form_of(tuple(range(1, m.k + 1)))
-            for sigma in permutations(range(1, m.k + 1)):
-                assert m.form_of(sigma) == mat_mul(form, m.matrix_of(sigma)), (shape, sigma)
+    def test_form_of_is_the_pairing_reference(self):
+        # the form of the basis times the matrix of sigma is <e_a, sigma e_b>
+        # paired off the polytabloids: every sigma for |nu| <= 5, a seeded
+        # sample for |nu| = 6 and 7
+        rng = random.Random(35)
+        for k in range(8):
+            perms = list(permutations(range(1, k + 1)))
+            for nu in partitions_of(k):
+                m = specht_model(nu)
+                for sigma in perms if k <= 5 else rng.sample(perms, 20):
+                    assert m.form_of(sigma) == form_by_pairing(m, sigma), (nu, sigma)
+
+    def test_form_of_gathers_only_what_matrix_of_straightens(self, monkeypatch):
+        # once the polytabloids and the form are built, form_of(sigma)
+        # gathers exactly the columns that matrix_of(sigma) straightens
+        gathered, straightened = [], []
+        gather, straighten = sym_characters._gather, SpechtModel._straighten
+        monkeypatch.setattr(sym_characters, "_gather", lambda vec, inverse: gathered.append(1) or gather(vec, inverse))
+        monkeypatch.setattr(SpechtModel, "_straighten", lambda m, vec: straightened.append(1) or straighten(m, vec))
+
+        def counts(m, sigma):
+            gathered.clear()
+            m.form_of(sigma)
+            in_form = len(gathered)
+            straightened.clear()
+            m.matrix_of(sigma)
+            return in_form, len(straightened)
+
+        rng = random.Random(36)
+        for k in range(8):
+            perms = list(permutations(range(1, k + 1)))
+            for nu in partitions_of(k):
+                m = SpechtModel(nu)
+                m.form_of(perms[0])
+                assert counts(m, perms[0]) == (0, 0), nu
+                for sigma in rng.sample(perms, min(len(perms), 5)):
+                    in_form, in_matrix = counts(m, sigma)
+                    assert in_form == in_matrix, (nu, sigma)
+        # (1^k) is one column, so every sigma t sorts to the standard tableau
+        for k in range(7):
+            m = SpechtModel(P([1] * k))
+            m.form_of(tuple(range(1, k + 1)))
+            for sigma in permutations(range(1, k + 1)):
+                assert counts(m, sigma) == (0, 0), (k, sigma)
 
     def test_matrix_and_form_refuse_a_non_permutation(self):
         m = specht_model(P([2, 1]))
@@ -346,7 +394,8 @@ class TestSpechtModel:
         assert 0 < want < 5 * specht_dim(nu)
 
     def test_shared_model_from_threads(self):
-        # (1^6) first expands its polytabloid in the threads' form_of calls
+        # (1^6) first expands its polytabloid, and both shapes first build
+        # their form, in the threads' form_of calls
         rng = random.Random(34)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -354,7 +403,7 @@ class TestSpechtModel:
             for shape in ((1,) * 6, (3, 2, 1)):
                 sigmas = rng.sample(list(permutations(range(1, sum(shape) + 1))), 12)
                 shared, alone = SpechtModel(P(shape)), SpechtModel(P(shape))
-                want = [(matrix_by_straightening(alone, s), alone.form_of(s)) for s in sigmas]
+                want = [(matrix_by_straightening(alone, s), form_by_pairing(alone, s)) for s in sigmas]
                 barrier = threading.Barrier(4)
 
                 def run(_):
