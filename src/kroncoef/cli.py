@@ -222,11 +222,12 @@ def cmd_compose(args) -> int:
 def cmd_profile(args) -> int:
     from . import diagram_algebra as da
 
-    p_r, p_s, p_c, n_c = da.crossing_profile(da.SetPartitionDiagram.parse(args.d), args.r, args.s)
+    counts = da.crossing_profile(da.SetPartitionDiagram.parse(args.d), args.r, args.s)
+    profile = dict(zip(("p_r", "p_s", "p_c", "n_c"), counts))
     if args.format == "json":
-        print(json.dumps({"command": "profile", "p_r": p_r, "p_s": p_s, "p_c": p_c, "n_c": n_c}))
+        print(json.dumps({"command": "profile", **profile}))
     else:
-        print(f"p_r={p_r} p_s={p_s} p_c={p_c} n_c={n_c}")
+        print(_agreement(profile)[0])
     return 0
 
 

@@ -54,8 +54,7 @@ class SetPartitionDiagram:
     __slots__ = ("r", "m", "labels")
 
     def __init__(self, r: int, m: int, blocks):
-        if r < 0 or m < 0:
-            raise ValueError(f"negative size ({r},{m})")
+        r, m = _degree(r), _degree(m)
         labels = [-1] * (r + m)
         for k, block in enumerate(blocks):
             block = tuple(block)
@@ -237,7 +236,7 @@ class AlgebraElement:
         self.delta = _parameter(delta)
         clean: dict[SetPartitionDiagram, Fraction] = {}
         for d, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _parse_rational(c)
             if c == 0:
                 continue
             if d.r != r or d.m != r:
@@ -247,7 +246,7 @@ class AlgebraElement:
 
     @classmethod
     def from_diagram(cls, d: SetPartitionDiagram, delta, coeff=1) -> "AlgebraElement":
-        return cls(d.r, delta, {d: Fraction(coeff)})
+        return cls(d.r, delta, {d: coeff})
 
     @classmethod
     def one(cls, r: int, delta) -> "AlgebraElement":
@@ -273,9 +272,8 @@ class AlgebraElement:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(
-            self.r, self.delta, {d: Fraction(scalar) * c for d, c in self.terms.items()}
-        )
+        scalar = _parse_rational(scalar)
+        return AlgebraElement(self.r, self.delta, {d: scalar * c for d, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -346,8 +344,7 @@ def _stirling2(n: int, b: int) -> int:
 def bell(k: int) -> int:
     """Bell number: set partitions of a k-element set, summed over the
     block count."""
-    if k < 0:
-        raise ValueError(f"Bell number of a negative count: {k}")
+    k = _degree(k)
     return sum(_stirling2(k, b) for b in range(k + 1))
 
 

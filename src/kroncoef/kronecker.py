@@ -18,8 +18,8 @@ lam, mu and nu, with no LR coefficient and no Kronecker coefficient.  The
 chain and the dagger partitions of _daggers are the same partitions, so the
 routes are readings of one kernel sum; only the character oracle is
 independent of it.
-reduced_kron, the character oracle at the stability bound, is the stable
-route of kroncoef rkron; it and kron_via_oracle are the callers of
+reduced_kron, kron_via_oracle at the stability bound, is the stable route
+of kroncoef rkron; kron_via_oracle is the one caller of
 sym_characters._kron.  valid_n_range is the range of n of a triple, from its
 first padding to past the stability bound; which triples the verification
 sweep checks is decided by kroncoef.cli.sweep_rows, whose route rows compare
@@ -82,14 +82,12 @@ def valid_n_range(lam: Partition, mu: Partition, nu: Partition, extra_n: int) ->
 
 def reduced_kron(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Reduced Kronecker coefficient as the stable limit of the padded
-    Kronecker coefficient: the character oracle at the first n where all
-    three paddings exist and stability has set in: the stable route of
-    kroncoef rkron, against reduced_kron_via_lr."""
+    Kronecker coefficient, kron_via_oracle at _oracle_n: the stable route of
+    kroncoef rkron, against reduced_kron_via_lr.  There n >= |p| + p_1 > |p|
+    for every nonempty label p, so no label reads as a partition of n."""
     lam, mu, nu = (Partition(p).parts for p in (lam, mu, nu))
     n = _oracle_n(lam, mu, nu)
-    if n is None:
-        return 0
-    return _kron(_pad(lam, n), _pad(mu, n), _pad(nu, n))
+    return 0 if n is None else kron_via_oracle(lam, mu, nu, n)
 
 
 def _oracle_n(lam: tuple, mu: tuple, nu: tuple) -> int | None:

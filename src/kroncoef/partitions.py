@@ -10,8 +10,9 @@ enumerated once, by _classes, which also sizes the conjugacy classes of the
 symmetric group; partitions_of reads its cycle types.  A cycle type is
 located by its one additive class key, _class_key: the keys of cycle types
 that are joined add, and _class_index maps a key to its position in
-_classes.  A degree is read once, by _degree.  Young diagram containment,
-which only the tests read, is contains in tests/oracles.py.
+_classes.  A degree is read once, by _degree, and n once, by _n.  Young
+diagram containment, which only the tests read, is contains in
+tests/oracles.py.
 
 Only the public constructor validates: Partition(...) and Partition.parse
 check what a caller gives, and the library builds the parts tuples it made
@@ -130,11 +131,9 @@ def pad(lam: Partition, n: int) -> Partition:
 
 def _pad(parts: tuple, n: int) -> tuple:
     """The parts (n - |parts|, *parts) of the padded partition, for a valid
-    parts tuple; ValueError when n < 1 or the first row would be too short.
-    The first row is then at least 1, so every returned part is positive."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    head = n - sum(parts)
+    parts tuple, n read by _n; ValueError when the first row would be too
+    short.  The first row is then at least 1, so every part is positive."""
+    head = _n(n) - sum(parts)
     if head < (parts[0] if parts else 0):
         raise ValueError(f"{Partition(parts)} is not a partition for this n={n}")
     return (head,) + parts
@@ -146,16 +145,14 @@ def _reduce(label: Partition, n: int) -> tuple:
     parts = Partition(label).parts
     if sum(parts) == n > 0:
         return parts[1:]
-    _pad(parts, n)  # the padding ValueError, n < 1 included
+    _pad(parts, n)  # the padding ValueError, n read by _n
     return parts
 
 
 def is_n_pair(mu: Partition, lam: Partition, n: int) -> bool:
     """True iff lam/mu is a one-row horizontal strip whose rightmost box has
     content n - |mu|."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return _successor(Partition(mu).parts, n) == Partition(lam).parts
+    return _successor(Partition(mu).parts, _n(n)) == Partition(lam).parts
 
 
 def _successor(nu: tuple, n: int) -> tuple | None:
@@ -204,9 +201,7 @@ def block_chain(nu: Partition, n: int, r: int) -> tuple[Partition, ...]:
     When pad(nu, n) exists, nu is the minimal entry and the chain starts at
     it; otherwise the backward walk finds the true minimum.
     """
-    nu = Partition(nu)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    nu, n = Partition(nu), _n(n)
     if nu.size > r:
         raise ValueError(f"{nu} does not lie in degrees <= {r}")
     return tuple(map(Partition._of, takewhile(lambda p: sum(p) <= r, _walk(nu.parts, n))))
@@ -234,6 +229,15 @@ def _degree(r: int) -> int:
     if r < 0:
         raise ValueError(f"negative degree {r}")
     return r
+
+
+def _n(n: int) -> int:
+    """n read with operator.index, as _degree reads a degree (a float is
+    refused, not truncated); ValueError when n < 1."""
+    n = index(n)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return n
 
 
 @_memo

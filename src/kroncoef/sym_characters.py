@@ -18,9 +18,10 @@ tabloids and straightened in dominance order.  The tabloid form of the
 basis is computed once per model, and the form against sigma is that form
 times the matrix of sigma.  A model builds its generators when it is built,
 and expands its polytabloids once, on the first straightening or form: that
-of its first standard tableau t0 over the signed column arrangements, and
-every other e_t as sigma . e_t0 = e_{sigma t0}, by the gather of row
-indices that also permutes a polytabloid for a straightening.
+of its first standard tableau t0 over its column permutations, signed by
+_sign as a matrix column is, and every other e_t as sigma . e_t0 =
+e_{sigma t0}, by the gather of row indices that also permutes a polytabloid
+for a straightening.
 The class sizes are those of _classes alone, and a class is located by
 partitions._class_key alone; the closed size formula and the cycle type of a
 permutation, which only the tests read, are class_size and cycle_type in
@@ -30,7 +31,7 @@ tests/oracles.py.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, permutations, product
 from math import factorial
 from operator import add, itemgetter, mul, neg, sub
 
@@ -215,14 +216,15 @@ def standard_tableaux(shape: Partition) -> tuple[tuple[tuple[int, ...], ...], ..
     return tuple(out)
 
 
-def _signed_arrangements(seq: tuple):
-    """(sign, arrangement) for every rearrangement of seq, in the order of
-    itertools.permutations: putting seq[i] first takes i transpositions."""
-    if not seq:
-        yield 1, ()
-    for i, v in enumerate(seq):
-        for sign, rest in _signed_arrangements(seq[:i] + seq[i + 1:]):
-            yield (-sign if i % 2 else sign), (v,) + rest
+def _sign(seq) -> int:
+    """The sign of the permutation that sorts seq: one transposition per
+    inversion."""
+    sign = 1
+    for a, x in enumerate(seq):
+        for y in seq[a + 1:]:
+            if x > y:
+                sign = -sign
+    return sign
 
 
 def _columns(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -231,15 +233,15 @@ def _columns(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def _polytabloid(rows: tuple[tuple[int, ...], ...], k: int) -> dict[tuple, int]:
-    """The polytabloid e_t of the tableau t, each tabloid keyed by the row
-    index of each entry 1..k: a signed column arrangement pi gives the
-    tabloid {pi t}, in which pi(v) lies in the row of v."""
+    """The polytabloid e_t of the standard tableau t, each tabloid keyed by
+    the row index of each entry 1..k: a permutation pi of each (increasing)
+    column gives the tabloid {pi t}, pi(v) in the row of v, with sign sgn(pi)."""
     vec: dict[tuple, int] = {}
-    for arrangement in product(*map(_signed_arrangements, _columns(rows))):
+    for images in product(*map(permutations, _columns(rows))):
         key = [0] * k
         sign = 1
-        for col_sign, image in arrangement:
-            sign *= col_sign
+        for image in images:
+            sign *= _sign(image)
             # a column holds one entry of each of the rows 0, 1, ...
             for i, w in enumerate(image):
                 key[w - 1] = i
@@ -284,11 +286,10 @@ class SpechtModel:
         # each standard tableau by its columns, in order: a column-sorted
         # tableau is standard exactly when it is found here
         self._index = {_columns(t): j for j, t in enumerate(self.tableaux)}
-        # the top tabloid {t} of e_t: the row index of each entry 1, 2, ... of t
-        tops = [tuple(i for _v, i in sorted((v, i) for i, row in enumerate(t) for v in row)) for t in self.tableaux]
-        # dominance-largest first is least key first: keys compare by the row
-        # of entry 1, 2, ..., which extends dominance
-        self._tops = sorted(zip(tops, range(self.dim)))
+        # the top tabloid {t} of e_t, the row of each entry 1, 2, ... of t:
+        # standard_tableaux puts each entry in the highest row it can, so keys
+        # increase with j, and the least key is dominance-largest
+        self._tops = [tuple(i for _v, i in sorted((v, i) for i, row in enumerate(t) for v in row)) for t in self.tableaux]
         self.generators = [
             self.matrix_of(tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, self.k + 1)))
             for i in range(1, self.k)
@@ -321,7 +322,7 @@ class SpechtModel:
         # below it, so no later e_t' can change the coefficient of {t}
         coeffs = [0] * self.dim
         keyed = self._keyed
-        for top, j in self._tops:
+        for j, top in enumerate(self._tops):
             c = vec.get(top)
             if c:
                 coeffs[j] = c
@@ -352,11 +353,7 @@ class SpechtModel:
                 image = [sigma[v - 1] for v in col]
                 ordered = sorted(image)
                 if image != ordered:
-                    # the sort takes one transposition per inversion
-                    for a, x in enumerate(image):
-                        for y in image[a + 1:]:
-                            if x > y:
-                                sign = -sign
+                    sign *= _sign(image)
                 moved.append(tuple(ordered))
             i = self._index.get(tuple(moved))
             if i is None:

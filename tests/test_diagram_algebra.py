@@ -244,11 +244,19 @@ class TestGenerators:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: AlgebraElement(2, "x"), lambda: generator_e(1, 2, "1/0"), lambda: standard_module(2, P([1]), "1/0")],
-        ids=["element", "generator_e", "module"],
+        [
+            lambda: AlgebraElement(2, "x"),
+            lambda: generator_e(1, 2, "1/0"),
+            lambda: standard_module(2, P([1]), "1/0"),
+            lambda: AlgebraElement(2, 3, {identity_diagram(2): "1/0"}),
+            lambda: AlgebraElement.from_diagram(identity_diagram(2), 3, "1/0"),
+            lambda: "1/0" * AlgebraElement.one(2, 3),
+        ],
+        ids=["element", "generator_e", "module", "coefficient", "from_diagram", "scalar"],
     )
     def test_unreadable_parameter_rejected(self, build):
-        # one reader for rationals: a zero denominator is a ValueError too
+        # one reader for rationals, the parameter, a coefficient and a
+        # scalar alike: a zero denominator is a ValueError too
         with pytest.raises(ValueError, match="^bad rational '(x|1/0)': "):
             build()
 

@@ -18,7 +18,7 @@ from kroncoef.kronecker import (
     stability_bound,
     valid_n_range,
 )
-from kroncoef.cli import route_cases
+from kroncoef.cli import KRON_ROUTES, route_cases
 from kroncoef.lr import lr_coeff
 from kroncoef.partitions import Partition, _reduce, block_chain, dagger, pad, partitions_of, partitions_up_to
 from kroncoef.sym_characters import kron_oracle
@@ -107,11 +107,14 @@ class TestRoutes:
 
     def test_zero_n_refused(self):
         # a plain ValueError on the closed route too: no n makes the formula
-        # valid, so no other route helps
-        for route in (kron_via_oracle, kron_via_blocks, kron_via_dagger, kron_via_closed):
+        # valid, so no other route helps; a float n is refused as a float
+        # degree is, not truncated
+        for route in (getattr(kronecker, f"kron_via_{name}") for name in KRON_ROUTES):
             with pytest.raises(ValueError, match="positive integer") as exc:
                 route(P(), P(), P(), 0)
             assert not isinstance(exc.value, FormulaRangeError)
+            with pytest.raises(TypeError):
+                route(P([1]), P([1]), P([1]), 4.5)
 
     def test_blocks_and_dagger_do_not_use_the_oracle(self, monkeypatch):
         # The class sum reads the characters of the reduced lam and mu and of

@@ -131,6 +131,13 @@ class TestNPairs:
         for n in (0, -1):
             with pytest.raises(ValueError, match="n must be a positive integer"):
                 is_n_pair(P([]), P([1]), n)
+        # n is read as a degree is: a float is refused, not truncated
+        with pytest.raises(TypeError):
+            is_n_pair(P([]), P([1]), 4.5)
+        with pytest.raises(TypeError):
+            pad(P([1]), 4.5)
+        with pytest.raises(TypeError):
+            block_chain(P([1]), 4.5, 3)
 
     def test_against_bruteforce(self):
         for mu in partitions_up_to(5):

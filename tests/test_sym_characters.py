@@ -433,19 +433,24 @@ class TestSpechtModel:
 
     def test_least_key_of_each_polytabloid_is_its_tableau(self):
         # the straightening order takes the top tabloid {t} of e_t from t,
-        # the row index of each entry 1..k, and it is the least key of e_t
+        # the row index of each entry 1..k, and it is the least key of e_t;
+        # _straighten visits the basis in tableau order, dominance-largest
+        # first, so the keys of standard_tableaux strictly increase
         count = 0
         for k in range(8):
             for nu in partitions_of(k):
                 m = specht_model(nu)
+                keys = []
                 for j, (t, vec) in enumerate(zip(m.tableaux, m._keyed, strict=True)):
                     key = [0] * k
                     for i, row in enumerate(t):
                         for v in row:
                             key[v - 1] = i
-                    assert min(vec) == tuple(key), (nu, t)
-                    assert (tuple(key), j) in m._tops
+                    assert min(vec) == tuple(key) == m._tops[j], (nu, t)
+                    keys.append(tuple(key))
                     count += 1
+                assert m.tableaux == standard_tableaux(nu)
+                assert all(a < b for a, b in zip(keys, keys[1:])), nu
         assert count == 352
 
     def test_straightening_outside_the_span_raises(self):
