@@ -484,7 +484,8 @@ def crossing_profile(d: SetPartitionDiagram, r: int, s: int) -> tuple[int, int, 
 
     Requires d to have exactly as many propagating blocks as bottom vertices.
     """
-    if r < 0 or s < 0 or r + s != d.r:
+    r, s = _degree(r), _degree(s)
+    if r + s != d.r:
         raise ValueError(f"split {r}+{s} does not match {d.r} top vertices")
     if propagating_count(d) != d.m:
         raise ValueError("half-diagram must have exactly m propagating blocks")

@@ -34,8 +34,8 @@ route reads its three labels with partitions._reduce.
 Each public function validates its arguments as Partition once; from there
 on the routes pass plain parts tuples to the cached kernels (_reduced_kron
 and its _restricted character tables, sym_characters._kron).  _restricted
-finds a joined cycle type by adding the class keys of partitions._class_key
-of its pieces.
+finds a joined cycle type by adding the class keys of its pieces, read from
+partitions._class_keys.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from math import factorial
 from operator import mul
 
 from . import _memo
-from .partitions import Partition, _class_index, _class_key, _classes, _pad, _reduce, block_chain, dagger, pad
+from .partitions import Partition, _class_index, _class_keys, _classes, _pad, _reduce, block_chain, dagger, pad
 from .sym_characters import _chars, _kron
 
 
@@ -166,15 +166,15 @@ def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
     of the three labels.  A bound holds when |rho| <= |X|, so on the sorted
     triple only three of the six can fail.  A sorted triple off the size
     triangle, |nu| > |lam| + |mu|, leaves _l_splits empty."""
-    triple = sorted((lam, mu, nu), key=lambda p: (sum(p), p))
-    if triple != [lam, mu, nu]:
-        return _reduced_kron(*triple)
-    r, s = sum(lam), sum(mu)
+    r, s, t = sum(lam), sum(mu), sum(nu)
+    if not (r, lam) <= (s, mu) <= (t, nu):
+        a, b, c = sorted(((r, lam), (s, mu), (t, nu)))
+        return _reduced_kron(a[1], b[1], c[1])
     lam_1, mu_1, nu_1 = _first(lam), _first(mu), _first(nu)
     if mu_1 > r + nu_1 or nu_1 > r + mu_1 or nu_1 > s + lam_1:
         return 0
     total = 0
-    for l1, l2, a, b in _l_splits(r + s - sum(nu), r, s):
+    for l1, l2, a, b in _l_splits(r + s - t, r, s):
         x_lam, x_mu, x_nu = _restricted(lam, a, l2, l1), _restricted(mu, l2, b, l1), _restricted(nu, a, b, l1)
         theta_sizes = [size for _theta, size in _classes(b)]
         split = 0
@@ -202,10 +202,10 @@ def _restricted(outer: tuple, x: int, y: int, c: int) -> tuple:
     whose class key is the sum of the keys of sigma, omega and C."""
     n = x + y + c
     chars, index = _chars(outer), _class_index(n)
-    keys_sigma, keys_omega, keys_c = ([_class_key(rho, n) for rho, _size in _classes(k)] for k in (x, y, c))
+    keys_sigma, keys_omega, keys_c = (_class_keys(k, n) for k in (x, y, c))
     return tuple(
         tuple(
-            tuple(chars[index[key_c + key_sigma + key_omega]] for key_omega in keys_omega)
+            tuple(map(chars.__getitem__, map(index.__getitem__, map((key_c + key_sigma).__add__, keys_omega))))
             for key_sigma in keys_sigma
         )
         for key_c in keys_c

@@ -9,10 +9,10 @@ and a block chain is a tuple of Partitions (block_chain).  Partitions are
 enumerated once, by _classes, which also sizes the conjugacy classes of the
 symmetric group; partitions_of reads its cycle types.  A cycle type is
 located by its one additive class key, _class_key: the keys of cycle types
-that are joined add, and _class_index maps a key to its position in
-_classes.  A degree is read once, by _degree, and n once, by _n.  Young
-diagram containment, which only the tests read, is contains in
-tests/oracles.py.
+that are joined add, _class_keys lists the keys of the classes of one
+degree, and _class_index maps a key to its position in _classes.  A degree
+is read once, by _degree, and n once, by _n.  Young diagram containment,
+which only the tests read, is contains in tests/oracles.py.
 
 Only the public constructor validates: Partition(...) and Partition.parse
 check what a caller gives, and the library builds the parts tuples it made
@@ -201,7 +201,7 @@ def block_chain(nu: Partition, n: int, r: int) -> tuple[Partition, ...]:
     When pad(nu, n) exists, nu is the minimal entry and the chain starts at
     it; otherwise the backward walk finds the true minimum.
     """
-    nu, n = Partition(nu), _n(n)
+    nu, n, r = Partition(nu), _n(n), _degree(r)
     if nu.size > r:
         raise ValueError(f"{nu} does not lie in degrees <= {r}")
     return tuple(map(Partition._of, takewhile(lambda p: sum(p) <= r, _walk(nu.parts, n))))
@@ -215,6 +215,9 @@ def dagger(padded: Partition, i: int) -> Partition:
     zero rows below the diagram participate and become parts equal to 1.
     With i = 0 this recovers the unpadded base partition.
     """
+    # read with index, as _degree reads a degree: a float is refused, not
+    # truncated, and a negative index keeps its own message
+    i = index(i)
     if i < 0:
         raise ValueError("dagger index must be >= 0")
     rows = Partition(padded).parts
@@ -283,9 +286,16 @@ def _class_key(rho: tuple, n: int) -> int:
 
 
 @_memo
+def _class_keys(k: int, n: int) -> tuple[int, ...]:
+    """_class_key(rho, n) of every class rho of S_k, k <= n, in the order of
+    _classes(k)."""
+    return tuple(_class_key(rho, n) for rho, _size in _classes(k))
+
+
+@_memo
 def _class_index(n: int) -> dict[int, int]:
     """Position in _classes(n) of each cycle type of S_n, by _class_key."""
-    return {_class_key(rho, n): i for i, (rho, _size) in enumerate(_classes(n))}
+    return {key: i for i, key in enumerate(_class_keys(n, n))}
 
 
 @_memo

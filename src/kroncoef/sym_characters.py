@@ -16,12 +16,12 @@ e_{pi t'} = sgn(pi) e_t' (Sagan, section 2.3), so where t' is standard the
 column is a signed basis vector.  Only the other columns are expanded over
 tabloids and straightened in dominance order.  The tabloid form of the
 basis is computed once per model, and the form against sigma is that form
-times the matrix of sigma.  A model builds its generators when it is built,
-and expands its polytabloids once, on the first straightening or form: that
-of its first standard tableau t0 over its column permutations, signed by
-_sign as a matrix column is, and every other e_t as sigma . e_t0 =
-e_{sigma t0}, by the gather of row indices that also permutes a polytabloid
-for a straightening.
+times the matrix of sigma.  A model is built from its tableaux alone: it
+computes its generators on their first read, and expands its polytabloids
+once, on the first straightening or form: that of its first standard
+tableau t0 over its column permutations, signed by _sign as a matrix column
+is, and every other e_t as sigma . e_t0 = e_{sigma t0}, by the gather of
+row indices that also permutes a polytabloid for a straightening.
 The class sizes are those of _classes alone, and a class is located by
 partitions._class_key alone; the closed size formula and the cycle type of a
 permutation, which only the tests read, are class_size and cycle_type in
@@ -269,13 +269,13 @@ class SpechtModel:
     the columns of sigma t by a column permutation pi gives a standard t',
     it is sgn(pi) e_t' (Sagan, section 2.3), and elsewhere sigma . e_t is
     straightened in dominance order.  form_of(sigma) is the tabloid form of
-    the basis, <e_a, e_b>, times matrix_of(sigma).  The generators, the
-    matrices of the adjacent transpositions, are built with the model; the
-    polytabloids are expanded once, when a straightening or a form first
-    needs them, the form of the basis is computed once, on the first
-    form_of, and no other matrix is kept.  Validated through the Coxeter
-    relations and trace identities rather than any particular basis
-    convention.
+    the basis, <e_a, e_b>, times matrix_of(sigma).  A model is built from
+    its tableaux alone.  The generators, the matrices of the adjacent
+    transpositions, are computed on their first read; the polytabloids are
+    expanded once, when a straightening or a form first needs them; the form
+    of the basis is computed once, on the first form_of; and no other matrix
+    is kept.  Validated through the Coxeter relations and trace identities
+    rather than any particular basis convention.
     """
 
     def __init__(self, nu: Partition):
@@ -290,7 +290,12 @@ class SpechtModel:
         # standard_tableaux puts each entry in the highest row it can, so keys
         # increase with j, and the least key is dominance-largest
         self._tops = [tuple(i for _v, i in sorted((v, i) for i, row in enumerate(t) for v in row)) for t in self.tableaux]
-        self.generators = [
+
+    @cached_property
+    def generators(self) -> list[tuple]:
+        """The matrices of the adjacent transpositions s_1, ..., s_(k-1),
+        computed on first read."""
+        return [
             self.matrix_of(tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, self.k + 1)))
             for i in range(1, self.k)
         ]

@@ -616,6 +616,16 @@ class TestCrossingProfile:
         with pytest.raises(ValueError):
             crossing_profile(D("{1,1'}{2}"), -1, 3)  # negative split
 
+    def test_split_is_read_as_degrees(self):
+        d = D("{1,1'}{2}")
+        for r, s in ((1.5, 0.5), (1.0, 1), (1, "1")):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                crossing_profile(d, r, s)
+        for r, s in ((-1, 3), (3, -1)):
+            with pytest.raises(ValueError, match="negative degree -1$"):
+                crossing_profile(d, r, s)
+        assert crossing_profile(d, 1, 1) == (1, 0, 0, 0)
+
 
 class TestRestriction:
     def test_degree_two_tables(self):

@@ -6,6 +6,7 @@ from kroncoef.partitions import (
     Partition,
     _class_index,
     _class_key,
+    _class_keys,
     _classes,
     _predecessor,
     _successor,
@@ -176,6 +177,14 @@ class TestBlockChain:
         with pytest.raises(ValueError, match=r"\[2\] does not lie in degrees <= 1$"):
             block_chain(P([2]), 4, 1)
 
+    def test_degree_is_read_as_a_degree(self):
+        # a float r is refused, not compared: 3.5 once gave ([1], [3])
+        for r in (3.5, 3.0, "3"):
+            with pytest.raises(TypeError):
+                block_chain(P([1]), 3, r)
+        with pytest.raises(ValueError, match="negative degree -1$"):
+            block_chain(P(), 3, -1)
+
     def test_long_chain_entries(self):
         chain = block_chain(P([10, 10]), 30, 40)
         assert chain[9] == P([11, 11, 11, 1, 1, 1, 1, 1, 1])
@@ -239,6 +248,12 @@ class TestDagger:
         with pytest.raises(ValueError, match="dagger index must be >= 0$"):
             dagger(pad(P([1]), 3), -1)
 
+    def test_index_is_read_as_an_integer(self):
+        # a float i is refused by index, not by a slice inside the sum
+        for i in (1.5, 1.0, "1"):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                dagger(pad(P([1]), 3), i)
+
     def test_matches_chain_exhaustive(self):
         for nu in partitions_up_to(6):
             for n in range(1, 17):
@@ -284,6 +299,8 @@ class TestEnumeration:
             keys = [_class_key(rho, n) for rho, _size in _classes(n)]
             assert len(set(keys)) == len(keys), n
             assert _class_index(n) == {key: i for i, key in enumerate(keys)}, n
+            for k in range(n + 1):
+                assert _class_keys(k, n) == tuple(_class_key(rho, n) for rho, _size in _classes(k)), (k, n)
 
 
 class TestUncheckedConstruction:

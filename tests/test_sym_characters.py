@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import kroncoef
 from kroncoef import sym_characters
-from kroncoef.partitions import Partition, _classes, _partition_count, partitions_of
+from kroncoef.partitions import Partition, _classes, _partition_count, partitions_of, partitions_up_to
 from kroncoef.sym_characters import (
+    SPECHT_CAP,
     CharacterTable,
     SpechtModel,
     character,
@@ -358,6 +359,27 @@ class TestSpechtModel:
             for sigma in permutations(range(1, k + 1)):
                 assert counts(m, sigma) == (0, 0), (k, sigma)
 
+    def test_generators_are_built_on_first_read(self, monkeypatch):
+        # a cold build calls no matrix_of and expands no polytabloid
+        calls = []
+        matrix_of = SpechtModel.matrix_of
+        monkeypatch.setattr(SpechtModel, "matrix_of", lambda m, sigma: calls.append(sigma) or matrix_of(m, sigma))
+        kroncoef.clear_caches()
+        count = 0
+        for nu in partitions_up_to(SPECHT_CAP):
+            m = specht_model(nu)
+            assert calls == [] and "_keyed" not in vars(m), nu
+            k = nu.size
+            words = [tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, k + 1)) for i in range(1, k)]
+            first = m.generators
+            assert calls == words, nu
+            assert first == [matrix_of(m, s) for s in words], nu
+            calls.clear()
+            assert m.generators is first and calls == [], nu
+            count += 1
+        # every partition of 0..7
+        assert count == 45
+
     def test_matrix_and_form_refuse_a_non_permutation(self):
         m = specht_model(P([2, 1]))
         for sigma in ((1, 1, 2), (1, 2), (1, 2, 4)):
@@ -383,13 +405,13 @@ class TestSpechtModel:
         monkeypatch.setattr(sym_characters, "_polytabloid", lambda t, k: expanded.append(t) or polytabloid(t, k))
         monkeypatch.setattr(SpechtModel, "_straighten", lambda m, vec: straightened.append(m.nu) or straighten(m, vec))
         for k in range(8):
-            SpechtModel(P([1] * k))
+            SpechtModel(P([1] * k)).generators
         assert expanded == straightened == []
         # s_i t is standard, up to sorting a column, unless i and i + 1
         # share a row of t, where i + 1 comes to stand before i
         nu = P([3, 2, 1])
         want = sum(any(i in row and i + 1 in row for row in t) for t in standard_tableaux(nu) for i in range(1, 6))
-        SpechtModel(nu)
+        SpechtModel(nu).generators
         assert len(straightened) == want
         assert 0 < want < 5 * specht_dim(nu)
 
