@@ -1,6 +1,7 @@
 """Command line front end: single coefficients, chains, restriction tables,
 diagram arithmetic, and batch verification sweeps.  route_values lists the
-values of one route row, which kron --route all and the sweep both check.
+values of one route row, the oracle, blocks and dagger routes and gbar, which
+kron --route all and the sweep both check.
 
 Partitions are written in bracket form ([4,1], [] for the empty partition),
 diagrams in block form ({1,2'}{2,1'}).  Output formats: human (default),
@@ -62,24 +63,18 @@ def _emit_agreed(fmt: str, command: str, inputs: dict, route: str, routes: dict,
     return 0
 
 
-# kron --route R runs kronecker.kron_via_R, and all runs route_values
-KRON_ROUTES = ("oracle", "blocks", "dagger", "closed")
+# the routes of a route row, which kron --route all runs; --route R runs
+# kronecker.kron_via_R, closed included, which no row reads
+KRON_ROUTES = ("oracle", "blocks", "dagger")
 
 
 def route_values(lam: Partition, mu: Partition, nu: Partition, n: int) -> dict:
     """The route values of (lam, mu, nu) at n, which must all be one: every
-    route of KRON_ROUTES, in that order, that does not refuse the case with
-    FormulaRangeError (today only the closed route, by its range rule); and
-    from the stability bound on the reduced coefficient gbar, from the
-    kernel behind reduced_kron_via_lr."""
+    route of KRON_ROUTES, in that order, and from the stability bound on
+    the reduced coefficient gbar, from the kernel behind reduced_kron_via_lr."""
     from . import kronecker as kr
 
-    values = {}
-    for route in KRON_ROUTES:
-        try:
-            values[route] = getattr(kr, f"kron_via_{route}")(lam, mu, nu, n)
-        except kr.FormulaRangeError:
-            pass
+    values = {route: getattr(kr, f"kron_via_{route}")(lam, mu, nu, n) for route in KRON_ROUTES}
     parts = tuple(_reduce(p, n) for p in (lam, mu, nu))
     if n >= kr._stability_bound(*parts):
         values["gbar"] = kr._reduced_kron(*parts)
@@ -364,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_cmd("kron", "Kronecker coefficient of a padded triple at degree n")
     p.add_argument("lam"), p.add_argument("mu"), p.add_argument("nu")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--route", choices=("all", *KRON_ROUTES), default="all")
+    p.add_argument("--route", choices=("all", *KRON_ROUTES, "closed"), default="all")
     p.set_defaults(func=cmd_kron)
 
     p = add_cmd("rkron", "reduced Kronecker coefficient")

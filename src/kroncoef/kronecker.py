@@ -8,7 +8,8 @@ kron_via_<route>(lam, mu, nu, n):
 * dagger: an alternating sum over the dagger partitions of the padded nu,
 * closed: the dagger sum cut after its first two terms, from the n on which
   kron_via_closed proves the cut exact; for a two-row or hook nu, (n-k, k)
-  or (n-k, 1^k), the source paper's closed formulas.
+  or (n-k, 1^k), the source paper's closed formulas; no route row of the
+  sweep reads it, since where it answers the terms it cuts are zero.
 
 The block chain, dagger and closed routes are one alternating sum,
 _alternating, of reduced coefficients from one cached kernel, _reduced_kron,

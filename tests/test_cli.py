@@ -77,27 +77,24 @@ class TestKron:
         monkeypatch.setattr(kronecker, "kron_via_dagger", lambda *args: real(*args) + 1)
         code, out, err = run(capsys, "kron", "[1]", "[1]", "[2]", "--n", "4")
         assert code == 1 and out == ""
-        assert err == "error: route disagreement: oracle=1 blocks=1 dagger=2 closed=1 gbar=1\n"
+        assert err == "error: route disagreement: oracle=1 blocks=1 dagger=2 gbar=1\n"
 
-    def test_all_runs_the_closed_route(self, capsys, monkeypatch):
-        real = kronecker.kron_via_closed
-        monkeypatch.setattr(kronecker, "kron_via_closed", lambda *args: real(*args) + 1)
-        code, out, err = run(capsys, "kron", "[1]", "[1]", "[2]", "--n", "4")
-        assert code == 1 and out == ""
-        assert err == "error: route disagreement: oracle=1 blocks=1 dagger=1 closed=2 gbar=1\n"
+    def test_all_leaves_out_the_closed_route(self, capsys, monkeypatch):
+        # no route row reads kron_via_closed: with it raising, --route all
+        # and route_values still answer
+        def closed(*args):
+            raise AssertionError("kron_via_closed called")
 
-    def test_all_leaves_out_a_route_that_refuses_its_range(self, monkeypatch):
-        # a route added to KRON_ROUTES is asked by its name alone; one that
-        # raises FormulaRangeError is left out of the row, one that answers
-        # is kept
-        def refuse(*args):
-            raise kronecker.FormulaRangeError("out of range")
-
-        monkeypatch.setattr(cli, "KRON_ROUTES", (*cli.KRON_ROUTES, "refusing", "answering"))
-        monkeypatch.setattr(kronecker, "kron_via_refusing", refuse, raising=False)
-        monkeypatch.setattr(kronecker, "kron_via_answering", lambda *args: 7, raising=False)
+        monkeypatch.setattr(kronecker, "kron_via_closed", closed)
+        code, out, _ = run(capsys, "kron", "[1]", "[1]", "[2]", "--n", "4")
+        assert code == 0 and out == "1\n"
         values = cli.route_values(*map(Partition, ([1], [1], [2])), 4)
-        assert values == {"oracle": 1, "blocks": 1, "dagger": 1, "closed": 1, "answering": 7, "gbar": 1}
+        assert values == {"oracle": 1, "blocks": 1, "dagger": 1, "gbar": 1}
+
+    def test_route_choices(self, capsys):
+        # all runs the routes of a route row; closed is run by its name alone
+        message = refused(capsys, "kron", "[1]", "[1]", "[2]", "--n", "4", "--route", "bogus")
+        assert message.replace("'", "").endswith("(choose from all, oracle, blocks, dagger, closed)")
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "kron", "[2,1]", "[2]", "[1,1]", "--n", "7")
@@ -382,14 +379,13 @@ class TestTable:
 SMALL_SWEEP = ("--max-weight", "1", "--extra-n", "1", "--dim-max", "3")
 SWEEP_CHECKS = ("kron_routes", "dim_identity")
 # the default sweep, sweep_rows(4, 3, 6): the SHA-256 of its stdout in each
-# format, the summary's row counts, and the route rows with a closed column
-# and with a gbar column
+# format, the summary's row counts, and the route rows with a gbar value
 DEFAULT_SWEEP_SHA256 = {
-    "tsv": "0d41746dc3585568ceec9e0667bc397c68094ed973c5e6b97dd3b04bf9b3e57a",
-    "json": "a7c1d843d8f1444d3aa4194d55a6b66ae7dfe86b7d615a92d0748520d7a1b9e4",
+    "tsv": "3ede220229ff9736e8e605bc96b9c99f297f2707eca83c5059d013abd8e7d119",
+    "json": "5bb0177a431e72db9de2ec7585b951c63db667d142a7c8f7b62ea3c212bd3909",
 }
 DEFAULT_SWEEP_ROWS = {"kron_routes": 20673, "dim_identity": 280}
-DEFAULT_SWEEP_COLUMNS = {"closed=": 20013, "gbar=": 17499}
+DEFAULT_SWEEP_COLUMNS = {"gbar=": 17499}
 
 
 def replay_default_sweep(monkeypatch) -> None:

@@ -1,16 +1,22 @@
-"""Seeded faults in a shared layer, and the sweep rows that must flag them:
+"""Seeded faults in a shared layer, and the checks that must catch them:
 the route-agreement sweep is a cross-check only if the routes do not share
-their answer.  The dagger fault also reaches the closed route, which is the
-dagger sum's first two terms: the closed route must then differ from the
-oracle on some in-range two-row or hook case."""
+their answer, and a fault in what no sweep row reads must fail a direct
+test.  No route row reads the closed route: a fault in its range rule is
+left to the closed-formula tests, and the dagger fault must also reach it,
+as the dagger sum's first two terms, and make it differ from the oracle on
+some in-range two-row or hook case."""
 
+import inspect
+import io
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from functools import partial
 from itertools import product
 
 import pytest
+import test_acceptance
 import test_diagram_algebra
+import test_kronecker
 import test_lr
 import test_sym_characters
 
@@ -140,6 +146,19 @@ def form_raised(model):
     return ((form[0][0], form[0][1] + 1),) + form[1:]
 
 
+def closed_range_lowered():
+    """The patches that put kron_via_closed, compiled from its own source
+    with n0 one lower, in kronecker and in the test modules that import it
+    by name: it answers at n0 - 1 and names n0 - 1 in its refusals."""
+    source = inspect.getsource(kronecker.kron_via_closed)
+    lowered = source.replace("    n0 = min(", "    n0 = -1 + min(")
+    assert lowered != source
+    namespace = {}
+    exec(lowered, vars(kronecker), namespace)
+    fault = namespace["kron_via_closed"]
+    return [(module, "kron_via_closed", fault) for module in (kronecker, test_kronecker, test_acceptance)]
+
+
 def sign_by_descents(seq):
     # the parity of the descents, not of the inversions: right up to length
     # 2, wrong on (2, 3, 1), (3, 1, 2) and (3, 2, 1)
@@ -182,6 +201,16 @@ def skew_raised(outer, inner):
                 test_diagram_algebra.TestStandardModules().test_gram_matches_the_product_reference,
             ),
         ),
+        # no sweep row reads the closed route: its range rule is left to the
+        # closed-formula tests
+        (
+            closed_range_lowered(),
+            (
+                test_kronecker.TestClosedFormulas().test_out_of_range,
+                test_kronecker.TestClosedFormulas().test_other_shapes_answered_from_n0,
+                test_acceptance.test_acceptance_5_closed_formulas,
+            ),
+        ),
         # the one sign rule signs the polytabloids and the matrix columns
         # alike; the traces are checked against the Murnaghan-Nakayama
         # characters, which read no sign, and the model straightens a
@@ -201,17 +230,21 @@ def skew_raised(outer, inner):
         "_reduced_kron + 1 on one triple",
         "_skew + 1 on one coefficient",
         "SpechtModel._form (2,1) off-diagonal + 1",
+        "kron_via_closed n0 - 1",
         "_sign by descents",
     ],
 )
 def test_layer_fault_is_caught(monkeypatch, patches, caught_by):
     """Each fault names what must catch it: the sweep checks that must flag
     rows, or the direct tests, run as functions, that must each fail, by an
-    assertion or by an ArithmeticError of the library's own invariants."""
+    assertion, by a pytest.raises that saw nothing raised, or by an
+    ArithmeticError of the library's own invariants.  What a test prints,
+    such as an acceptance FAIL line, is dropped."""
     if callable(caught_by[0]):
         for test in caught_by:
-            with seeded(monkeypatch, patches), pytest.raises((AssertionError, ArithmeticError)):
-                test()
+            with seeded(monkeypatch, patches), redirect_stdout(io.StringIO()):
+                with pytest.raises((AssertionError, pytest.fail.Exception, ArithmeticError)):
+                    test()
     else:
         rows = flagged(monkeypatch, patches)
         assert all(rows[check] for check in caught_by), rows

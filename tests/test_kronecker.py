@@ -106,10 +106,10 @@ class TestRoutes:
             kron_via_blocks(P([2, 1]), P([1]), P([1]), 4)
 
     def test_zero_n_refused(self):
-        # a plain ValueError on the closed route too: no n makes the formula
-        # valid, so no other route helps; a float n is refused as a float
-        # degree is, not truncated
-        for route in (getattr(kronecker, f"kron_via_{name}") for name in KRON_ROUTES):
+        # on every route of kron --route but all, a plain ValueError on the
+        # closed route too: no n makes the formula valid, so no other route
+        # helps; a float n is refused as a float degree is, not truncated
+        for route in (getattr(kronecker, f"kron_via_{name}") for name in (*KRON_ROUTES, "closed")):
             with pytest.raises(ValueError, match="positive integer") as exc:
                 route(P(), P(), P(), 0)
             assert not isinstance(exc.value, FormulaRangeError)
