@@ -16,7 +16,7 @@ import sys
 import time
 
 # each command imports the modules it calls, so that a process loads only those
-from .partitions import Partition, _partition_count, _reduce, block_chain, dagger, pad, partitions_up_to
+from .partitions import Partition, _padded, _partition_count, block_chain, dagger, partitions_up_to
 
 
 def _emit_table(fmt: str, command: str, columns: list[str], rows: list[tuple]) -> None:
@@ -69,13 +69,14 @@ KRON_ROUTES = ("oracle", "blocks", "dagger")
 
 
 def route_values(lam: Partition, mu: Partition, nu: Partition, n: int) -> dict:
-    """The route values of (lam, mu, nu) at n, which must all be one: every
-    route of KRON_ROUTES, in that order, and from the stability bound on
-    the reduced coefficient gbar, from the kernel behind reduced_kron_via_lr."""
+    """The route values of (lam, mu, nu), read at n once, which must all be
+    one: every route of KRON_ROUTES in order, on the padded partitions of n,
+    and from the stability bound on gbar, the kernel of reduced_kron_via_lr."""
     from . import kronecker as kr
 
-    values = {route: getattr(kr, f"kron_via_{route}")(lam, mu, nu, n) for route in KRON_ROUTES}
-    parts = tuple(_reduce(p, n) for p in (lam, mu, nu))
+    padded = [Partition._of(_padded(p, n)) for p in (lam, mu, nu)]
+    values = {route: getattr(kr, f"kron_via_{route}")(*padded, n) for route in KRON_ROUTES}
+    parts = tuple(p.parts[1:] for p in padded)
     if n >= kr._stability_bound(*parts):
         values["gbar"] = kr._reduced_kron(*parts)
     return values
@@ -169,7 +170,7 @@ def cmd_dagger(args) -> int:
     # the i-th dagger partition has at least i parts
     if args.i > OUTPUT_BUDGET:
         raise ValueError(f"the dagger partition at --i {args.i} has more than {OUTPUT_BUDGET} parts")
-    padded = pad(_reduce(nu, args.n), args.n)
+    padded = Partition._of(_padded(nu, args.n))
     start = time.perf_counter()
     value = str(dagger(padded, args.i))
     return _emit_agreed(args.format, "dagger", {"nu": str(nu), "n": args.n, "i": args.i}, "dagger", {"dagger": value}, start)

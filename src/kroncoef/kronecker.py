@@ -30,7 +30,7 @@ stability bound on.
 Arguments may be given either as reduced partitions (padded internally with a
 first row of n - |.|) or as partitions of n; a partition whose size equals n
 is taken to be already padded, and the two readings never overlap.  Every
-route reads its three labels with partitions._reduce.
+route reads each label once, by partitions._padded, and hands down its parts.
 
 Each public function validates its arguments as Partition once; from there
 on the routes pass plain parts tuples to the cached kernels (_reduced_kron
@@ -46,7 +46,7 @@ from math import factorial
 from operator import mul
 
 from . import _memo
-from .partitions import Partition, _class_index, _class_keys, _classes, _pad, _reduce, block_chain, dagger, pad
+from .partitions import Partition, _class_index, _class_keys, _classes, _padded, block_chain, dagger
 from .sym_characters import _chars, _kron
 
 
@@ -86,8 +86,8 @@ def reduced_kron(lam: Partition, mu: Partition, nu: Partition) -> int:
     Kronecker coefficient, kron_via_oracle at _oracle_n: the stable route of
     kroncoef rkron, against reduced_kron_via_lr.  There n >= |p| + p_1 > |p|
     for every nonempty label p, so no label reads as a partition of n."""
-    lam, mu, nu = (Partition(p).parts for p in (lam, mu, nu))
-    n = _oracle_n(lam, mu, nu)
+    lam, mu, nu = map(Partition, (lam, mu, nu))
+    n = _oracle_n(lam.parts, mu.parts, nu.parts)
     return 0 if n is None else kron_via_oracle(lam, mu, nu, n)
 
 
@@ -101,39 +101,37 @@ def _oracle_n(lam: tuple, mu: tuple, nu: tuple) -> int | None:
 
 def kron_via_oracle(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
     """Kronecker coefficient of the padded triple, straight from characters."""
-    lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
-    return _kron(_pad(lam, n), _pad(mu, n), _pad(nu, n))
+    return _kron(*(_padded(p, n) for p in (lam, mu, nu)))
 
 
 def kron_via_blocks(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
     """Kronecker coefficient as an alternating sum of reduced coefficients
     over the n-pair block chain of nu, truncated at degree |lam| + |mu|."""
-    lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
+    lam, mu, nu = (_padded(p, n)[1:] for p in (lam, mu, nu))
     r, s = sum(lam), sum(mu)
     if sum(nu) > r + s:
         return 0
-    return _alternating(lam, mu, block_chain(nu, n, r + s))
+    return _alternating(lam, mu, block_chain(Partition._of(nu), n, r + s))
 
 
 def kron_via_dagger(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
     """Kronecker coefficient as an alternating sum of reduced coefficients at
     the dagger partitions of the padded nu (see _daggers)."""
-    lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
-    return _alternating(lam, mu, _daggers(lam, mu, nu, n))
+    lam, mu, padded = (_padded(p, n) for p in (lam, mu, nu))
+    lam, mu = lam[1:], mu[1:]
+    return _alternating(lam, mu, _daggers(lam, mu, padded))
 
 
-def _daggers(lam: tuple, mu: tuple, nu: tuple, n: int):
-    """dagger(pad(nu, n), i) for i below the product of the padded lengths of
-    lam and mu, stopping before the first with more than |lam| + |mu| boxes:
-    the i-th has n - row_i + i boxes, which strictly increases with i, and
-    the reduced coefficient of an oversize third factor is zero."""
-    nu_padded = pad(nu, n)
-    rows = nu_padded.parts
-    boxes = sum(lam) + sum(mu)
+def _daggers(lam: tuple, mu: tuple, padded: tuple):
+    """dagger(padded, i) of the nu padded at n, for i below the product of
+    the padded lengths of lam and mu, stopping before the first with more
+    than |lam| + |mu| boxes: the i-th has n - row_i + i boxes, which strictly
+    increases with i, and the gbar of an oversize third factor is zero."""
+    n, boxes, nu = sum(padded), sum(lam) + sum(mu), Partition._of(padded)
     for i in range((len(lam) + 1) * (len(mu) + 1)):
-        if n - (rows[i] if i < len(rows) else 0) + i > boxes:
+        if n - (padded[i] if i < len(padded) else 0) + i > boxes:
             return
-        yield dagger(nu_padded, i)
+        yield dagger(nu, i)
 
 
 def _alternating(lam: tuple, mu: tuple, entries) -> int:
@@ -230,12 +228,13 @@ def kron_via_closed(lam: Partition, mu: Partition, nu: Partition, n: int) -> int
     Neither step reads the shape of nu.  A two-row or hook nu has nu_2 <= 1,
     so its range starts by |lam| + |mu|; another shape may need a larger n.
     """
-    lam, mu, nu = (_reduce(p, n) for p in (lam, mu, nu))
+    lam, mu, padded = (_padded(p, n) for p in (lam, mu, nu))
+    lam, mu, nu = lam[1:], mu[1:], padded[1:]
     second = nu[1] if len(nu) > 1 else 0
     n0 = min(_stability_bound(lam, mu, nu), sum(lam) + sum(mu) + second - 1)
     if n < n0:
         raise FormulaRangeError(f"the two-term dagger sum needs n >= {n0}, got n={n}")
-    return _alternating(lam, mu, islice(_daggers(lam, mu, nu, n), 2))
+    return _alternating(lam, mu, islice(_daggers(lam, mu, padded), 2))
 
 
 def _l_splits(l: int, r: int, s: int):

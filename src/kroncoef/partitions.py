@@ -11,13 +11,13 @@ symmetric group; partitions_of reads its cycle types.  A cycle type is
 located by its one additive class key, _class_key: the keys of cycle types
 that are joined add, _class_keys lists the keys of the classes of one
 degree, and _class_index maps a key to its position in _classes.  A degree
-is read once, by _degree, and n once, by _n.  Young diagram containment,
-which only the tests read, is contains in tests/oracles.py.
+is read once, by _degree, n by _n and a label at n by _padded.  Young
+diagram containment, which only the tests read, is tests/oracles.contains.
 
 Only the public constructor validates: Partition(...) and Partition.parse
 check what a caller gives, and the library builds the parts tuples it made
-itself (pad, dagger, block_chain, partitions_of, conjugate) with the
-unchecked Partition._of.
+itself (pad, _pad's refusal, dagger, block_chain, partitions_of, conjugate)
+with the unchecked Partition._of.
 """
 
 from __future__ import annotations
@@ -126,27 +126,25 @@ def _is_numeral(text: str) -> bool:
 def pad(lam: Partition, n: int) -> Partition:
     """The partition (n - |lam|, lam_1, lam_2, ...) of n, whose first row is
     the padding row; valid only when n - |lam| >= lam_1."""
-    return Partition._of(_pad(Partition(lam).parts, n))
+    return Partition._of(_pad(Partition(lam).parts, _n(n)))
 
 
 def _pad(parts: tuple, n: int) -> tuple:
     """The parts (n - |parts|, *parts) of the padded partition, for a valid
-    parts tuple, n read by _n; ValueError when the first row would be too
-    short.  The first row is then at least 1, so every part is positive."""
-    head = _n(n) - sum(parts)
+    parts tuple and an n read by _n; ValueError when the first row would be
+    too short.  The first row is then at least 1, so every part is positive."""
+    head = n - sum(parts)
     if head < (parts[0] if parts else 0):
-        raise ValueError(f"{Partition(parts)} is not a partition for this n={n}")
+        raise ValueError(f"{Partition._of(parts)} is not a partition for this n={n}")
     return (head,) + parts
 
 
-def _reduce(label: Partition, n: int) -> tuple:
-    """The reduced parts of a label at n: a partition of n loses its first
-    (padding) row, and any other label must have a padding at n and is kept."""
-    parts = Partition(label).parts
-    if sum(parts) == n > 0:
-        return parts[1:]
-    _pad(parts, n)  # the padding ValueError, n read by _n
-    return parts
+def _padded(label: Partition, n: int) -> tuple:
+    """The padded parts of a label at n, the one reader of a label at n: a
+    partition of n is its own padding, any other label goes through _pad.
+    The reduced parts are [1:]."""
+    parts, n = Partition(label).parts, _n(n)
+    return parts if sum(parts) == n else _pad(parts, n)
 
 
 def is_n_pair(mu: Partition, lam: Partition, n: int) -> bool:

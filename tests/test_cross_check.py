@@ -21,7 +21,7 @@ import test_lr
 import test_sym_characters
 
 import kroncoef
-from kroncoef import Partition, diagram_algebra, kronecker, lr, sym_characters
+from kroncoef import Partition, cli, diagram_algebra, kronecker, lr, partitions, sym_characters
 from kroncoef.cli import main, sweep_rows
 from kroncoef.partitions import block_chain, dagger, partitions_up_to
 
@@ -106,6 +106,23 @@ def test_dagger_fault_reaches_the_closed_route(monkeypatch):
                         continue
                     differ += closed != kronecker.kron_via_oracle(lam, mu, nu, n)
     assert differ
+
+
+def padded_without_own_padding(label, n):
+    # partitions._padded with its partition-of-n branch dropped: a label that
+    # is its own padding at n is padded again
+    return partitions._pad(Partition(label).parts, partitions._n(n))
+
+
+def test_padded_fault_ends_the_sweep(monkeypatch):
+    # route_values reads the triple once and hands every route its padded
+    # partitions of n, so every route row reads the partition-of-n branch:
+    # without it the first row, [] [] [] n=1, refuses its own padded labels.
+    # That is a ValueError, not a failed row (_row fails a row only on an
+    # ArithmeticError), so the sweep ends there
+    patches = [(module, "_padded", padded_without_own_padding) for module in (kronecker, cli)]
+    with pytest.raises(ValueError, match=r"^\[1\] is not a partition for this n=1$"):
+        flagged(monkeypatch, patches)
 
 
 REAL_CHARS, REAL_REDUCED_KRON, REAL_SKEW = sym_characters._chars, kronecker._reduced_kron, lr._skew

@@ -5,7 +5,7 @@ import pytest
 
 import kroncoef
 from conftest import default_route_rows
-from kroncoef import kronecker
+from kroncoef import cli, kronecker, partitions
 from kroncoef.kronecker import (
     FormulaRangeError,
     _daggers,
@@ -20,7 +20,7 @@ from kroncoef.kronecker import (
 )
 from kroncoef.cli import KRON_ROUTES, route_cases
 from kroncoef.lr import lr_coeff
-from kroncoef.partitions import Partition, _reduce, block_chain, dagger, pad, partitions_of, partitions_up_to
+from kroncoef.partitions import Partition, _padded, block_chain, dagger, pad, partitions_of, partitions_up_to
 from kroncoef.sym_characters import kron_oracle
 from oracles import reduced_kron_lr_sum, restricted_by_sorting
 
@@ -41,17 +41,18 @@ class TestStabilityBound:
 
 
 class TestReduceModN:
+    # a label at n is read by _padded; its reduced parts are [1:]
     def test_partition_of_n_is_stripped(self):
-        assert _reduce(P([1, 1]), 2) == (1,)
-        assert _reduce(P([2]), 2) == ()
-        assert _reduce(P([4, 1]), 5) == (1,)
+        assert _padded(P([1, 1]), 2) == (1, 1)
+        assert _padded(P([2]), 2) == (2,)
+        assert _padded(P([4, 1]), 5) == (4, 1)
 
     def test_small_partition_passes_through(self):
-        assert _reduce(P([1]), 4) == (1,)
+        assert _padded(P([1]), 4) == (3, 1)
 
     def test_invalid_padding_rejected(self):
         with pytest.raises(ValueError):
-            _reduce(P([2, 1]), 4)
+            _padded(P([2, 1]), 4)
 
 
 class TestReducedKron:
@@ -115,6 +116,45 @@ class TestRoutes:
             assert not isinstance(exc.value, FormulaRangeError)
             with pytest.raises(TypeError):
                 route(P([1]), P([1]), P([1]), 4.5)
+            # labels that are their own padding read n too
+            with pytest.raises(TypeError):
+                route(P([2]), P([2]), P([2]), 2.0)
+
+    def test_each_label_is_padded_once(self, monkeypatch):
+        # per call: one _pad of each label, and no Partition validated from a
+        # bare tuple, since each route hands down the parts it read; cli's
+        # route_values reads the triple and hands every route its padded
+        # partitions of n, which read as their own padding
+        pads, tuples = [], []
+        real_pad, real_init = partitions._pad, Partition.__init__
+
+        def pad_spy(parts, n):
+            pads.append(parts)
+            return real_pad(parts, n)
+
+        def init_spy(self, parts=()):
+            if not isinstance(parts, Partition):
+                tuples.append(parts)
+            real_init(self, parts)
+
+        for module in (partitions, kronecker, cli):
+            if hasattr(module, "_pad"):
+                monkeypatch.setattr(module, "_pad", pad_spy)
+        monkeypatch.setattr(Partition, "__init__", init_spy)
+        calls = {
+            **{name: getattr(kronecker, f"kron_via_{name}") for name in (*KRON_ROUTES, "closed")},
+            "route_values": cli.route_values,
+            "reduced_kron": lambda lam, mu, nu, n: reduced_kron(lam, mu, nu),
+        }
+        for lam, mu, nu, n in route_cases(2, 2):
+            for name, call in calls.items():
+                pads.clear()
+                tuples.clear()
+                try:
+                    call(lam, mu, nu, n)
+                except FormulaRangeError:
+                    pass
+                assert (len(pads), tuples) == (3, []), (name, lam, mu, nu, n)
 
     def test_blocks_and_dagger_do_not_use_the_oracle(self, monkeypatch):
         # The class sum reads the characters of the reduced lam and mu and of
@@ -137,7 +177,7 @@ class TestRoutes:
             start = len(chars)
             kron_via_blocks(lam, mu, nu, n)
             kron_via_dagger(lam, mu, nu, n)
-            lam_r, mu_r, nu_r = (P(_reduce(p, n)) for p in (lam, mu, nu))
+            lam_r, mu_r, nu_r = (P(_padded(p, n)[1:]) for p in (lam, mu, nu))
             padded = pad(nu_r, n)
             allowed = {lam_r, mu_r, *block_chain(nu_r, n, lam_r.size + mu_r.size)}
             allowed |= {dagger(padded, i) for i in range(len(pad(lam_r, n)) * len(pad(mu_r, n)))}
@@ -161,21 +201,21 @@ class TestRoutes:
         # entry by entry, over a larger range than the default sweep's
         for lam, mu, nu, n in route_cases(5, 1):
             chain = block_chain(nu, n, lam.size + mu.size)
-            assert chain == tuple(_daggers(lam.parts, mu.parts, nu.parts, n)), (lam, mu, nu, n)
+            assert chain == tuple(_daggers(lam.parts, mu.parts, pad(nu, n).parts)), (lam, mu, nu, n)
         # an oversize third factor, which kron_via_blocks answers with 0
         # before any chain: no dagger term, and no chain in those degrees
         for lam in partitions_up_to(2):
             for mu in partitions_up_to(2):
                 for nu in partitions_of(lam.size + mu.size + 1):
                     for n in valid_n_range(lam, mu, nu, 1):
-                        assert list(_daggers(lam.parts, mu.parts, nu.parts, n)) == [], (lam, mu, nu, n)
+                        assert list(_daggers(lam.parts, mu.parts, pad(nu, n).parts)) == [], (lam, mu, nu, n)
                         with pytest.raises(ValueError, match="does not lie in degrees"):
                             block_chain(nu, n, lam.size + mu.size)
 
     def test_dagger_truncation_is_exact(self):
         # the untruncated sum over all len(pad(lam)) * len(pad(mu)) terms
         for lam, mu, nu, n in route_cases(3, 3):
-            lam_r, mu_r, nu_r = (P(_reduce(p, n)) for p in (lam, mu, nu))
+            lam_r, mu_r, nu_r = (P(_padded(p, n)[1:]) for p in (lam, mu, nu))
             nu_padded = pad(nu_r, n)
             count = len(pad(lam_r, n)) * len(pad(mu_r, n))
             daggers = [dagger(nu_padded, i) for i in range(count)]
