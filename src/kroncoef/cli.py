@@ -304,7 +304,15 @@ def sweep_rows(max_weight: int, extra_n: int, dim_max: int):
                 yield _row("dim_identity", f"{nu} r={r} s={m - r}", dimension_identity, nu, r, m - r)
 
 
+# the dimension identity takes about 2.5 times as long each degree: with
+# --max-weight -1, --dim-max 12, 13 and 14 took 8.9, 24.7 and 65.3 s as a
+# process on a 2-core host (71, 124 and 239 MiB); this admits --dim-max <= 13
+SWEEP_MAX_DEGREE = 13
+
+
 def cmd_sweep(args) -> int:
+    if args.dim_max > SWEEP_MAX_DEGREE:
+        raise ValueError(f"--dim-max {args.dim_max} is past the dimension identity's cap of {SWEEP_MAX_DEGREE}")
     # the route rows reach n = 4w + extra_n, w = max_weight: lam = mu = (w),
     # nu = (2w) has its stability bound and its first padding at 4w, no case more
     if args.max_weight >= 0:

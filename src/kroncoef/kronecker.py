@@ -7,7 +7,7 @@ kron_via_<route>(lam, mu, nu, n):
 * blocks: an alternating sum of reduced coefficients over the n-pair chain,
 * dagger: an alternating sum over the dagger partitions of the padded nu,
 * closed: the dagger sum cut after its first two terms, from the n on which
-  kron_via_closed proves the cut exact; for a two-row or hook nu, (n-k, k)
+  _two_term_floor proves the cut exact; for a two-row or hook nu, (n-k, k)
   or (n-k, 1^k), the source paper's closed formulas; no route row of the
   sweep reads it, since where it answers the terms it cuts are zero.
 
@@ -161,7 +161,7 @@ def _reduced_kron(lam: tuple, mu: tuple, nu: tuple) -> int:
     order of a triple is computed as the one sorted by (size, parts).
 
     It is 0, before any class sum, when a first-row bound of
-    kron_via_closed fails: rho_1 <= |X| + Y_1 for each order (rho, X, Y)
+    _two_term_floor fails: rho_1 <= |X| + Y_1 for each order (rho, X, Y)
     of the three labels.  A bound holds when |rho| <= |X|, so on the sorted
     triple only three of the six can fail.  A sorted triple off the size
     triangle, |nu| > |lam| + |mu|, leaves _l_splits empty."""
@@ -216,8 +216,20 @@ def kron_via_closed(lam: Partition, mu: Partition, nu: Partition, n: int) -> int
     kron_via_dagger cut after two terms, gbar(lam, mu, nu) - gbar(lam, mu, nu+),
     nu+ = dagger(pad(nu, n), 1) = (n - |nu| + 1, nu_2, ...); for a two-row or
     hook nu, (n-k, k) or (n-k, 1^k), the source paper's closed formulas.
-    FormulaRangeError below n0 = min(stability bound, |lam| + |mu| + nu_2 - 1)
-    (nu_2 = 0 for fewer than two parts).  From n0 on the two terms are g:
+    FormulaRangeError below n0 = _two_term_floor(lam, mu, nu), from which
+    the two terms are g."""
+    lam, mu, padded = (_padded(p, n) for p in (lam, mu, nu))
+    lam, mu, nu = lam[1:], mu[1:], padded[1:]
+    n0 = _two_term_floor(lam, mu, nu)
+    if n < n0:
+        raise FormulaRangeError(f"the two-term dagger sum needs n >= {n0}, got n={n}")
+    return _alternating(lam, mu, islice(_daggers(lam, mu, padded), 2))
+
+
+def _two_term_floor(lam: tuple, mu: tuple, nu: tuple) -> int:
+    """n0 = min(stability bound, |lam| + |mu| + nu_2 - 1) of reduced parts
+    (nu_2 = 0 for fewer than two parts): from n0 on the dagger sum of the
+    padded triple is its first two terms.
     1. From |lam| + |mu| + nu_2 - 1 on, the third dagger partition has
        n - nu_2 + 2 > |lam| + |mu| boxes, so it and every later term are zero.
     2. From the stability bound on, g = gbar(lam, mu, nu) and gbar(nu+) = 0:
@@ -226,15 +238,9 @@ def kron_via_closed(lam: Partition, mu: Partition, nu: Partition, n: int) -> int
        alpha_1 + pi_1 <= |lam|, beta_1 <= mu_1), and nu+ has n - nu_1 + 1 boxes
        and first row n - |nu| + 1: each term of the bound rules it out.
     Neither step reads the shape of nu.  A two-row or hook nu has nu_2 <= 1,
-    so its range starts by |lam| + |mu|; another shape may need a larger n.
-    """
-    lam, mu, padded = (_padded(p, n) for p in (lam, mu, nu))
-    lam, mu, nu = lam[1:], mu[1:], padded[1:]
+    so its range starts by |lam| + |mu|; another shape may need a larger n."""
     second = nu[1] if len(nu) > 1 else 0
-    n0 = min(_stability_bound(lam, mu, nu), sum(lam) + sum(mu) + second - 1)
-    if n < n0:
-        raise FormulaRangeError(f"the two-term dagger sum needs n >= {n0}, got n={n}")
-    return _alternating(lam, mu, islice(_daggers(lam, mu, padded), 2))
+    return min(_stability_bound(lam, mu, nu), sum(lam) + sum(mu) + second - 1)
 
 
 def _l_splits(l: int, r: int, s: int):

@@ -471,6 +471,15 @@ class TestSweep:
             code, _, _ = run(capsys, "sweep", *argv)
             assert code == 0, argv
 
+    def test_dim_max_refused_past_its_cap(self, capsys, monkeypatch):
+        # refused before the header row; the cap itself is admitted
+        proc = kroncoef_process("sweep", "--max-weight", "-1", "--dim-max", "14")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: --dim-max 14 is past the dimension identity's cap of 13\n"
+        monkeypatch.setattr(cli, "sweep_rows", lambda *bounds: iter(()))
+        code, _, _ = run(capsys, "sweep", "--max-weight", "-1", "--dim-max", "13")
+        assert code == 0
+
     def test_jobs_and_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "sweep", "--max-weight", "1", "--extra-n", "0", "--dim-max", "2")
         assert code == 0

@@ -1,17 +1,16 @@
-"""Seeded faults in a shared layer, and the checks that must catch them:
-the route-agreement sweep is a cross-check only if the routes do not share
+"""Seeded faults in the shared layers, each a row of one table,
+test_layer_fault_is_caught, with the checks that must catch it: the
+route-agreement sweep is a cross-check only if the routes do not share
 their answer, and a fault in what no sweep row reads must fail a direct
-test.  No route row reads the closed route: a fault in its range rule is
-left to the closed-formula tests, and the dagger fault must also reach it,
-as the dagger sum's first two terms, and make it differ from the oracle on
-some in-range two-row or hook case."""
+test.  No route row reads the closed route: a fault in its range rule,
+_two_term_floor, is left to the closed-formula tests, and the dagger fault
+reaches it too, as the dagger sum's first two terms.  A fault that ends the
+sweep, not a row, is a test of its own."""
 
-import inspect
 import io
 import json
 from contextlib import contextmanager, redirect_stdout
 from functools import partial
-from itertools import product
 
 import pytest
 import test_acceptance
@@ -23,7 +22,7 @@ import test_sym_characters
 import kroncoef
 from kroncoef import Partition, cli, diagram_algebra, kronecker, lr, partitions, sym_characters
 from kroncoef.cli import main, sweep_rows
-from kroncoef.partitions import block_chain, dagger, partitions_up_to
+from kroncoef.partitions import block_chain, dagger
 
 
 @contextmanager
@@ -52,62 +51,6 @@ def test_unpatched_sweep_flags_nothing(monkeypatch):
     assert not any(flagged(monkeypatch, []).values())
 
 
-def test_conjugate_character_swap_is_flagged(monkeypatch):
-    # chi^(3,1) and chi^(2,1,1) exchanged, for the oracle and the kernel alike
-    real = sym_characters._chars
-    swap = {(3, 1): (2, 1, 1), (2, 1, 1): (3, 1)}
-
-    def swapped(lam):
-        return real(swap.get(lam, lam))
-
-    rows = flagged(monkeypatch, [(sym_characters, "_chars", swapped), (kronecker, "_chars", swapped)])
-    assert rows["kron_routes"], rows
-
-
-def chain_without_last(nu, n, r):
-    # a chain of one entry kept whole: only the alternating tail goes
-    chain = block_chain(nu, n, r)
-    return chain[:-1] if len(chain) > 1 else chain
-
-
-def dagger_first_row_raised(padded, i):
-    result = dagger(padded, i)
-    if i != 1:
-        return result
-    return Partition((result.parts[0] + 1,) + result.parts[1:])
-
-
-@pytest.mark.parametrize(
-    "name, fault",
-    [("block_chain", chain_without_last), ("dagger", dagger_first_row_raised)],
-    ids=["block_chain drops its last entry", "dagger(., 1) first row + 1"],
-)
-def test_route_fault_is_flagged(monkeypatch, name, fault):
-    # the routes read block_chain and dagger as kronecker's names; the sweep
-    # flags 219 and 234 kron_routes rows
-    rows = flagged(monkeypatch, [(kronecker, name, fault)])
-    assert rows["kron_routes"], rows
-
-
-def test_dagger_fault_reaches_the_closed_route(monkeypatch):
-    # the closed route is the dagger sum cut after two terms, so it reads
-    # kronecker.dagger too: 96 of its 1,128 in-range calls with |lam|, |mu|
-    # <= 3 and n <= stability bound + 2 differ from the oracle
-    labels = [p.parts for p in partitions_up_to(3)]
-    differ = 0
-    with seeded(monkeypatch, [(kronecker, "dagger", dagger_first_row_raised)]):
-        for lam, mu in product(labels, repeat=2):
-            top = sum(lam) + sum(mu)
-            for nu in {(k,) for k in range(1, top + 1)} | {(1,) * k for k in range(top + 1)}:
-                for n in kronecker.valid_n_range(lam, mu, nu, 2):
-                    try:
-                        closed = kronecker.kron_via_closed(lam, mu, nu, n)
-                    except kronecker.FormulaRangeError:
-                        continue
-                    differ += closed != kronecker.kron_via_oracle(lam, mu, nu, n)
-    assert differ
-
-
 def padded_without_own_padding(label, n):
     # partitions._padded with its partition-of-n branch dropped: a label that
     # is its own padding at n is padded again
@@ -126,7 +69,19 @@ def test_padded_fault_ends_the_sweep(monkeypatch):
 
 
 REAL_CHARS, REAL_REDUCED_KRON, REAL_SKEW = sym_characters._chars, kronecker._reduced_kron, lr._skew
+REAL_RESTRICTED, REAL_TWO_TERM_FLOOR, REAL_JOIN = kronecker._restricted, kronecker._two_term_floor, diagram_algebra._join
 REAL_FORM = sym_characters.SpechtModel._form.func
+
+
+def chars(fault):
+    """The patches that put fault in place of _chars for the oracle and the
+    kernel alike."""
+    return [(sym_characters, "_chars", fault), (kronecker, "_chars", fault)]
+
+
+def chars_conjugates_swapped(lam):
+    # chi^(3,1) and chi^(2,1,1) exchanged
+    return REAL_CHARS({(3, 1): (2, 1, 1), (2, 1, 1): (3, 1)}.get(lam, lam))
 
 
 def chars_sign_flipped(lam):
@@ -145,13 +100,43 @@ def chars_first_value_negated(lam):
     return values[:i] + (-values[i],) + values[i + 1 :]
 
 
-NON_INTEGRAL = [(sym_characters, "_chars", chars_first_value_negated), (kronecker, "_chars", chars_first_value_negated)]
+NON_INTEGRAL = chars(chars_first_value_negated)
 
 
 def reduced_kron_raised(lam, mu, nu):
     # gbar((1),(1),(2)) = 1 read as 2; every other order of the triple
     # recurses into this one
     return REAL_REDUCED_KRON(lam, mu, nu) + ((lam, mu, nu) == ((1,), (1,), (2,)))
+
+
+def restricted_raised(outer, x, y, c):
+    # the first entry of each restricted table of chi^(2,1) read one higher
+    table = REAL_RESTRICTED(outer, x, y, c)
+    if outer != (2, 1):
+        return table
+    (row, *rows), *blocks = table
+    return (((row[0] + 1, *row[1:]), *rows), *blocks)
+
+
+def chain_without_last(nu, n, r):
+    # a chain of one entry kept whole: only the alternating tail goes
+    chain = block_chain(nu, n, r)
+    return chain[:-1] if len(chain) > 1 else chain
+
+
+def dagger_first_row_raised(padded, i):
+    result = dagger(padded, i)
+    if i != 1:
+        return result
+    return Partition((result.parts[0] + 1,) + result.parts[1:])
+
+
+def skew_raised(outer, inner):
+    # c^(2,1)_{(1),(2)} = 1 read as 2, on a copy of the shared cached dict
+    expansion = REAL_SKEW(outer, inner)
+    if (outer, inner) == ((2, 1), (1,)):
+        expansion = {**expansion, (2,): expansion[(2,)] + 1}
+    return expansion
 
 
 def form_raised(model):
@@ -163,17 +148,9 @@ def form_raised(model):
     return ((form[0][0], form[0][1] + 1),) + form[1:]
 
 
-def closed_range_lowered():
-    """The patches that put kron_via_closed, compiled from its own source
-    with n0 one lower, in kronecker and in the test modules that import it
-    by name: it answers at n0 - 1 and names n0 - 1 in its refusals."""
-    source = inspect.getsource(kronecker.kron_via_closed)
-    lowered = source.replace("    n0 = min(", "    n0 = -1 + min(")
-    assert lowered != source
-    namespace = {}
-    exec(lowered, vars(kronecker), namespace)
-    fault = namespace["kron_via_closed"]
-    return [(module, "kron_via_closed", fault) for module in (kronecker, test_kronecker, test_acceptance)]
+def floor_lowered(lam, mu, nu):
+    # kron_via_closed answers at n0 - 1 and names n0 - 1 in its refusals
+    return REAL_TWO_TERM_FLOOR(lam, mu, nu) - 1
 
 
 def sign_by_descents(seq):
@@ -182,73 +159,102 @@ def sign_by_descents(seq):
     return (-1) ** sum(x > y for x, y in zip(seq, seq[1:]))
 
 
-def skew_raised(outer, inner):
-    # c^(2,1)_{(1),(2)} = 1 read as 2, on a copy of the shared cached dict
-    expansion = REAL_SKEW(outer, inner)
-    if (outer, inner) == ((2, 1), (1,)):
-        expansion = {**expansion, (2,): expansion[(2,)] + 1}
-    return expansion
+def join_loop_uncounted(x, y):
+    # the first middle-only component of a join not counted as a loop
+    t, outer = REAL_JOIN(x, y)
+    return t - (t > 0), outer
+
+
+SWEEP = ("kron_routes", "dim_identity")
+CLOSED = test_kronecker.TestClosedFormulas()
+SPECHT = test_sym_characters.TestSpechtModel()
+MODULES = test_diagram_algebra.TestStandardModules()
 
 
 @pytest.mark.parametrize(
     "patches, caught_by",
     [
+        # 178 kron_routes and 2 dim_identity rows
+        pytest.param(chars(chars_conjugates_swapped), SWEEP, id="_chars (3,1) and (2,1,1) swapped"),
         # 203 kron_routes and 17 dim_identity rows
-        (
-            [(sym_characters, "_chars", chars_sign_flipped), (kronecker, "_chars", chars_sign_flipped)],
-            ("kron_routes", "dim_identity"),
-        ),
+        pytest.param(chars(chars_sign_flipped), SWEEP, id="_chars one sign flip"),
         # 761 kron_routes and 21 dim_identity rows, 218 of them by an
         # ArithmeticError
-        (NON_INTEGRAL, ("kron_routes", "dim_identity")),
+        pytest.param(NON_INTEGRAL, SWEEP, id="_chars non-integral sums"),
         # 10 kron_routes and 11 dim_identity rows
-        (
+        pytest.param(
             [(kronecker, "_reduced_kron", reduced_kron_raised), (diagram_algebra, "_reduced_kron", reduced_kron_raised)],
-            ("kron_routes", "dim_identity"),
+            SWEEP,
+            id="_reduced_kron + 1 on one triple",
         ),
-        # the sweep reads no LR coefficient and flags no row: a direct test must fail
-        ([(lr, "_skew", skew_raised)], (test_lr.test_matches_lattice_word_count_up_to_8,)),
-        # the Specht form and the Gram matrix are each checked against a
-        # pairing of the polytabloids, which reads no form_of
-        (
-            [(sym_characters.SpechtModel, "_form", property(form_raised))],
-            (
-                test_sym_characters.TestSpechtModel().test_form_of_is_the_pairing_reference,
-                test_sym_characters.TestSpechtModel().test_invariant_form_is_sigma_invariant,
-                test_diagram_algebra.TestStandardModules().test_gram_matches_the_product_reference,
-            ),
+        # 867 kron_routes and 21 dim_identity rows, 815 of them by an
+        # ArithmeticError
+        pytest.param([(kronecker, "_restricted", restricted_raised)], SWEEP, id="_restricted (2,1) first entry + 1"),
+        # the routes read block_chain and dagger as kronecker's names
+        # 219 kron_routes rows
+        pytest.param([(kronecker, "block_chain", chain_without_last)], ("kron_routes",), id="block_chain drops its last entry"),
+        # 234 kron_routes rows
+        pytest.param([(kronecker, "dagger", dagger_first_row_raised)], ("kron_routes",), id="dagger(., 1) first row + 1"),
+        # the closed route is the dagger sum cut after two terms, so the
+        # dagger fault reaches it too, though no sweep row reads it
+        pytest.param(
+            [(kronecker, "dagger", dagger_first_row_raised)],
+            (CLOSED.test_other_shapes_answered_from_n0, test_acceptance.test_acceptance_5_closed_formulas),
+            id="dagger(., 1) first row + 1 in the closed route",
         ),
         # no sweep row reads the closed route: its range rule is left to the
         # closed-formula tests
-        (
-            closed_range_lowered(),
+        pytest.param(
+            [(kronecker, "_two_term_floor", floor_lowered)],
             (
-                test_kronecker.TestClosedFormulas().test_out_of_range,
-                test_kronecker.TestClosedFormulas().test_other_shapes_answered_from_n0,
+                CLOSED.test_out_of_range,
+                CLOSED.test_other_shapes_answered_from_n0,
                 test_acceptance.test_acceptance_5_closed_formulas,
             ),
+            id="kron_via_closed n0 - 1",
+        ),
+        # the sweep reads no LR coefficient and flags no row: a direct test must fail
+        pytest.param(
+            [(lr, "_skew", skew_raised)],
+            (test_lr.test_matches_lattice_word_count_up_to_8,),
+            id="_skew + 1 on one coefficient",
+        ),
+        # the Specht form and the Gram matrix are each checked against a
+        # pairing of the polytabloids, which reads no form_of
+        pytest.param(
+            [(sym_characters.SpechtModel, "_form", property(form_raised))],
+            (
+                SPECHT.test_form_of_is_the_pairing_reference,
+                SPECHT.test_invariant_form_is_sigma_invariant,
+                MODULES.test_gram_matches_the_product_reference,
+            ),
+            id="SpechtModel._form (2,1) off-diagonal + 1",
         ),
         # the one sign rule signs the polytabloids and the matrix columns
         # alike; the traces are checked against the Murnaghan-Nakayama
         # characters, which read no sign, and the model straightens a
         # column of (2,2,1) outside its span, an ArithmeticError
-        (
+        pytest.param(
             [(sym_characters, "_sign", sign_by_descents)],
             (
-                partial(test_sym_characters.TestSpechtModel().test_traces_match_characters, (2, 2, 1)),
-                test_sym_characters.TestSpechtModel().test_form_of_is_the_pairing_reference,
-                test_diagram_algebra.TestStandardModules().test_gram_matches_the_product_reference,
+                partial(SPECHT.test_traces_match_characters, (2, 2, 1)),
+                SPECHT.test_form_of_is_the_pairing_reference,
+                MODULES.test_gram_matches_the_product_reference,
             ),
+            id="_sign by descents",
         ),
-    ],
-    ids=[
-        "_chars one sign flip",
-        "_chars non-integral sums",
-        "_reduced_kron + 1 on one triple",
-        "_skew + 1 on one coefficient",
-        "SpechtModel._form (2,1) off-diagonal + 1",
-        "kron_via_closed n0 - 1",
-        "_sign by descents",
+        # no sweep row composes diagrams: compose is checked against a
+        # union-find on the whole picture, and the loops against products
+        # counted by hand
+        pytest.param(
+            [(diagram_algebra, "_join", join_loop_uncounted)],
+            (
+                test_diagram_algebra.TestCompose().test_degree_two_products,
+                test_diagram_algebra.TestCompose().test_matches_the_union_find_oracle,
+                MODULES.test_idempotent_action_on_three_dim_module,
+            ),
+            id="_join one loop uncounted",
+        ),
     ],
 )
 def test_layer_fault_is_caught(monkeypatch, patches, caught_by):

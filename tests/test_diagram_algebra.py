@@ -613,6 +613,8 @@ class TestCrossingProfile:
     def test_precondition(self):
         with pytest.raises(ValueError):
             crossing_profile(D("{1,2}{1'}{2'}"), 1, 1)
+        with pytest.raises(ValueError, match=r"^split 1\+2 does not match 2 top vertices$"):
+            crossing_profile(D("{1,1'}{2}"), 1, 2)
         with pytest.raises(ValueError):
             crossing_profile(D("{1,1'}{2}"), -1, 3)  # negative split
 

@@ -174,8 +174,10 @@ def test_every_public_name_has_a_reader():
         assert unread_public_names(library_sources(), handle.read()) == []
 
 
-def test_public_names_resolve_to_their_modules():
-    """Each name of the table is the attribute of the module named for it."""
+def test_public_names_resolve_to_their_modules(monkeypatch):
+    """Each name of the table is the attribute of the module named for it,
+    and each module name, read through the package's __getattr__, is the
+    module."""
     wrong = [
         f"{module}.{name}"
         for module, names in kroncoef._PUBLIC.items()
@@ -184,6 +186,9 @@ def test_public_names_resolve_to_their_modules():
     ]
     assert wrong == []
     for module in kroncoef._PUBLIC:
+        # importing a submodule sets it on the package; without that
+        # attribute, as in a fresh process, the read goes through __getattr__
+        monkeypatch.delattr(kroncoef, module)
         assert getattr(kroncoef, module) is importlib.import_module(f"kroncoef.{module}")
 
 
